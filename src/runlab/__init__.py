@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`runlab.exactnum`   -- rationals, Q(sqrt(d)), polynomials, series
 * :mod:`runlab.permcore`   -- brute-force statistics over S_n (the oracle)
-* :mod:`runlab.triangles`  -- recurrence-driven triangles and polynomial families
+* :mod:`runlab.triangles`  -- recurrence-driven integer families, one per statistic
 * :mod:`runlab.grammar`    -- substitution-rule derivative calculus and its DSL
 * :mod:`runlab.identities` -- executable identity checks with exact reports
 * :mod:`runlab.cli`        -- the ``runlab`` command
@@ -13,22 +13,21 @@ Submodules:
 from .exactnum import Fraction, PowerSeries, QuadExt, RatPoly
 from .grammar import Grammar, MPoly, Monomial, parse_grammar
 from .permcore import Permutation, Stat, distribution, enumerate_sn
-from .triangles import PolyFamily, Triangle
+from .triangles import Family
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Family",
     "Fraction",
     "Grammar",
     "MPoly",
     "Monomial",
     "Permutation",
-    "PolyFamily",
     "PowerSeries",
     "QuadExt",
     "RatPoly",
     "Stat",
-    "Triangle",
     "__version__",
     "distribution",
     "enumerate_sn",

@@ -5,7 +5,8 @@ brute-force histograms, ``grammar`` prints iterated derivatives, and
 ``verify`` runs the identity suites.  Output formats are plain text, JSON
 (one object per line, big integers as decimal strings) and CSV.
 
-Exit codes: 0 success / all checks passed, 1 verification failure,
+Exit codes: 0 success / all checks passed, 1 verification failure
+(including a generated family that contradicts its own recurrence),
 2 usage or parse error.  The environment variable ``RUNLAB_MAX_N`` sets a
 hard ceiling on every n-like argument.
 """
@@ -160,7 +161,6 @@ def _cmd_verify(args) -> int:
         carlitz_x0s=None if args.x0 is None else (args.x0,),
         final_x0s=None if args.x0 is None else (args.x0,),
         stanley_t0s=None if args.t0 is None else (args.t0,),
-        workers=args.workers,
     )
     failures = [r for r in reports if not r.passed]
     if args.format == "plain":
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single base point for the EGF checks in z")
     p.add_argument("--t0", type=_fraction, default=None,
                    help="single base point for the altsubseq EGF in x")
-    p.add_argument("--workers", type=int, default=1)
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -255,6 +254,9 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except triangles.ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

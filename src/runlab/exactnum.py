@@ -6,12 +6,12 @@ module only adds the layers the identity checks need on top of them:
 
 * :class:`QuadExt` -- elements ``a + b*rho`` of Q(sqrt(d)), with the
   discriminant ``d`` carried by each value,
-* :class:`RatPoly` -- dense univariate polynomials over ``Fraction``,
+* :class:`RatPoly` -- dense univariate polynomials over Q, with integral
+  coefficients kept as ``int``,
 * :class:`PowerSeries` -- series truncated at an explicit order, with
   :class:`QuadExt` coefficients, plus ``sin``/``cos``/``exp`` builders.
 
-Every value is immutable and every operation is a pure function, so
-everything here is safe to share across threads.
+Every value is immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def _fr(value: Rational) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _coeff(value: Rational) -> Rational:
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -215,16 +224,18 @@ class QuadExt:
 
 
 class RatPoly:
-    """Dense univariate polynomial over Fraction; index = degree.
+    """Dense univariate polynomial over Q; index = degree.
 
-    Trailing zero coefficients are trimmed on construction, so equality is
-    structural.  The zero polynomial has degree ``NEG_INF``.
+    Integral coefficients are stored as ``int`` and the others as
+    ``Fraction``, and trailing zero coefficients are trimmed on
+    construction, so equality is structural.  The zero polynomial has
+    degree ``NEG_INF``.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_fr(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
@@ -233,17 +244,17 @@ class RatPoly:
         raise AttributeError("RatPoly is immutable")
 
     @property
-    def coeffs(self) -> "tuple[Fraction, ...]":
+    def coeffs(self) -> "tuple[Rational, ...]":
         return self._coeffs
 
     @property
     def degree(self):
         return len(self._coeffs) - 1 if self._coeffs else NEG_INF
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Rational:
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        return Fraction(0)
+        return 0
 
     @property
     def is_zero(self) -> bool:
@@ -251,7 +262,7 @@ class RatPoly:
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
+        return all(isinstance(c, int) for c in self._coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -290,7 +301,7 @@ class RatPoly:
             return NotImplemented
         if not self._coeffs or not other._coeffs:
             return RatPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
                 continue
@@ -319,14 +330,14 @@ class RatPoly:
         """Substitute x -> x**k."""
         if k < 1:
             raise ValueError("stretch factor must be >= 1")
-        out = [Fraction(0)] * (len(self._coeffs) * k)
+        out = [0] * (len(self._coeffs) * k)
         for i, c in enumerate(self._coeffs):
             out[i * k] = c
         return RatPoly(out)
 
     def __call__(self, point):
-        """Horner evaluation; works for Fraction, QuadExt or RatPoly points."""
-        acc = Fraction(0)
+        """Horner evaluation; works for int, Fraction, QuadExt or RatPoly points."""
+        acc = 0
         for c in reversed(self._coeffs):
             acc = acc * point + c
         return acc

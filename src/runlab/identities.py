@@ -24,7 +24,6 @@ serialized output.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable, Iterator, Mapping, Sequence
@@ -181,10 +180,16 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     raise ValueError(f"no default plan for identity {identity!r}")
 
 
-def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str) -> None:
+def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str,
+             ident: str, needed: int) -> None:
+    """Refuse a plan with a point singular for ``what``, or with fewer
+    points than the degree bound needs to certify ``ident``."""
     for x in plan.points:
         if singular(x):
             raise ValueError(f"sample point {x} is singular for {what}")
+    if len(plan) < needed:
+        raise ValueError(f"{len(plan)} sample points cannot certify {ident}: "
+                         f"the degree bound needs at least {needed}")
 
 
 # ----------------------------------------------------------------------
@@ -284,33 +289,33 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     Wt = triangles.poly_Wtilde(n_max)
     py = grammar.MPoly.letter("y")
     pz = grammar.MPoly.letter("z")
-    if py != grammar.MPoly.monomial({"y": 1}, int(Wt[0].coefficient(0))):
+    if py != grammar.MPoly.monomial({"y": 1}, Wt.entry(0, 0)):
         return _failed(ident, params, 0, "derivative 0 of y", py, Wt[0])
     for n in range(1, n_max + 1):
         py = grammar.d_apply(g, py)
         pz = grammar.d_apply(g, pz)
         expected_y = grammar.MPoly(
-            (grammar.Monomial({"y": 2 * k + 1, "z": n - 2 * k}), int(c))
-            for k, c in enumerate(Wt[n].coeffs)
+            (grammar.Monomial({"y": 2 * k + 1, "z": n - 2 * k}), c)
+            for k, c in enumerate(Wt.row(n))
             if c
         )
         if py != expected_y:
             return _failed(ident, params, n, "derivative of y", py, expected_y)
         expected_z = grammar.MPoly(
-            (grammar.Monomial({"y": 2 * k + 2, "z": n - 2 * k - 1}), int(c))
-            for k, c in enumerate(W[n].coeffs)
+            (grammar.Monomial({"y": 2 * k + 2, "z": n - 2 * k - 1}), c)
+            for k, c in enumerate(W.row(n))
             if c
         )
         if pz != expected_z:
             return _failed(ident, params, n, "derivative of z", pz, expected_z)
         if n <= oracle_n_max:
             peaks = permcore.distribution(permcore.Stat.INTERIOR_PEAKS, n)
-            wrow = {k: int(c) for k, c in enumerate(W[n].coeffs) if c}
+            wrow = _row_counts(W.row(n))
             if wrow != peaks.counts:
                 return _failed(ident, params, n, f"interior-peak histogram over S_{n}",
                                _hist_str(wrow), _hist_str(peaks.counts))
             lpeaks = permcore.distribution(permcore.Stat.LEFT_PEAKS, n)
-            wtrow = {k: int(c) for k, c in enumerate(Wt[n].coeffs) if c}
+            wtrow = _row_counts(Wt.row(n))
             if wtrow != lpeaks.counts:
                 return _failed(ident, params, n, f"left-peak histogram over S_{n}",
                                _hist_str(wtrow), _hist_str(lpeaks.counts))
@@ -409,10 +414,8 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
     obey T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'."""
     params = {"n_max": n_max}
     ident = "poly/recurrences"
-    tri_r = triangles.triangle_R(n_max + 2)
-    tri_a = triangles.triangle_A(n_max + 1)
-    r = {n: RatPoly(tri_r.row(n)) for n in tri_r.indices()}
-    t = {n: RatPoly(tri_a.row(n)) for n in tri_a.indices()}
+    r = triangles.triangle_R(n_max + 2)
+    t = triangles.triangle_A(n_max + 1)
     for n in range(0, n_max + 1):
         rhs = RatPoly((0, 2, n)) * r[n + 1] + RatPoly((0, 1, 0, -1)) * r[n + 1].derivative()
         if rhs != r[n + 2]:
@@ -427,16 +430,18 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
 
 
 def check_alt_from_runs(n_max: int = 25) -> CheckReport:
-    """T_n(x) = (1+x)/2 * R_n(x) for n >= 2, by exact polynomial arithmetic."""
+    """T_n(x) = (1+x)/2 * R_n(x) for n >= 2, checked in integer
+    polynomial arithmetic as 2 T_n = (1+x) R_n."""
     params = {"n_max": n_max}
     ident = "closed/alt-from-runs"
-    half_shift = RatPoly((Fraction(1, 2), Fraction(1, 2)))
+    one_plus_x = RatPoly((1, 1))
     T = triangles.poly_T(n_max)
     R = triangles.poly_R(n_max)
     for n in range(2, n_max + 1):
-        rhs = half_shift * R[n]
-        if rhs != T[n]:
-            return _failed(ident, params, n, "T_n = (1+x)/2 R_n", T[n], rhs)
+        lhs = 2 * T[n]
+        rhs = one_plus_x * R[n]
+        if rhs != lhs:
+            return _failed(ident, params, n, "2 T_n = (1+x) R_n", lhs, rhs)
     return _passed(ident, params)
 
 
@@ -453,24 +458,26 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     the degree is at most n, so the n_max+2 sample points certify every
     n <= n_max.
     """
+    needed = n_max + 2
     if plan is None:
-        plan = default_plan("runs-from-peaks", n_max + 2)
-    _require(plan, lambda x: x == -1, "W_n(2x/(1+x))")
-    params = {"n_max": n_max, "points": len(plan)}
+        plan = default_plan("runs-from-peaks", needed)
     ident = "closed/runs-from-peaks"
+    _require(plan, lambda x: x == -1, "W_n(2x/(1+x))", ident, needed)
+    params = {"n_max": n_max, "points": len(plan)}
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     T = triangles.poly_T(n_max)
     for n in range(1, n_max + 1):
+        Wn, Rn, Tn = W[n], R[n], T[n]
         for x in plan.points:
-            wn = W[n](2 * x / (1 + x))
+            wn = Wn(2 * x / (1 + x))
             rhs = x * (1 + x) ** (n - 1) / 2 ** (n - 1) * wn
-            if rhs != T[n](x):
-                return _failed(ident, params, n, f"T-form x={x}", T[n](x), rhs)
+            if rhs != Tn(x):
+                return _failed(ident, params, n, f"T-form x={x}", Tn(x), rhs)
             if n >= 2:
                 rhs = x * (1 + x) ** (n - 2) / 2 ** (n - 2) * wn
-                if rhs != R[n](x):
-                    return _failed(ident, params, n, f"R-form x={x}", R[n](x), rhs)
+                if rhs != Rn(x):
+                    return _failed(ident, params, n, f"R-form x={x}", Rn(x), rhs)
     return _passed(ident, params)
 
 
@@ -486,30 +493,32 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     rational parts are compared.  After clearing denominators the degree
     is at most 2n+2, so 2*n_max+3 points certify every n <= n_max.
     """
+    needed = 2 * n_max + 3
     if plan is None:
-        plan = default_plan("tangent", 2 * n_max + 3)
-    _require(plan, lambda x: x in (0, 1, -1), "the tangent closed forms")
-    params = {"n_max": n_max, "points": len(plan)}
+        plan = default_plan("tangent", needed)
     ident = "closed/tangent"
+    _require(plan, lambda x: x in (0, 1, -1), "the tangent closed forms", ident, needed)
+    params = {"n_max": n_max, "points": len(plan)}
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     P = triangles.poly_P(n_max)
     for n in range(2, n_max + 1):
+        Wn, Rn, Pn = W[n], R[n], P[n]
         for x in plan.points:
             sigma = QuadExt.root(x - 1)
-            val = sigma ** (n + 1) * P[n](sigma.inverse()) / x
+            val = sigma ** (n + 1) * Pn(sigma.inverse()) / x
             if val.b != 0:
                 return _failed(ident, params, n,
                                f"W-form x={x}: sqrt component", val, 0)
-            if val.a != W[n](x):
-                return _failed(ident, params, n, f"W-form x={x}", W[n](x), val.a)
+            if val.a != Wn(x):
+                return _failed(ident, params, n, f"W-form x={x}", Wn(x), val.a)
             tau = QuadExt.root((x + 1) / (x - 1))
-            val = ((x + 1) / 2) ** (n - 1) * tau ** (-(n + 1)) * P[n](tau)
+            val = ((x + 1) / 2) ** (n - 1) * tau ** (-(n + 1)) * Pn(tau)
             if val.b != 0:
                 return _failed(ident, params, n,
                                f"R-form x={x}: sqrt component", val, 0)
-            if val.a != R[n](x):
-                return _failed(ident, params, n, f"R-form x={x}", R[n](x), val.a)
+            if val.a != Rn(x):
+                return _failed(ident, params, n, f"R-form x={x}", Rn(x), val.a)
     return _passed(ident, params)
 
 
@@ -520,22 +529,24 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     rho^2 = 1-x^2.  Points stay in (-1,1) \\ {0}; the sqrt component of
     every evaluation must vanish exactly.
     """
+    needed = 2 * n_max + 3
     if plan is None:
-        plan = default_plan("david-barton", 2 * n_max + 3)
-    _require(plan, lambda x: x == 0 or abs(x) >= 1, "the descent closed form")
-    params = {"n_max": n_max, "points": len(plan)}
+        plan = default_plan("david-barton", needed)
     ident = "closed/david-barton"
+    _require(plan, lambda x: x == 0 or abs(x) >= 1, "the descent closed form", ident, needed)
+    params = {"n_max": n_max, "points": len(plan)}
     A = triangles.poly_A(n_max)
     R = triangles.poly_R(n_max)
     for n in range(2, n_max + 1):
+        An, Rn = A[n], R[n]
         for x in plan.points:
             w = QuadExt.root(1 - x * x) / (1 + x)
             u = (1 - w) / (1 + w)
-            val = ((1 + x) / 2) ** (n - 1) * (1 + w) ** (n + 1) * A[n](u)
+            val = ((1 + x) / 2) ** (n - 1) * (1 + w) ** (n + 1) * An(u)
             if val.b != 0:
                 return _failed(ident, params, n, f"x={x}: sqrt component", val, 0)
-            if val.a != R[n](x):
-                return _failed(ident, params, n, f"x={x}", R[n](x), val.a)
+            if val.a != Rn(x):
+                return _failed(ident, params, n, f"x={x}", Rn(x), val.a)
     return _passed(ident, params)
 
 
@@ -723,17 +734,7 @@ def _suite_thunks(
     return thunks
 
 
-def run_suite(suite: str = "all", *, workers: int = 1, **options) -> "list[CheckReport]":
-    """Run one suite and return its reports sorted by identity id.
-
-    Checks are independent and pure, so ``workers > 1`` may evaluate them
-    concurrently; the sorted output is identical either way.
-    """
-    thunks = _suite_thunks(suite, **options)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(t) for t in thunks]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [t() for t in thunks]
+def run_suite(suite: str = "all", **options) -> "list[CheckReport]":
+    """Run one suite and return its reports sorted by identity id."""
+    reports = [t() for t in _suite_thunks(suite, **options)]
     return sorted(reports, key=lambda r: r.identity)

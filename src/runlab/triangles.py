@@ -1,12 +1,12 @@
-"""Recurrence-driven integer triangles and polynomial families.
+"""Recurrence-driven integer families, one :class:`Family` per statistic.
 
 Five triangles (runs, altsubseq, peaks, leftpeaks, euler) and six
 polynomial families.  Each generator applies its recurrence from the
 smallest seed only; any later printed seed row is *asserted*, and every
-rational recurrence step is asserted integral, so a mistranscribed
+polynomial recurrence step is asserted integral, so a mistranscribed
 recurrence fails loudly instead of producing plausible garbage.
 
-Triangle rows are stored dense from k = 0 (recurrences reach k-1 and
+Family rows are stored dense from k = 0 (recurrences reach k-1 and
 k-2, and dense rows avoid sentinel bugs at the boundaries).
 """
 
@@ -20,8 +20,7 @@ from .exactnum import RatPoly
 
 __all__ = [
     "ConsistencyError",
-    "PolyFamily",
-    "Triangle",
+    "Family",
     "poly_A",
     "poly_P",
     "poly_R",
@@ -44,8 +43,12 @@ _X = RatPoly((0, 1))
 
 
 @dataclass(frozen=True)
-class Triangle:
-    """Rows of nonnegative integers, indexed n = start.., dense from k = 0."""
+class Family:
+    """Integer coefficient rows indexed n = start.., dense from k = 0.
+
+    Row n holds the coefficients of the family's n-th polynomial, and
+    ``F[n]`` is that polynomial, built from the stored row on each call.
+    """
 
     name: str
     start: int
@@ -61,37 +64,18 @@ class Triangle:
     def row(self, n: int) -> "list[int]":
         if not self.start <= n <= self.max_n:
             raise ValueError(f"row {n} outside generated range "
-                             f"{self.start}..{self.max_n} of triangle {self.name!r}")
+                             f"{self.start}..{self.max_n} of family {self.name!r}")
         return self.rows[n - self.start]
 
     def entry(self, n: int, k: int) -> int:
         row = self.row(n)
         return row[k] if 0 <= k < len(row) else 0
 
-
-@dataclass(frozen=True)
-class PolyFamily:
-    """Polynomials indexed n = start.., one family per statistic."""
-
-    name: str
-    start: int
-    polys: "tuple[RatPoly, ...]"
-
-    @property
-    def max_n(self) -> int:
-        return self.start + len(self.polys) - 1
-
-    def indices(self) -> range:
-        return range(self.start, self.max_n + 1)
-
     def __getitem__(self, n: int) -> RatPoly:
-        if not self.start <= n <= self.max_n:
-            raise ValueError(f"index {n} outside generated range "
-                             f"{self.start}..{self.max_n} of family {self.name!r}")
-        return self.polys[n - self.start]
+        return RatPoly(self.row(n))
 
 
-def triangle_R(n_max: int) -> Triangle:
+def triangle_R(n_max: int) -> Family:
     """Counts of permutations of [n] by number of alternating runs.
 
     Rows n = 1..n_max from
@@ -111,10 +95,10 @@ def triangle_R(n_max: int) -> Triangle:
         for k in range(1, n):
             row[k] = k * at(k) + 2 * at(k - 1) + (n - k) * at(k - 2)
         rows.append(row)
-    return Triangle("runs", 1, rows)
+    return Family("runs", 1, rows)
 
 
-def triangle_A(n_max: int) -> Triangle:
+def triangle_A(n_max: int) -> Family:
     """Counts of permutations of [n] by longest alternating subsequence.
 
     Rows n = 0..n_max from
@@ -137,17 +121,7 @@ def triangle_A(n_max: int) -> Triangle:
     if n_max >= 1 and rows[1] != [0, 1]:
         raise ConsistencyError(f"row 1 of the altsubseq triangle is {rows[1]}, "
                                "expected [0, 1]")
-    return Triangle("altsubseq", 0, rows)
-
-
-def _int_rows(name: str, polys: "list[RatPoly]") -> "list[list[int]]":
-    rows = []
-    for p in polys:
-        if not p.is_integral:
-            raise ConsistencyError(f"family {name!r} produced a non-integer "
-                                   f"coefficient in {p}")
-        rows.append([int(c) for c in p.coeffs] or [0])
-    return rows
+    return Family("altsubseq", 0, rows)
 
 
 def _recurrence_family(
@@ -157,7 +131,7 @@ def _recurrence_family(
     step: "Callable[[int, RatPoly], RatPoly]",
     seeds: "dict[int, RatPoly]",
     n_max: int,
-) -> PolyFamily:
+) -> Family:
     """Run ``step`` from the smallest seed, asserting later seeds on the way."""
     if n_max < start:
         raise ValueError(f"n_max must be >= {start} for family {name!r}")
@@ -176,10 +150,10 @@ def _recurrence_family(
                 f"seed says {expected}"
             )
         polys.append(nxt)
-    return PolyFamily(name, start, tuple(polys[: n_max - start + 1]))
+    return Family(name, start, [list(p.coeffs) for p in polys[: n_max - start + 1]])
 
 
-def poly_R(n_max: int) -> PolyFamily:
+def poly_R(n_max: int) -> Family:
     """Run polynomials from R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'."""
     return _recurrence_family(
         "R",
@@ -191,7 +165,7 @@ def poly_R(n_max: int) -> PolyFamily:
     )
 
 
-def poly_T(n_max: int) -> PolyFamily:
+def poly_T(n_max: int) -> Family:
     """Alternating-subsequence polynomials from
     T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n', seeded T_0 = 1; T_1 = x asserted."""
     return _recurrence_family(
@@ -204,7 +178,7 @@ def poly_T(n_max: int) -> PolyFamily:
     )
 
 
-def poly_W(n_max: int) -> PolyFamily:
+def poly_W(n_max: int) -> Family:
     """Interior-peak polynomials from
     W_(n+1) = (nx-x+2)W_n + 2x(1-x)W_n', seeded W_1 = 1; W_2, W_3 asserted."""
     return _recurrence_family(
@@ -217,7 +191,7 @@ def poly_W(n_max: int) -> PolyFamily:
     )
 
 
-def poly_Wtilde(n_max: int) -> PolyFamily:
+def poly_Wtilde(n_max: int) -> Family:
     """Left-peak polynomials from
     Wt_(n+1) = (nx+1)Wt_n + 2x(1-x)Wt_n', seeded Wt_0 = 1; the printed
     rows Wt_1 = 1, Wt_2 = 1+x, Wt_3 = 1+5x are asserted."""
@@ -231,7 +205,7 @@ def poly_Wtilde(n_max: int) -> PolyFamily:
     )
 
 
-def poly_P(n_max: int) -> PolyFamily:
+def poly_P(n_max: int) -> Family:
     """Tangent derivative polynomials: P_0 = x, P_(n+1) = (1+x^2)P_n'."""
     return _recurrence_family(
         "P",
@@ -243,17 +217,17 @@ def poly_P(n_max: int) -> PolyFamily:
     )
 
 
-def triangle_W(n_max: int) -> Triangle:
-    """Interior-peak counts W(n,k); coefficient rows of poly_W."""
-    return Triangle("peaks", 1, _int_rows("W", list(poly_W(n_max).polys)))
+def triangle_W(n_max: int) -> Family:
+    """Interior-peak counts W(n,k): the rows of poly_W."""
+    return poly_W(n_max)
 
 
-def triangle_Wtilde(n_max: int) -> Triangle:
-    """Left-peak counts; coefficient rows of poly_Wtilde."""
-    return Triangle("leftpeaks", 0, _int_rows("Wt", list(poly_Wtilde(n_max).polys)))
+def triangle_Wtilde(n_max: int) -> Family:
+    """Left-peak counts: the rows of poly_Wtilde."""
+    return poly_Wtilde(n_max)
 
 
-def triangle_euler(n_max: int) -> Triangle:
+def triangle_euler(n_max: int) -> Family:
     """Descent counts, expanded from the two-letter substitution grammar
     {x -> xy, y -> xy}: the n-th derivative of x is
     sum_k E(n,k) x^(k+1) y^(n-k), and E(n,k) is the euler row."""
@@ -274,11 +248,9 @@ def triangle_euler(n_max: int) -> Triangle:
                 )
             row[k] = c
         rows.append(row)
-    return Triangle("euler", 1, rows)
+    return Family("euler", 1, rows)
 
 
-def poly_A(n_max: int) -> PolyFamily:
-    """Descent polynomials A_n(x) = x * sum_k E(n,k) x^k from the euler rows."""
-    tri = triangle_euler(n_max)
-    polys = tuple(RatPoly([0] + tri.row(n)) for n in tri.indices())
-    return PolyFamily("A", 1, polys)
+def poly_A(n_max: int) -> Family:
+    """Descent polynomials A_n(x) = x * sum_k E(n,k) x^k: euler rows shifted by x."""
+    return Family("A", 1, [[0] + row for row in triangle_euler(n_max).rows])

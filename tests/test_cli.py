@@ -192,10 +192,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "points=40" in out
 
-    def test_workers_match_serial_output(self, capsys):
-        _, serial, _ = run(capsys, "verify", "gf", "--order", "5")
-        _, threaded, _ = run(capsys, "verify", "gf", "--order", "5", "--workers", "4")
-        assert serial == threaded
+    def test_under_certified_points_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "closed-forms", "--n-max", "12", "--points", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "certify" in err
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
@@ -210,6 +213,16 @@ class TestVerifyCommand:
         assert "FAIL grammar/runs" in out
         assert "counterexample: n=4" in out
         assert "lhs = " in out and "rhs = " in out
+
+    def test_consistency_error_exits_1_without_traceback(self, capsys, monkeypatch):
+        def broken(n_max):
+            raise triangles.ConsistencyError("row 2 contradicts its seed")
+
+        monkeypatch.setitem(cli.TRIANGLE_BUILDERS, "runs", broken)
+        code, out, err = run(capsys, "triangle", "runs", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: row 2 contradicts its seed\n"
 
     def test_fault_injection_oracle_suite(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -128,6 +128,12 @@ class TestRatPoly:
         assert RatPoly((0, 0, 1))(rho) == 2
         assert RatPoly((1, 1))(F(0)) == 1
 
+    def test_integral_coefficients_are_ints(self):
+        p = RatPoly((F(4, 2), F(1, 2)))
+        assert p.coeffs == (2, F(1, 2))
+        assert type(p.coeffs[0]) is int
+        assert (p * 2).is_integral and not p.is_integral
+
     def test_zero_degree_sentinel(self):
         assert RatPoly().degree == NEG_INF
         assert RatPoly((0, 0)).degree == NEG_INF

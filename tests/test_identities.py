@@ -7,7 +7,7 @@ import pytest
 
 from runlab import identities as idn
 from runlab import triangles
-from runlab.exactnum import QuadExt, RatPoly
+from runlab.exactnum import QuadExt
 
 F = Fraction
 
@@ -107,6 +107,17 @@ class TestPointwiseChecks:
             assert not idn._is_square(x - 1)
             assert not idn._is_square((x + 1) / (x - 1))
 
+    def test_under_certified_plans_rejected(self):
+        # the degree bound needs n_max + 2 points for runs-from-peaks and
+        # 2 n_max + 3 for the two radical forms; one fewer is refused
+        with pytest.raises(ValueError, match="certify"):
+            idn.check_runs_from_peaks(6, idn.default_plan("runs-from-peaks", 7))
+        with pytest.raises(ValueError, match="certify"):
+            idn.check_tangent_forms(6, idn.default_plan("tangent", 14))
+        with pytest.raises(ValueError, match="certify"):
+            idn.check_david_barton(6, idn.default_plan("david-barton", 14))
+        assert idn.check_david_barton(6, idn.default_plan("david-barton", 15)).passed
+
     def test_square_discriminants_still_work(self):
         # non-square d is a preference, not a requirement: x - 1 = 9/4 is square
         report = idn.check_tangent_forms(3, idn.SamplePlan((F(13, 4), F(7, 3), F(9, 5), F(12, 5), F(3), F(5, 2), F(4), F(5), F(6), F(7))))
@@ -196,9 +207,8 @@ class TestFaultInjection:
 
         def skewed(n_max):
             fam = original(n_max)
-            polys = list(fam.polys)
-            polys[2] = polys[2] + RatPoly((0, 0, 1))
-            return triangles.PolyFamily(fam.name, fam.start, tuple(polys))
+            fam.row(2)[2] += 1  # P_2 + x^2
+            return fam
 
         monkeypatch.setattr(triangles, "poly_P", skewed)
         report = idn.check_tangent_forms(3)
@@ -217,11 +227,6 @@ class TestSuites:
         ids = [r.identity for r in reports]
         assert ids == sorted(ids)
         assert len(reports) == 7  # 3 carlitz + 2 stanley + 2 final points
-
-    def test_workers_produce_identical_output(self):
-        serial = idn.run_suite("convolutions", n_max=6)
-        threaded = idn.run_suite("convolutions", n_max=6, workers=4)
-        assert serial == threaded
 
     def test_reports_serialize_deterministically(self):
         def dump(reports):
