@@ -153,6 +153,7 @@ def _render_params(params: "dict[str, object]") -> str:
 def _cmd_verify(args) -> int:
     _guard_n(args.n_max, "n_max")
     _guard_n(args.order, "order")
+    _guard_n(args.points, "points")
     reports = identities.run_suite(
         args.suite,
         n_max=args.n_max,

@@ -11,12 +11,22 @@ module only adds the layers the identity checks need on top of them:
 * :class:`PowerSeries` -- series truncated at an explicit order, with
   :class:`QuadExt` coefficients, plus ``sin``/``cos``/``exp`` builders.
 
+Evaluation runs over integers and normalises once at the end.  A
+polynomial is evaluated at ``p/q`` (or at ``(A + B*sigma)/D`` in
+Q(sqrt(d)), see :func:`_int_form`) by homogenised Horner on integer
+numerators, scaled by the lcm of its coefficient denominators, and one
+``Fraction`` per component is built from the result over its single
+shared denominator.  ``QuadExt`` powers use the same integer form, and
+``QuadExt`` arithmetic with ``int``/``Fraction`` operands uses them
+directly instead of wrapping them in a ``QuadExt`` first.
+
 Every value is immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -60,9 +70,10 @@ class QuadExt:
     The discriminant is data, not a type parameter: one class serves
     sqrt(1-x^2), sqrt((1-x)/(1+x)), sqrt(x-1), ... at every base point.
     Elements with different discriminants refuse to combine, except that a
-    purely rational element (``b == 0``) embeds into any Q(sqrt(d)), which
-    is also how plain ``int``/``Fraction`` operands are absorbed.  ``d``
-    may be a rational square; the arithmetic does not care.
+    purely rational element (``b == 0``) embeds into any Q(sqrt(d)).
+    Plain ``int``/``Fraction`` operands combine with the rational
+    component directly.  ``d`` may be a rational square; the arithmetic
+    does not care.
     """
 
     __slots__ = ("a", "b", "d")
@@ -82,18 +93,15 @@ class QuadExt:
 
     # -- coercion ------------------------------------------------------
 
-    def _pair(self, other) -> "tuple[QuadExt, QuadExt] | None":
-        """Lift ``other`` next to ``self`` in a common field, or None."""
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other, 0, self.d)
-        elif not isinstance(other, QuadExt):
-            return None
+    def _pair(self, other: "QuadExt") -> "tuple[QuadExt, QuadExt]":
+        """``self`` and ``other`` in one field: the same field when the
+        discriminants agree, else the rational one embedded in the other's."""
         if self.d == other.d:
             return self, other
         if other.b == 0:
-            return self, QuadExt(other.a, 0, self.d)
+            return self, _quad(other.a, other.b, self.d)
         if self.b == 0:
-            return QuadExt(self.a, 0, other.d), other
+            return _quad(self.a, self.b, other.d), other
         raise ValueError(
             f"mismatched discriminants: sqrt({self.d}) vs sqrt({other.d})"
         )
@@ -101,74 +109,78 @@ class QuadExt:
     # -- ring/field operations ----------------------------------------
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        u, v = pair
-        return QuadExt(u.a + v.a, u.b + v.b, u.d)
+        if isinstance(other, QuadExt):
+            u, v = self._pair(other)
+            return _quad(u.a + v.a, u.b + v.b, u.d)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a + other, self.b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        u, v = pair
-        return QuadExt(u.a - v.a, u.b - v.b, u.d)
+        if isinstance(other, QuadExt):
+            u, v = self._pair(other)
+            return _quad(u.a - v.a, u.b - v.b, u.d)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a - other, self.b, self.d)
+        return NotImplemented
 
     def __rsub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        u, v = pair
-        return QuadExt(v.a - u.a, v.b - u.b, u.d)
+        if isinstance(other, (int, Fraction)):
+            return _quad(other - self.a, -self.b, self.d)
+        return NotImplemented
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        u, v = pair
-        return QuadExt(
-            u.a * v.a + u.d * u.b * v.b,
-            u.a * v.b + u.b * v.a,
-            u.d,
-        )
+        if isinstance(other, QuadExt):
+            u, v = self._pair(other)
+            return _quad(
+                u.a * v.a + u.d * u.b * v.b,
+                u.a * v.b + u.b * v.a,
+                u.d,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a * other, self.b * other, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        u, v = pair
-        return u * v.inverse()
+        if isinstance(other, QuadExt):
+            u, v = self._pair(other)
+            return u * v.inverse()
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            return _quad(self.a / other, self.b / other, self.d)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        u, v = pair
-        return v * u.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadExt(1, 0, self.d)
-        base = self
+        A, B, D, e, dd = _int_form(self)
+        den = D ** n
+        X, Y = 1, 0
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                X, Y = X * A + e * Y * B, X * B + Y * A
             n >>= 1
-        return result
+            if n:
+                A, B = A * A + e * B * B, 2 * A * B
+        return _quad(Fraction(X, den), Fraction(Y * dd, den), self.d)
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _quad(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (multiplicative)."""
@@ -183,7 +195,7 @@ class QuadExt:
                 f"element {self} has zero norm (d = {self.d} is a rational "
                 "square) and no inverse"
             )
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _quad(self.a / n, -self.b / n, self.d)
 
     # -- structure -----------------------------------------------------
 
@@ -221,6 +233,45 @@ class QuadExt:
             return tail if self.b > 0 else f"-{tail}"
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {tail}"
+
+
+def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
+    """A ``QuadExt`` from components that are already ``Fraction``s.
+
+    The arithmetic's own results take this path; the public constructor
+    keeps validating its arguments.
+    """
+    q = object.__new__(QuadExt)
+    object.__setattr__(q, "a", a)
+    object.__setattr__(q, "b", b)
+    object.__setattr__(q, "d", d)
+    return q
+
+
+def _int_form(q: QuadExt) -> "tuple[int, int, int, int, int]":
+    """``q = a + b*rho`` as ``(A + B*sigma) / D`` over integers.
+
+    With ``d = dn/dd`` in lowest terms, ``sigma = dd*rho`` has the integer
+    square ``e = dn*dd``.  Returns ``(A, B, D, e, dd)``; an integer pair
+    ``(X, Y)`` over the denominator ``den`` maps back to
+    ``Fraction(X, den) + Fraction(Y*dd, den)*rho``.
+    """
+    a, b, d = q.a, q.b, q.d
+    dd = d.denominator
+    bden = b.denominator * dd
+    D = lcm(a.denominator, bden)
+    A = a.numerator * (D // a.denominator)
+    B = b.numerator * (D // bden)
+    return A, B, D, d.numerator * dd, dd
+
+
+def _scaled(cs: "Sequence[Rational]") -> "tuple[Sequence[int], int]":
+    """Coefficients times the lcm ``L`` of their denominators, and ``L``."""
+    dens = [c.denominator for c in cs if type(c) is not int]
+    if not dens:
+        return cs, 1
+    L = lcm(*dens)
+    return [c.numerator * (L // c.denominator) for c in cs], L
 
 
 class RatPoly:
@@ -336,9 +387,40 @@ class RatPoly:
         return RatPoly(out)
 
     def __call__(self, point):
-        """Horner evaluation; works for int, Fraction, QuadExt or RatPoly points."""
+        """Horner evaluation at an int, Fraction, QuadExt or RatPoly point.
+
+        At an ``int``, ``Fraction`` or ``QuadExt`` point the loop runs on
+        integers: the coefficients are scaled by the lcm ``L`` of their
+        denominators and the point is written over one denominator (see
+        :func:`_int_form`), so the only ``Fraction``s built are those of
+        the result.  The value is an ``int`` exactly when the point is an
+        ``int`` and the coefficients are integral.  Any other point (a
+        ``RatPoly``, for composition) takes plain Horner.
+        """
+        cs = self._coeffs
+        if not cs:
+            return 0
+        if isinstance(point, QuadExt):
+            ints, L = _scaled(cs)
+            A, B, D, e, dd = _int_form(point)
+            X, Y, Dk = ints[-1], 0, 1
+            for c in reversed(ints[:-1]):
+                Dk *= D
+                X, Y = X * A + e * Y * B + c * Dk, X * B + Y * A
+            den = Dk * L
+            return _quad(Fraction(X, den), Fraction(Y * dd, den), point.d)
+        if isinstance(point, (int, Fraction)):
+            ints, L = _scaled(cs)
+            p, q = point.numerator, point.denominator
+            acc, qk = ints[-1], 1
+            for c in reversed(ints[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            if isinstance(point, int) and L == 1:
+                return acc
+            return Fraction(acc, qk * L)
         acc = 0
-        for c in reversed(self._coeffs):
+        for c in reversed(cs):
             acc = acc * point + c
         return acc
 

@@ -692,8 +692,16 @@ def _suite_thunks(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (known: {', '.join(SUITES)})")
     order = DEFAULT_ORDER if order is None else order
-    oracle_cap = oracle_n_max if oracle_n_max is not None else min(n_max or 8, 8)
-    oracle_cap = min(oracle_cap, permcore.MAX_ENUM_N)
+    if oracle_n_max is not None:
+        oracle_cap = oracle_n_max
+    elif suite == "oracle" and n_max is not None:
+        oracle_cap = n_max
+    else:
+        # in `all` and `grammar` the oracle share stays at S_8; params show it
+        oracle_cap = min(n_max or 8, 8)
+    if oracle_cap > permcore.MAX_ENUM_N:
+        raise ValueError(f"oracle bound {oracle_cap} exceeds the brute-force "
+                         f"limit S_{permcore.MAX_ENUM_N}")
 
     def bound(default: int) -> int:
         return n_max if n_max is not None else default

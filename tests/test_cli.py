@@ -200,6 +200,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "certify" in err
 
+    def test_oracle_suite_runs_to_the_requested_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "oracle", "--n-max", "9")
+        assert code == 0
+        assert out.splitlines()[0] == "PASS oracle/triangles (n_max=9)"
+
+    def test_oracle_bound_beyond_enumeration_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "oracle", "--n-max", "11")
+        assert code == 2
+        assert out == ""
+        assert "error: oracle bound 11" in err and "Traceback" not in err
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2
@@ -244,6 +255,15 @@ class TestEnvironmentCeiling:
         assert code == 0
         code, _, err = run(capsys, "verify", "oracle", "--n-max", "9")
         assert code == 2
+
+    def test_ceiling_bounds_points(self, capsys, monkeypatch):
+        monkeypatch.setenv("RUNLAB_MAX_N", "5")
+        code, out, err = run(
+            capsys, "verify", "closed-forms", "--n-max", "3", "--points", "500"
+        )
+        assert code == 2
+        assert out == ""
+        assert "points 500 exceeds RUNLAB_MAX_N=5" in err
 
     def test_bad_ceiling_value(self, capsys, monkeypatch):
         monkeypatch.setenv("RUNLAB_MAX_N", "lots")

@@ -1,6 +1,7 @@
 """Field arithmetic, polynomial and series behavior."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +152,95 @@ class TestRatPoly:
         assert str(RatPoly((0, 2, 4))) == "2*x + 4*x^2"
         assert str(RatPoly((F(1, 2), -1))) == "1/2 - x"
         assert str(RatPoly()) == "0"
+
+
+# ----------------------------------------------------------------------
+# Evaluation over integers, against products built by repeated ``*``
+
+POINT_DISCRIMINANTS = DISCRIMINANTS + [F(9, 4), F(0)]
+
+coeffs_st = st.lists(
+    st.one_of(st.integers(min_value=-60, max_value=60), fractions_st), max_size=10
+)
+integral_coeffs_st = st.lists(st.integers(min_value=-60, max_value=60), max_size=10)
+
+
+@st.composite
+def points(draw):
+    kind = draw(st.sampled_from(["int", "fraction", "quad", "rational quad"]))
+    if kind == "int":
+        return draw(st.integers(min_value=-7, max_value=7))
+    if kind == "fraction":
+        return draw(fractions_st)
+    b = 0 if kind == "rational quad" else draw(fractions_st)
+    return QuadExt(draw(fractions_st), b, draw(st.sampled_from(POINT_DISCRIMINANTS)))
+
+
+def one_like(x):
+    """The unit of the ring ``x`` lives in, of the type Horner returns."""
+    if isinstance(x, QuadExt):
+        return QuadExt(1, 0, x.d)
+    return 1 if isinstance(x, int) else F(1)
+
+
+def naive_power(x, k):
+    acc = one_like(x)
+    for _ in range(k):
+        acc = acc * x
+    return acc
+
+
+def same(got, want):
+    return type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+class TestIntegerEvaluation:
+    @given(st.one_of(coeffs_st, integral_coeffs_st), points())
+    def test_call_matches_sum_of_products(self, cs, x):
+        # an empty sum is the int 0, as the zero polynomial's value must be
+        want = 0
+        for k, c in enumerate(RatPoly(cs).coeffs):
+            want = want + c * naive_power(x, k)
+        assert same(RatPoly(cs)(x), want)
+
+    @given(quad_triples(), st.one_of(fractions_st, st.integers(-5, 5)))
+    def test_rational_operands_act_as_embedded_elements(self, triple, r):
+        u = triple[0]
+        e = QuadExt(r, 0, u.d)
+        pairs = [(u + r, u + e), (r + u, e + u), (u - r, u - e), (r - u, e - u),
+                 (u * r, u * e), (r * u, e * u), (-u, e * 0 - u)]
+        if r:
+            pairs.append((u / r, u / e))
+        if u.norm():
+            pairs.append((r / u, e / u))
+        for got, want in pairs:
+            assert same(got, want)
+
+    @given(fractions_st, fractions_st, st.sampled_from(POINT_DISCRIMINANTS),
+           st.integers(min_value=-8, max_value=30))
+    def test_power_matches_repeated_multiplication(self, a, b, d, n):
+        q = QuadExt(a, b, d)
+        if n < 0 and q.norm() == 0:
+            with pytest.raises(ZeroDivisionError):
+                q ** n
+            return
+        want = naive_power(q, n) if n >= 0 else naive_power(q, -n).inverse()
+        assert same(q ** n, want)
+
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+           st.sampled_from([F(1), F(4), F(9, 4)]),
+           st.integers(min_value=-8, max_value=-1))
+    def test_zero_norm_powers_still_raise(self, b, d, n):
+        # a = sqrt(d) * b makes a^2 - d b^2 = 0 for a square d
+        root = F(isqrt(d.numerator), isqrt(d.denominator))
+        q = QuadExt(root * b, b, d)
+        if b == 0:
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+                q ** n
+            return
+        with pytest.raises(ZeroDivisionError, match="has zero norm"):
+            q ** n
+        assert same(q ** 2, q * q)
 
 
 # ----------------------------------------------------------------------

@@ -200,6 +200,52 @@ class TestFaultInjection:
         report = idn.check_recurrence_consistency(6)
         assert not report.passed
 
+    @staticmethod
+    def _failure(report):
+        assert not report.passed
+        f = report.first_failure
+        return f.n, f.point, f.lhs, f.rhs
+
+    def test_corrupt_peak_entry_breaks_runs_from_peaks(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_W", corrupt_triangle(triangles.poly_W, 3, 1)
+        )
+        assert self._failure(idn.check_runs_from_peaks(4)) == (
+            3, "T-form x=1/2", "3/2", "27/16"
+        )
+
+    def test_corrupt_descent_entry_breaks_david_barton(self, monkeypatch):
+        # the middle entry of the palindromic A_3 keeps the sqrt component
+        # zero, so the rational parts are what disagree
+        monkeypatch.setattr(
+            triangles, "poly_A", corrupt_triangle(triangles.poly_A, 3, 2)
+        )
+        assert self._failure(idn.check_david_barton(4)) == (3, "x=1/2", "2", "9/4")
+
+    def test_corrupt_peak_entry_breaks_tangent_rational_part(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_W", corrupt_triangle(triangles.poly_W, 3, 1)
+        )
+        assert self._failure(idn.check_tangent_forms(4)) == (
+            3, "W-form x=3/2", "17/2", "7"
+        )
+
+    def test_corrupt_run_entry_breaks_carlitz(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "triangle_R", corrupt_triangle(triangles.triangle_R, 4, 2)
+        )
+        assert self._failure(idn.check_carlitz(F(1, 3), order=6)) == (
+            3, "z^3", "131/54", "64/27"
+        )
+
+    def test_corrupt_alt_polynomial_breaks_stanley(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_T", corrupt_triangle(triangles.poly_T, 4, 2)
+        )
+        assert self._failure(idn.check_stanley_gf(F(1, 3), order=6)) == (
+            4, "z^4", "137/1944", "16/243"
+        )
+
     def test_sqrt_component_failure_is_named(self, monkeypatch):
         # breaking the parity of a tangent polynomial leaves a nonzero
         # sqrt component, which must be reported as its own condition
