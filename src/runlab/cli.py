@@ -6,9 +6,9 @@ brute-force histograms, ``grammar`` prints iterated derivatives, and
 (one object per line, big integers as decimal strings) and CSV.
 
 Exit codes: 0 success / all checks passed, 1 verification failure
-(including a generated family that contradicts its own recurrence),
-2 usage or parse error.  The environment variable ``RUNLAB_MAX_N`` sets a
-hard ceiling on every n-like argument.
+(including a generated family that contradicts its own recurrence) or
+stdout closed by its reader, 2 usage or parse error.  The environment
+variable ``RUNLAB_MAX_N`` sets a hard ceiling on every n-like argument.
 """
 
 from __future__ import annotations
@@ -250,7 +250,16 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``).  Point stdout at
+        # devnull so the interpreter's final flush stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (_UsageError, grammar.GrammarError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ tangent-number growth, far past 64 bits), and all values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterable, Mapping
 
 from .exactnum import RatPoly, Rational
@@ -86,15 +87,6 @@ class Monomial:
             merged[l] = merged.get(l, 0) + e
         return Monomial(merged)
 
-    def lower(self, letter: str) -> "Monomial":
-        """Decrement the exponent of ``letter`` (it must be present)."""
-        e = self.degree_of(letter)
-        if e == 0:
-            raise ValueError(f"letter {letter!r} not in monomial {self}")
-        out = dict(self._exps)
-        out[letter] = e - 1
-        return Monomial(out)
-
     def exponent_vector(self, alphabet: "tuple[str, ...]") -> "tuple[int, ...]":
         return tuple(self.degree_of(l) for l in alphabet)
 
@@ -115,28 +107,78 @@ class Monomial:
         return "*".join(l if e == 1 else f"{l}^{e}" for l, e in self._exps)
 
 
+_set = object.__setattr__
+
+
+def _mpoly(letters: "tuple[str, ...]", terms: "dict[tuple[int, ...], int]") -> "MPoly":
+    """The MPoly with ``terms`` over ``letters``, zero coefficients dropped.
+
+    The trusted path: keys must be exponent vectors over ``letters``, a
+    sorted tuple of valid letters, and coefficients must be ints.
+    """
+    p = object.__new__(MPoly)
+    _set(p, "_letters", letters)
+    _set(p, "_terms", {k: c for k, c in terms.items() if c})
+    return p
+
+
+def _reindex(p: "MPoly", letters: "tuple[str, ...]") -> "dict[tuple[int, ...], int]":
+    """The terms of ``p`` as exponent vectors over ``letters``.
+
+    Letters of ``p`` outside ``letters`` are dropped, so their exponents
+    must be 0 in every term.
+    """
+    if p._letters == letters:
+        return p._terms
+    own = p._letters
+    src = [own.index(l) if l in own else -1 for l in letters]
+    return {
+        tuple(k[i] if i >= 0 else 0 for i in src): c for k, c in p._terms.items()
+    }
+
+
+def _common(p: "MPoly", q: "MPoly"):
+    """(letters, p's terms, q's terms) over the union of both alphabets."""
+    if p._letters == q._letters:
+        return p._letters, p._terms, q._terms
+    letters = tuple(sorted(set(p._letters).union(q._letters)))
+    return letters, _reindex(p, letters), _reindex(q, letters)
+
+
 class MPoly:
     """Sparse multivariate polynomial with int coefficients.
 
-    Zero coefficients are never stored, so equality is structural.  The
-    canonical term order (used for printing and serialization) compares
-    exponent vectors over the alphabetically sorted letters.
+    Terms are stored as ``{exponent vector: coefficient}`` over a sorted
+    tuple of letters.  That alphabet may hold letters whose exponent is 0
+    in every term (a derivative keeps its grammar's alphabet), so
+    operations and equality align two polynomials over the union of their
+    alphabets.  Zero coefficients are never stored, so equality is
+    structural.  The canonical term order (used for printing and
+    serialization) compares exponent vectors over the sorted letters.
+
+    ``MPoly(...)``, :meth:`letter`, :meth:`monomial` and :meth:`constant`
+    validate through :class:`Monomial`; arithmetic builds its results
+    from exponent vectors directly.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_letters", "_terms")
 
     def __init__(self, terms: "Mapping[Monomial, int] | Iterable[tuple[Monomial, int]]" = ()):
-        agg: "dict[Monomial, int]" = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        checked = []
         for mono, c in items:
             if not isinstance(mono, Monomial):
                 raise TypeError("MPoly terms are keyed by Monomial")
             if not isinstance(c, int):
                 raise TypeError("MPoly coefficients must be int")
-            agg[mono] = agg.get(mono, 0) + c
-        object.__setattr__(
-            self, "_terms", {m: c for m, c in agg.items() if c}
-        )
+            checked.append((mono, c))
+        letters = tuple(sorted({l for mono, _ in checked for l in mono.letters}))
+        agg: "dict[tuple[int, ...], int]" = {}
+        for mono, c in checked:
+            k = mono.exponent_vector(letters)
+            agg[k] = agg.get(k, 0) + c
+        _set(self, "_letters", letters)
+        _set(self, "_terms", {k: c for k, c in agg.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -157,44 +199,44 @@ class MPoly:
     def monomial(cls, exps: "Mapping[str, int]", coeff: int = 1) -> "MPoly":
         return cls([(Monomial(exps), coeff)])
 
+    def _monomial(self, k: "tuple[int, ...]") -> Monomial:
+        return Monomial(zip(self._letters, k))
+
     def terms(self):
-        return self._terms.items()
+        return {self._monomial(k): c for k, c in self._terms.items()}.items()
 
     def coefficient(self, mono: "Monomial | Mapping[str, int]") -> int:
         if not isinstance(mono, Monomial):
             mono = Monomial(mono)
-        return self._terms.get(mono, 0)
+        if not set(mono.letters) <= set(self._letters):
+            return 0
+        return self._terms.get(mono.exponent_vector(self._letters), 0)
 
     def letters(self) -> "tuple[str, ...]":
-        seen = set()
-        for mono in self._terms:
-            seen.update(mono.letters)
-        return tuple(sorted(seen))
+        return tuple(
+            l for i, l in enumerate(self._letters) if any(k[i] for k in self._terms)
+        )
 
     def sorted_terms(self) -> "list[tuple[Monomial, int]]":
-        alphabet = self.letters()
-        return sorted(
-            self._terms.items(), key=lambda item: item[0].exponent_vector(alphabet)
-        )
+        return [(self._monomial(k), c) for k, c in sorted(self._terms.items())]
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = MPoly.constant(other)
+            other = _mpoly((), {(): other})
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return MPoly(out)
+        letters, a, b = _common(self, other)
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        return _mpoly(letters, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MPoly.constant(other)
-        if not isinstance(other, MPoly):
+        if not isinstance(other, (int, MPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -202,26 +244,27 @@ class MPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self._terms.items()})
+        return _mpoly(self._letters, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MPoly({m: c * other for m, c in self._terms.items()})
+            return _mpoly(self._letters, {k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        out: "dict[Monomial, int]" = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return MPoly(out)
+        letters, a, b = _common(self, other)
+        out: "dict[tuple[int, ...], int]" = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return _mpoly(letters, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = MPoly.constant(1)
+        result = _mpoly((), {(): 1})
         base = self
         while n:
             if n & 1:
@@ -240,10 +283,11 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = MPoly.constant(other)
+            other = _mpoly((), {(): other})
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._terms == other._terms
+        _, a, b = _common(self, other)
+        return a == b
 
     __hash__ = None  # dict-backed; not hashable
 
@@ -281,9 +325,20 @@ class MPoly:
 
 @dataclass(frozen=True)
 class Grammar:
-    """Substitution rules letter -> polynomial, closed over the alphabet."""
+    """Substitution rules letter -> polynomial, closed over the alphabet.
+
+    The rules are compiled once, at construction, over the sorted
+    alphabet: the rule for letter ``i`` becomes its terms as exponent
+    vectors minus the unit vector of ``i`` (the "delta" that one
+    replaced occurrence adds to a monomial).  ``rules`` must not be
+    changed after construction.
+    """
 
     rules: "Mapping[str, MPoly]"
+    _letters: "tuple[str, ...]" = field(init=False, repr=False, compare=False)
+    _deltas: "tuple[tuple[tuple[tuple[int, ...], int], ...], ...]" = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         declared = set(self.rules)
@@ -297,6 +352,16 @@ class Grammar:
                         f"letter {used!r} appears in the rule for {letter!r} "
                         "but has no rule of its own"
                     )
+        letters = tuple(sorted(declared))
+        deltas = tuple(
+            tuple(
+                (tuple(e - (j == i) for j, e in enumerate(k)), c)
+                for k, c in _reindex(self.rules[letter], letters).items()
+            )
+            for i, letter in enumerate(letters)
+        )
+        _set(self, "_letters", letters)
+        _set(self, "_deltas", deltas)
 
     @property
     def alphabet(self) -> "frozenset[str]":
@@ -307,20 +372,27 @@ def d_apply(g: Grammar, p: MPoly) -> MPoly:
     """One application of the derivation induced by ``g``.
 
     Acts linearly on terms and by the product rule inside each monomial:
-    every letter occurrence is replaced, once, by its rule.
+    every letter occurrence is replaced, once, by its rule.  On exponent
+    vectors over the grammar's alphabet, a term ``c * v`` with ``v[i] = e``
+    contributes ``c * e * rc`` at ``v + delta`` for each compiled rule
+    term ``(delta, rc)`` of letter ``i``.
     """
-    acc: "dict[Monomial, int]" = {}
-    for mono, c in p.terms():
-        for letter, e in mono.items():
-            rule = g.rules.get(letter)
-            if rule is None:
-                raise ValueError(f"letter {letter!r} has no rule in this grammar")
-            base = mono.lower(letter)
-            ce = c * e
-            for rmono, rc in rule.terms():
-                m = base * rmono
-                acc[m] = acc.get(m, 0) + ce * rc
-    return MPoly(acc)
+    letters = g._letters
+    if p._letters != letters:
+        for k in p._terms:
+            for letter, e in zip(p._letters, k):
+                if e and letter not in g.rules:
+                    raise ValueError(f"letter {letter!r} has no rule in this grammar")
+    deltas = g._deltas
+    acc: "dict[tuple[int, ...], int]" = {}
+    for k, c in _reindex(p, letters).items():
+        for i, e in enumerate(k):
+            if e:
+                ce = c * e
+                for delta, rc in deltas[i]:
+                    m = tuple(map(add, k, delta))
+                    acc[m] = acc.get(m, 0) + ce * rc
+    return _mpoly(letters, acc)
 
 
 def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:

@@ -6,8 +6,69 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from runlab import cli, triangles
 from tests.test_identities import corrupt_triangle
+
+
+#: stdout of ``grammar --builtin NAME --word SEED --n 8``, plain then JSON;
+#: any change to term order, exponents or coefficient types shows here.
+GRAMMAR_N8 = {
+    ("main", "x^2"): (
+        '2*x^2*y*z^7 + 508*x^2*y^2*z^6 + 8814*x^2*y^3*z^5 + '
+        '45096*x^2*y^4*z^4 + 103326*x^2*y^5*z^3 + 119964*x^2*y^6*z^2 + '
+        '69298*x^2*y^7*z + 15872*x^2*y^8\n',
+        '[{"coeff":"2","mono":{"x":2,"y":1,"z":7}},'
+        '{"coeff":"508","mono":{"x":2,"y":2,"z":6}},'
+        '{"coeff":"8814","mono":{"x":2,"y":3,"z":5}},'
+        '{"coeff":"45096","mono":{"x":2,"y":4,"z":4}},'
+        '{"coeff":"103326","mono":{"x":2,"y":5,"z":3}},'
+        '{"coeff":"119964","mono":{"x":2,"y":6,"z":2}},'
+        '{"coeff":"69298","mono":{"x":2,"y":7,"z":1}},'
+        '{"coeff":"15872","mono":{"x":2,"y":8}}]\n',
+    ),
+    ("dumont", "x"): (
+        'x*y^8 + 247*x^2*y^7 + 4293*x^3*y^6 + 15619*x^4*y^5 + '
+        '15619*x^5*y^4 + 4293*x^6*y^3 + 247*x^7*y^2 + x^8*y\n',
+        '[{"coeff":"1","mono":{"x":1,"y":8}},'
+        '{"coeff":"247","mono":{"x":2,"y":7}},'
+        '{"coeff":"4293","mono":{"x":3,"y":6}},'
+        '{"coeff":"15619","mono":{"x":4,"y":5}},'
+        '{"coeff":"15619","mono":{"x":5,"y":4}},'
+        '{"coeff":"4293","mono":{"x":6,"y":3}},'
+        '{"coeff":"247","mono":{"x":7,"y":2}},'
+        '{"coeff":"1","mono":{"x":8,"y":1}}]\n',
+    ),
+    ("peaks", "y"): (
+        'y*z^8 + 1636*y^3*z^6 + 18270*y^5*z^4 + 19028*y^7*z^2 + 1385*y^9\n',
+        '[{"coeff":"1","mono":{"y":1,"z":8}},'
+        '{"coeff":"1636","mono":{"y":3,"z":6}},'
+        '{"coeff":"18270","mono":{"y":5,"z":4}},'
+        '{"coeff":"19028","mono":{"y":7,"z":2}},'
+        '{"coeff":"1385","mono":{"y":9}}]\n',
+    ),
+    ("schett", "x"): (
+        'x*z^8 + 1228*x*y^2*z^6 + 5478*x*y^4*z^4 + 1228*x*y^6*z^2 + '
+        'x*y^8 + 408*x^3*z^6 + 11880*x^3*y^2*z^4 + 11880*x^3*y^4*z^2 + '
+        '408*x^3*y^6 + 912*x^5*z^4 + 5856*x^5*y^2*z^2 + 912*x^5*y^4 + '
+        '64*x^7*z^2 + 64*x^7*y^2\n',
+        '[{"coeff":"1","mono":{"x":1,"z":8}},'
+        '{"coeff":"1228","mono":{"x":1,"y":2,"z":6}},'
+        '{"coeff":"5478","mono":{"x":1,"y":4,"z":4}},'
+        '{"coeff":"1228","mono":{"x":1,"y":6,"z":2}},'
+        '{"coeff":"1","mono":{"x":1,"y":8}},'
+        '{"coeff":"408","mono":{"x":3,"z":6}},'
+        '{"coeff":"11880","mono":{"x":3,"y":2,"z":4}},'
+        '{"coeff":"11880","mono":{"x":3,"y":4,"z":2}},'
+        '{"coeff":"408","mono":{"x":3,"y":6}},'
+        '{"coeff":"912","mono":{"x":5,"z":4}},'
+        '{"coeff":"5856","mono":{"x":5,"y":2,"z":2}},'
+        '{"coeff":"912","mono":{"x":5,"y":4}},'
+        '{"coeff":"64","mono":{"x":7,"z":2}},'
+        '{"coeff":"64","mono":{"x":7,"y":2}}]\n',
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -86,6 +147,14 @@ class TestOracleCommand:
 
 
 class TestGrammarCommand:
+    @pytest.mark.parametrize("name, seed", sorted(GRAMMAR_N8))
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_builtin_expansions_are_pinned(self, capsys, name, seed, fmt):
+        code, out, _ = run(capsys, "grammar", "--builtin", name, "--word", seed,
+                           "--n", "8", "--format", fmt)
+        assert code == 0
+        assert out == GRAMMAR_N8[name, seed][fmt == "json"]
+
     def test_main_expansion(self, capsys):
         code, out, _ = run(
             capsys, "grammar", "--builtin", "main", "--word", "x^2", "--n", "2"
@@ -280,6 +349,21 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "{1:2, 2:4}\n"
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the rows run far past the pipe's buffer, so writing them must
+        # fail once the reader has gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "runlab", "triangle", "runs", "120"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

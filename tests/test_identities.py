@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from runlab import identities as idn
-from runlab import triangles
+from runlab import grammar, triangles
 from runlab.exactnum import QuadExt
 
 F = Fraction
@@ -244,6 +244,72 @@ class TestFaultInjection:
         )
         assert self._failure(idn.check_stanley_gf(F(1, 3), order=6)) == (
             4, "z^4", "137/1944", "16/243"
+        )
+
+    def test_corrupt_alt_entry_breaks_grammar_alt(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "triangle_A", corrupt_triangle(triangles.triangle_A, 4, 2)
+        )
+        assert self._failure(idn.check_grammar_alt(6)) == (
+            4, "derivative of x",
+            "x*y*z^3 + 7*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
+            "x*y*z^3 + 8*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
+        )
+
+    def test_corrupt_euler_entry_breaks_dumont(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "triangle_euler",
+            corrupt_triangle(triangles.triangle_euler, 4, 1),
+        )
+        assert self._failure(idn.check_dumont(6, 4)) == (
+            4, "derivative of x",
+            "x*y^4 + 11*x^2*y^3 + 11*x^3*y^2 + x^4*y",
+            "x*y^4 + 12*x^2*y^3 + 11*x^3*y^2 + x^4*y",
+        )
+
+    def test_corrupt_peak_row_breaks_peaks_grammar(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_W", corrupt_triangle(triangles.poly_W, 4, 1)
+        )
+        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
+            4, "derivative of z", "8*y^2*z^3 + 16*y^4*z", "8*y^2*z^3 + 17*y^4*z"
+        )
+
+    def test_corrupt_left_peak_row_breaks_peaks_grammar(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_Wtilde", corrupt_triangle(triangles.poly_Wtilde, 3, 1)
+        )
+        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
+            3, "derivative of y", "y*z^3 + 5*y^3*z", "y*z^3 + 6*y^3*z"
+        )
+
+    def test_non_derivation_breaks_leibniz(self, monkeypatch):
+        # a linear map that replaces each letter occurrence by its rule
+        # but drops the exponent factor e: not a derivation
+        def linear_step(g, p):
+            acc = {}
+            for mono, c in p.terms():
+                for letter, e in mono.items():
+                    rest = dict(mono.items())
+                    rest[letter] = e - 1
+                    base = grammar.Monomial(rest)
+                    for rmono, rc in g.rules[letter].terms():
+                        m = base * rmono
+                        acc[m] = acc.get(m, 0) + c * rc
+            return grammar.MPoly(acc)
+
+        monkeypatch.setattr(grammar, "d_apply", linear_step)
+        n, point, lhs, rhs = self._failure(idn.check_leibniz(4, 10))
+        assert (n, point) == (3, "case 0: grammar=schett, u=y^2, v=3 + 2*x^2*z^2")
+        assert lhs == (
+            "6*x*y*z^3 + 6*x*y^3*z + 6*x*y^3*z^5 + 6*x*y^5*z^3 + 6*x^3*y*z"
+            " + 6*x^3*y*z^5 + 12*x^3*y^3*z^3 + 6*x^3*y^5*z + 6*x^5*y*z^3"
+            " + 6*x^5*y^3*z"
+        )
+        assert rhs == (
+            "6*x*y*z^3 + 6*x*y^3*z + 16*x*y^3*z^5 + 6*x*y^5*z^3 + 6*x^3*y*z"
+            " + 16*x^3*y*z^5 + 36*x^3*y^3*z^3 + 6*x^3*y^5*z + 16*x^5*y*z^3"
+            " + 16*x^5*y^3*z"
         )
 
     def test_sqrt_component_failure_is_named(self, monkeypatch):
