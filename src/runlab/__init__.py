@@ -12,7 +12,7 @@ Submodules:
 
 from .exactnum import Fraction, PowerSeries, QuadExt, RatPoly
 from .grammar import Grammar, MPoly, Monomial, parse_grammar
-from .permcore import Permutation, Stat, distribution, enumerate_sn
+from .permcore import Stat, distribution
 from .triangles import Family
 
 __version__ = "0.1.0"
@@ -23,13 +23,11 @@ __all__ = [
     "Grammar",
     "MPoly",
     "Monomial",
-    "Permutation",
     "PowerSeries",
     "QuadExt",
     "RatPoly",
     "Stat",
     "__version__",
     "distribution",
-    "enumerate_sn",
     "parse_grammar",
 ]

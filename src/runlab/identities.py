@@ -269,7 +269,8 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
         if p != expected:
             return _failed("grammar/eulerian", params, n, "derivative of x", p, expected)
         if n <= oracle_n_max:
-            dist = permcore.distribution(permcore.Stat.DESCENTS, n)
+            classes = permcore.descent_classes(n)
+            dist = permcore.distribution(permcore.Stat.DESCENTS, n, classes)
             if _row_counts(row) != dist.counts:
                 return _failed(
                     "grammar/eulerian", params, n, f"descent histogram over S_{n}",
@@ -309,12 +310,13 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
         if pz != expected_z:
             return _failed(ident, params, n, "derivative of z", pz, expected_z)
         if n <= oracle_n_max:
-            peaks = permcore.distribution(permcore.Stat.INTERIOR_PEAKS, n)
+            classes = permcore.descent_classes(n)
+            peaks = permcore.distribution(permcore.Stat.INTERIOR_PEAKS, n, classes)
             wrow = _row_counts(W.row(n))
             if wrow != peaks.counts:
                 return _failed(ident, params, n, f"interior-peak histogram over S_{n}",
                                _hist_str(wrow), _hist_str(peaks.counts))
-            lpeaks = permcore.distribution(permcore.Stat.LEFT_PEAKS, n)
+            lpeaks = permcore.distribution(permcore.Stat.LEFT_PEAKS, n, classes)
             wtrow = _row_counts(Wt.row(n))
             if wtrow != lpeaks.counts:
                 return _failed(ident, params, n, f"left-peak histogram over S_{n}",
@@ -663,8 +665,9 @@ def check_oracle(n_max: int = 8) -> CheckReport:
         (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
     ]
     for n in range(1, n_max + 1):
+        classes = permcore.descent_classes(n)
         for stat, tri in sources:
-            dist = permcore.distribution(stat, n)
+            dist = permcore.distribution(stat, n, classes)
             expected = _row_counts(tri.row(n))
             if expected != dist.counts:
                 return _failed(ident, params, n, f"{stat.value} over S_{n}",

@@ -1,9 +1,14 @@
 """Brute-force permutation statistics: the ground-truth oracle.
 
-Everything here is a direct transcription of the definitions -- scan for
+Each statistic is a direct transcription of its definition -- scan for
 direction changes, scan for peaks, quadratic DP for the longest
-alternating subsequence -- evaluated over exhaustively enumerated
-symmetric groups.  The triangle generators are validated against these
+alternating subsequence.  All five depend only on a permutation's
+descent word, its n-1 adjacent comparisons: four of them read nothing
+else, and ``longest_alt_subseq`` documents why it is no exception.  So
+the oracle walks S_n once per n and buckets every permutation by its
+descent word (:func:`descent_classes`); a histogram then applies the
+definition once per class, to the class's first permutation, weighted by
+the class size.  The triangle generators are validated against these
 histograms, so this module must stay independent of them.
 
 Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
@@ -13,19 +18,21 @@ Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from math import factorial
+from operator import gt
+from typing import Sequence
 
 __all__ = [
     "MAX_ENUM_N",
-    "Permutation",
     "Stat",
     "StatDistribution",
     "alternating_runs",
+    "descent_classes",
     "descents",
     "distribution",
-    "enumerate_sn",
     "interior_peaks",
     "left_peaks",
     "longest_alt_subseq",
@@ -45,81 +52,17 @@ class Stat(Enum):
     DESCENTS = "descents"
 
 
-class Permutation:
-    """A permutation of [n] in one-line notation; bijectivity is checked."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[int]):
-        vals = tuple(values)
-        if sorted(vals) != list(range(1, len(vals) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(vals)}: {vals!r}")
-        self._values = vals
-
-    @classmethod
-    def _from_trusted(cls, word: "tuple[int, ...]") -> "Permutation":
-        p = object.__new__(cls)
-        p._values = word
-        return p
-
-    @property
-    def values(self) -> "tuple[int, ...]":
-        return self._values
-
-    def complement(self) -> "Permutation":
-        """The value-complement i -> n+1-i, which swaps peaks and valleys."""
-        n = len(self._values)
-        return Permutation._from_trusted(tuple(n + 1 - v for v in self._values))
-
-    def __len__(self):
-        return len(self._values)
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __getitem__(self, i):
-        return self._values[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Permutation):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        return f"Permutation({list(self._values)!r})"
-
-
-PermLike = Union[Permutation, Sequence[int]]
-
-
-def _word(perm: PermLike) -> "tuple[int, ...]":
-    if isinstance(perm, Permutation):
-        return perm.values
-    return tuple(perm)
-
-
 def _check_enum_n(n: int) -> None:
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"n must be between 1 and {MAX_ENUM_N}, got {n}")
 
 
-def enumerate_sn(n: int) -> Iterator[Permutation]:
-    """Yield all n! permutations of [n] in lexicographic order."""
-    _check_enum_n(n)
-    for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation._from_trusted(word)
-
-
-def alternating_runs(perm: PermLike) -> int:
+def alternating_runs(w: "Sequence[int]") -> int:
     """Number of maximal monotone segments: 1 + number of direction changes.
 
     A single element has no runs under the convention used throughout
     this package.
     """
-    w = _word(perm)
     n = len(w)
     if n < 2:
         return 0
@@ -130,17 +73,15 @@ def alternating_runs(perm: PermLike) -> int:
     return changes + 1
 
 
-def interior_peaks(perm: PermLike) -> int:
+def interior_peaks(w: "Sequence[int]") -> int:
     """Count positions 1 < i < n with w[i-1] < w[i] > w[i+1]."""
-    w = _word(perm)
     return sum(
         1 for i in range(1, len(w) - 1) if w[i - 1] < w[i] > w[i + 1]
     )
 
 
-def left_peaks(perm: PermLike) -> int:
+def left_peaks(w: "Sequence[int]") -> int:
     """Like interior peaks, but position 1 counts too (sentinel w[0] = 0)."""
-    w = _word(perm)
     n = len(w)
     if n < 2:
         return 0
@@ -151,15 +92,36 @@ def left_peaks(perm: PermLike) -> int:
     return count
 
 
-def longest_alt_subseq(perm: PermLike) -> int:
+def longest_alt_subseq(w: "Sequence[int]") -> int:
     """Length of the longest subsequence of shape a > b < c > d < ...
 
     The first comparison must be a descent; singletons count, so the
     result is at least 1 for nonempty input.  O(n^2) DP over (end
     position, next required comparison); the exhaustive 2^n subsequence
     scan in the test suite guards this.
+
+    For n >= 2 the result is ``alternating_runs(w) + 1 - (w[0] < w[1])``,
+    which reads only the descent word (the greedy argument of Stanley,
+    "Longest alternating subsequences of permutations", Michigan Math. J.
+    2008).  Proof: a word with r runs has r - 1 turning points (interior
+    peaks and valleys), and they alternate in kind.
+
+    * Lower bound.  w[0], the turning points and w[-1] span one run per
+      consecutive pair, so their comparisons alternate.  If w opens with
+      a descent they form an alternating subsequence of length r + 1;
+      otherwise drop w[0], and the rest, which opens at a peak (or is
+      just w[-1]), has length r.
+    * Upper bound.  Let a_1 > a_2 < a_3 > ... sit at positions
+      p_1 < ... < p_m.  For 1 < j < m, a_j lies below (above) both of
+      its neighbours, so the minimum (maximum) of w over positions
+      p_(j-1)..p_(j+1) is interior: a valley (peak) q_j of w.
+      Consecutive q_j differ in kind and q_j < p_(j+1) < q_(j+2), so the
+      q_j are m - 2 distinct turning points and m <= r + 1: one element
+      per run, plus one.  If w opens with an ascent, the maximum
+      of w over positions 0..p_2 is neither w[0] (below w[1]) nor a_2
+      (below a_1): one more peak, before q_3 and unlike the valley q_2,
+      so m <= r.
     """
-    w = _word(perm)
     n = len(w)
     if n == 0:
         return 0
@@ -179,9 +141,8 @@ def longest_alt_subseq(perm: PermLike) -> int:
     return max(max(need_desc), max(need_asc))
 
 
-def descents(perm: PermLike) -> int:
+def descents(w: "Sequence[int]") -> int:
     """Count positions i < n with w[i] > w[i+1]."""
-    w = _word(perm)
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
 
@@ -209,13 +170,51 @@ class StatDistribution:
         return self.counts.get(k, 0)
 
 
-def distribution(stat: "Stat | str", n: int) -> StatDistribution:
-    """Histogram of ``stat`` over all of S_n (n <= 10)."""
+def descent_classes(n: int) -> "list[tuple[tuple[int, ...], int]]":
+    """S_n (n <= 10) bucketed by descent word, in one walk.
+
+    Returns one ``(first word, class size)`` pair per descent word that
+    occurs -- all 2^(n-1) of them -- ordered by first word.  The walk is
+    lexicographic, so each class's first word is its lexicographically
+    least member, and the sizes sum to n!.
+    """
+    _check_enum_n(n)
+    first: "dict[bytes, tuple[int, ...]]" = {}
+    # The key is the descent word as bytes 0/1: tuple() of an iterator
+    # would leave thousands of resized tuples on CPython's free lists.
+    # setdefault hands back the first word seen with this descent word,
+    # so the Counter tallies every permutation under its class's first word.
+    sizes = Counter(
+        first.setdefault(bytes(map(gt, w, w[1:])), w)
+        for w in itertools.permutations(range(1, n + 1))
+    )
+    return list(sizes.items())
+
+
+def distribution(
+    stat: "Stat | str",
+    n: int,
+    classes: "Sequence[tuple[Sequence[int], int]] | None" = None,
+) -> StatDistribution:
+    """Histogram of ``stat`` over all of S_n (n <= 10).
+
+    One walk of S_n buckets its permutations by descent word
+    (:func:`descent_classes`); the statistic's definition then runs once
+    per class, on the class's first word, and counts the class size.  A
+    caller that needs several statistics of one n builds ``classes`` once
+    and passes it to each call; it must be a table for this ``n``.
+    """
     stat = Stat(stat)
     _check_enum_n(n)
+    if classes is None:
+        classes = descent_classes(n)
+    elif sum(size for _, size in classes) != factorial(n) or any(
+        len(word) != n for word, _ in classes
+    ):
+        raise ValueError(f"descent classes do not partition S_{n}")
     fn = _STAT_FUNCS[stat]
     counts: "dict[int, int]" = {}
-    for word in itertools.permutations(range(1, n + 1)):
+    for word, size in classes:
         k = fn(word)
-        counts[k] = counts.get(k, 0) + 1
+        counts[k] = counts.get(k, 0) + size
     return StatDistribution(stat=stat, n=n, counts=dict(sorted(counts.items())))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from runlab import identities as idn
-from runlab import grammar, triangles
+from runlab import grammar, permcore as pc, triangles
 from runlab.exactnum import QuadExt
 
 F = Fraction
@@ -189,9 +189,52 @@ class TestFaultInjection:
             "triangle_euler",
             corrupt_triangle(triangles.triangle_euler, 3, 1),
         )
-        report = idn.check_oracle(4)
-        assert not report.passed
-        assert "descents" in report.first_failure.point
+        assert self._failure(idn.check_oracle(4)) == (
+            3, "descents over S_3", "{0:1, 1:4, 2:1}", "{0:1, 1:5, 2:1}",
+        )
+
+    def test_runs_off_by_one_breaks_oracle_check(self, monkeypatch):
+        monkeypatch.setitem(
+            pc._STAT_FUNCS, pc.Stat.RUNS, lambda w: pc.alternating_runs(w) + 1
+        )
+        assert self._failure(idn.check_oracle(6)) == (
+            1, "runs over S_1", "{1:1}", "{0:1}",
+        )
+
+    def test_left_peak_sentinel_flip_breaks_oracle_check(self, monkeypatch):
+        def flipped(w):
+            # position 1 counts on an ascent instead of a descent
+            n = len(w)
+            if n < 2:
+                return 0
+            return (w[0] < w[1]) + pc.interior_peaks(w)
+
+        monkeypatch.setitem(pc._STAT_FUNCS, pc.Stat.LEFT_PEAKS, flipped)
+        assert self._failure(idn.check_oracle(6)) == (
+            3, "leftpeaks over S_3", "{0:3, 1:1, 2:2}", "{0:1, 1:5}",
+        )
+
+    def test_altsubseq_opening_ascent_breaks_oracle_check(self, monkeypatch):
+        # the DP with need_asc reachable from the start, so a subsequence may
+        # open with an ascent.  Dropping only its `need_asc[i] and` guard is
+        # an equivalent mutant: an unreachable need_asc[i] = 0 offers length
+        # 1, which never beats need_desc[j] >= 1.
+        def open_ascent(w):
+            n = len(w)
+            need_desc = [1] * n
+            need_asc = [1] * n
+            for j in range(n):
+                for i in range(j):
+                    if w[i] > w[j]:
+                        need_asc[j] = max(need_asc[j], need_desc[i] + 1)
+                    else:
+                        need_desc[j] = max(need_desc[j], need_asc[i] + 1)
+            return max(need_desc + need_asc)
+
+        monkeypatch.setitem(pc._STAT_FUNCS, pc.Stat.LONGEST_ALT_SUBSEQ, open_ascent)
+        assert self._failure(idn.check_oracle(6)) == (
+            2, "altsubseq over S_2", "{2:2}", "{1:1, 2:1}",
+        )
 
     def test_corrupt_run_entry_breaks_recurrences(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,6 +1,7 @@
 """Oracle statistics: golden values, exhaustive cross-checks, invariants."""
 
 import random
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -42,41 +43,71 @@ perms_st = st.integers(1, 7).flatmap(
 )
 
 
-class TestPermutation:
-    def test_validates_bijectivity(self):
-        pc.Permutation([2, 1, 3])
-        with pytest.raises(ValueError):
-            pc.Permutation([1, 1, 2])
-        with pytest.raises(ValueError):
-            pc.Permutation([0, 1])
-
-    def test_complement(self):
-        assert pc.Permutation([2, 1, 4, 3, 5]).complement() == pc.Permutation(
-            [4, 5, 2, 3, 1]
-        )
-
-
 class TestEnumeration:
     def test_sizes(self):
-        assert len(list(pc.enumerate_sn(1))) == 1
-        assert len(list(pc.enumerate_sn(3))) == 6
-        assert sum(1 for _ in pc.enumerate_sn(8)) == 40320
+        for n in range(1, 9):
+            classes = pc.descent_classes(n)
+            assert len(classes) == 2 ** (n - 1)
+            assert sum(size for _, size in classes) == factorial(n)
 
     def test_lexicographic_and_deterministic(self):
-        perms = [p.values for p in pc.enumerate_sn(3)]
-        assert perms == sorted(perms)
-        assert perms[0] == (1, 2, 3) and perms[-1] == (3, 2, 1)
+        words = [w for w, _ in pc.descent_classes(3)]
+        assert words == sorted(words)
+        assert words[0] == (1, 2, 3) and words[-1] == (3, 2, 1)
+        assert pc.descent_classes(5) == pc.descent_classes(5)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
-            list(pc.enumerate_sn(0))
+            pc.descent_classes(0)
         with pytest.raises(ValueError):
-            list(pc.enumerate_sn(11))
+            pc.descent_classes(11)
+
+
+def descent_word(w):
+    return tuple(a > b for a, b in zip(w, w[1:]))
+
+
+class TestDescentClasses:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_statistics_are_constant_on_classes(self, n):
+        # the histograms evaluate each statistic on one word per class, so
+        # every word of S_n must agree with its class's first word
+        classes = pc.descent_classes(n)
+        first = {descent_word(w): (w, size) for w, size in classes}
+        seen = dict.fromkeys(first, 0)
+        for w in permutations(range(1, n + 1)):
+            key = descent_word(w)
+            rep, _ = first[key]
+            if not seen[key]:
+                assert w == rep
+            seen[key] += 1
+            for fn in pc._STAT_FUNCS.values():
+                assert fn(w) == fn(rep), (fn.__name__, w, rep)
+            if n >= 2:
+                assert pc.longest_alt_subseq(w) == (
+                    pc.alternating_runs(w) + 1 - (w[0] < w[1])
+                )
+        assert seen == {key: size for key, (_, size) in first.items()}
+
+    def test_table_must_belong_to_n(self):
+        for stat in pc.Stat:
+            for m, n in [(5, 6), (6, 5), (1, 2), (2, 1)]:
+                with pytest.raises(ValueError, match=f"S_{n}"):
+                    pc.distribution(stat, n, classes=pc.descent_classes(m))
+
+    @pytest.mark.parametrize("stat", list(pc.Stat))
+    def test_histograms_match_per_permutation_scan(self, stat):
+        fn = pc._STAT_FUNCS[stat]
+        for n in range(1, 8):
+            classes = pc.descent_classes(n)
+            scan = Counter(fn(w) for w in permutations(range(1, n + 1)))
+            assert pc.distribution(stat, n).counts == dict(sorted(scan.items()))
+            assert pc.distribution(stat, n, classes) == pc.distribution(stat, n)
 
 
 class TestStatistics:
     def test_reference_permutation_21435(self):
-        p = pc.Permutation([2, 1, 4, 3, 5])
+        p = [2, 1, 4, 3, 5]
         assert pc.alternating_runs(p) == 4
         assert pc.interior_peaks(p) == 1
         assert pc.left_peaks(p) == 2
@@ -169,8 +200,9 @@ class TestInvariants:
 
     @given(perms_st)
     def test_peaks_become_valleys_under_complement(self, word):
-        p = pc.Permutation(word)
-        assert pc.interior_peaks(p) == interior_valleys(p.complement().values)
+        n = len(word)
+        complement = [n + 1 - v for v in word]
+        assert pc.interior_peaks(word) == interior_valleys(complement)
 
     @given(perms_st)
     def test_dp_agrees_with_exhaustive_scan(self, word):
