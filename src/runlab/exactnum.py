@@ -598,14 +598,6 @@ class PowerSeries:
             return PowerSeries(const, d=self._d) / self
         return NotImplemented
 
-    def differentiate(self) -> "PowerSeries":
-        """Termwise d/dz; the result is meaningful one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return PowerSeries(
-            [self._coeffs[k] * k for k in range(1, self.order + 1)], d=self._d
-        )
-
     # -- structure -----------------------------------------------------
 
     def __eq__(self, other):

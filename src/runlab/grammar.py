@@ -19,8 +19,6 @@ from math import comb
 from operator import add
 from typing import Iterable, Mapping
 
-from .exactnum import RatPoly, Rational
-
 __all__ = [
     "BUILTIN_GRAMMARS",
     "Grammar",
@@ -28,7 +26,6 @@ __all__ = [
     "MPoly",
     "Monomial",
     "builtin",
-    "collapse",
     "d_apply",
     "d_power",
     "leibniz_check",
@@ -402,21 +399,6 @@ def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
     for _ in range(n):
         p = d_apply(g, p)
     return p
-
-
-def collapse(p: MPoly, assignment: "Mapping[str, RatPoly | Rational]") -> RatPoly:
-    """Substitute a univariate polynomial for every letter and expand."""
-    out = RatPoly()
-    for mono, c in p.terms():
-        term = RatPoly((c,))
-        for letter, e in mono.items():
-            if letter not in assignment:
-                raise ValueError(f"no assignment for letter {letter!r}")
-            value = assignment[letter]
-            poly = value if isinstance(value, RatPoly) else RatPoly((value,))
-            term = term * poly**e
-        out = out + term
-    return out
 
 
 def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:

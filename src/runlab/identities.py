@@ -197,16 +197,15 @@ def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str
 
 
 def _expansion(rows_entry: "Callable[[int], list[int]]", n: int,
-               x_exp: int, k_min: int) -> grammar.MPoly:
-    """Build x^x_exp * sum_k row[k] y^k z^(n-k) as an MPoly."""
+               x_exp: int) -> grammar.MPoly:
+    """Build x^x_exp * sum_k row[k] y^k z^(n-k) as an MPoly, from every
+    nonzero entry of the row (k = 0 included)."""
     row = rows_entry(n)
-    terms = []
-    for k in range(k_min, len(row)):
-        if row[k]:
-            terms.append(
-                (grammar.Monomial({"x": x_exp, "y": k, "z": n - k}), row[k])
-            )
-    return grammar.MPoly(terms)
+    return grammar.MPoly(
+        (grammar.Monomial({"x": x_exp, "y": k, "z": n - k}), c)
+        for k, c in enumerate(row)
+        if c
+    )
 
 
 def check_grammar_runs(n_max: int = 12) -> CheckReport:
@@ -218,7 +217,7 @@ def check_grammar_runs(n_max: int = 12) -> CheckReport:
     p = grammar.MPoly.monomial({"x": 2})
     for n in range(1, n_max + 1):
         p = grammar.d_apply(g, p)
-        expected = _expansion(lambda m: tri.row(m + 1), n, x_exp=2, k_min=1)
+        expected = _expansion(lambda m: tri.row(m + 1), n, x_exp=2)
         if p != expected:
             return _failed("grammar/runs", params, n, "derivative of x^2", p, expected)
     return _passed("grammar/runs", params)
@@ -233,7 +232,7 @@ def check_grammar_alt(n_max: int = 12) -> CheckReport:
     p = grammar.MPoly.letter("x")
     for n in range(1, n_max + 1):
         p = grammar.d_apply(g, p)
-        expected = _expansion(tri.row, n, x_exp=1, k_min=1)
+        expected = _expansion(tri.row, n, x_exp=1)
         if p != expected:
             return _failed("grammar/altsubseq", params, n, "derivative of x", p, expected)
     return _passed("grammar/altsubseq", params)
@@ -681,8 +680,8 @@ def check_oracle(n_max: int = 8) -> CheckReport:
 SUITES = ("all", "grammar", "convolutions", "closed-forms", "gf", "oracle")
 
 
-def _suite_thunks(
-    suite: str,
+def run_suite(
+    suite: str = "all",
     *,
     n_max: "int | None" = None,
     oracle_n_max: "int | None" = None,
@@ -691,7 +690,8 @@ def _suite_thunks(
     carlitz_x0s: "Sequence[Rational] | None" = None,
     stanley_t0s: "Sequence[Rational] | None" = None,
     final_x0s: "Sequence[Rational] | None" = None,
-) -> "list[Callable[[], CheckReport]]":
+) -> "list[CheckReport]":
+    """Run one suite and return its reports sorted by identity id."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (known: {', '.join(SUITES)})")
     order = DEFAULT_ORDER if order is None else order
@@ -712,40 +712,34 @@ def _suite_thunks(
     def plan_for(kind: str) -> "SamplePlan | None":
         return default_plan(kind, points) if points is not None else None
 
-    thunks: "list[Callable[[], CheckReport]]" = []
+    reports: "list[CheckReport]" = []
     if suite in ("all", "grammar"):
-        thunks += [
-            lambda: check_grammar_runs(bound(12)),
-            lambda: check_grammar_alt(bound(12)),
-            lambda: check_dumont(bound(12), oracle_cap),
-            lambda: check_peaks_grammar(bound(12), oracle_cap),
-            lambda: check_leibniz(bound(10)),
+        reports += [
+            check_grammar_runs(bound(12)),
+            check_grammar_alt(bound(12)),
+            check_dumont(bound(12), oracle_cap),
+            check_peaks_grammar(bound(12), oracle_cap),
+            check_leibniz(bound(10)),
         ]
     if suite in ("all", "convolutions"):
-        thunks += [
-            lambda: check_convolutions(bound(20)),
-            lambda: check_recurrence_consistency(bound(20)),
+        reports += [
+            check_convolutions(bound(20)),
+            check_recurrence_consistency(bound(20)),
         ]
     if suite in ("all", "closed-forms"):
-        thunks += [
-            lambda: check_alt_from_runs(bound(25)),
-            lambda: check_runs_from_peaks(bound(20), plan_for("runs-from-peaks")),
-            lambda: check_tangent_forms(bound(12), plan_for("tangent")),
-            lambda: check_david_barton(bound(12), plan_for("david-barton")),
+        reports += [
+            check_alt_from_runs(bound(25)),
+            check_runs_from_peaks(bound(20), plan_for("runs-from-peaks")),
+            check_tangent_forms(bound(12), plan_for("tangent")),
+            check_david_barton(bound(12), plan_for("david-barton")),
         ]
     if suite in ("all", "gf"):
         for x0 in carlitz_x0s if carlitz_x0s is not None else DEFAULT_CARLITZ_X0S:
-            thunks.append(lambda x0=x0: check_carlitz(x0, order))
+            reports.append(check_carlitz(x0, order))
         for t0 in stanley_t0s if stanley_t0s is not None else DEFAULT_STANLEY_T0S:
-            thunks.append(lambda t0=t0: check_stanley_gf(t0, order))
+            reports.append(check_stanley_gf(t0, order))
         for x0 in final_x0s if final_x0s is not None else DEFAULT_FINAL_X0S:
-            thunks.append(lambda x0=x0: check_altsubseq_gf(x0, order))
+            reports.append(check_altsubseq_gf(x0, order))
     if suite in ("all", "oracle"):
-        thunks.append(lambda: check_oracle(oracle_cap))
-    return thunks
-
-
-def run_suite(suite: str = "all", **options) -> "list[CheckReport]":
-    """Run one suite and return its reports sorted by identity id."""
-    reports = [t() for t in _suite_thunks(suite, **options)]
+        reports.append(check_oracle(oracle_cap))
     return sorted(reports, key=lambda r: r.identity)

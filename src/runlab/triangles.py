@@ -1,10 +1,14 @@
 """Recurrence-driven integer families, one :class:`Family` per statistic.
 
-Five triangles (runs, altsubseq, peaks, leftpeaks, euler) and six
-polynomial families.  Each generator applies its recurrence from the
-smallest seed only; any later printed seed row is *asserted*, and every
-polynomial recurrence step is asserted integral, so a mistranscribed
-recurrence fails loudly instead of producing plausible garbage.
+The run and altsubseq triangles come from one integer runner over a
+small table per recurrence, each (shift, a, b, c) entry adding
+(a*k + b*n + c) * T(n-1, k-shift) to entry k of row n; the polynomials
+R_n and T_n are those rows.  The peak polynomials W_n, Wt_n and the
+tangent polynomials P_n step a differential recurrence, and each step
+is asserted integral.  The euler rows and A_n expand the dumont grammar.
+Every generator runs from its smallest seed only and asserts any later
+printed seed row, so a mistranscribed recurrence fails loudly instead
+of producing plausible garbage.
 
 Family rows are stored dense from k = 0 (recurrences reach k-1 and
 k-2, and dense rows avoid sentinel bugs at the boundaries).
@@ -75,6 +79,40 @@ class Family:
         return RatPoly(self.row(n))
 
 
+#: Triangle recurrences, one (shift, a, b, c) entry per term: row n,
+#: column k of the triangle gets (a*k + b*n + c) * T(n-1, k-shift).
+_R_STEPS = ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 0))
+_A_STEPS = ((0, 1, 0, 0), (1, 0, 0, 1), (2, -1, 1, 1))
+
+
+def _run_steps(
+    name: str,
+    start: int,
+    steps: "tuple[tuple[int, int, int, int], ...]",
+    seeds: "dict[int, list[int]]",
+    n_max: int,
+) -> Family:
+    """Rows start..n_max of the triangle ``steps`` describes, from the
+    seed row T(start, 0) = 1.  Row n has n - start + 1 entries and only
+    k >= 1 is written; a printed row in ``seeds`` is asserted."""
+    if n_max < start:
+        raise ValueError(f"n_max must be >= {start}")
+    pad = max(s for s, *_ in steps)
+    rows = [[1]]
+    for n in range(start + 1, n_max + 1):
+        prev = [0] * pad + rows[-1] + [0]
+        row = [0] * (n - start + 1)
+        for s, a, b, c in steps:
+            for k in range(1, len(row)):
+                row[k] += (a * k + b * n + c) * prev[k + pad - s]
+        expected = seeds.get(n)
+        if expected is not None and row != expected:
+            raise ConsistencyError(f"row {n} of the {name} triangle is {row}, "
+                                   f"expected {expected}")
+        rows.append(row)
+    return Family(name, start, rows)
+
+
 def triangle_R(n_max: int) -> Family:
     """Counts of permutations of [n] by number of alternating runs.
 
@@ -82,20 +120,7 @@ def triangle_R(n_max: int) -> Family:
     R(n,k) = k*R(n-1,k) + 2*R(n-1,k-1) + (n-k)*R(n-1,k-2),
     seeded with R(1,0) = 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    rows = [[1]]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        row = [0] * n
-        for k in range(1, n):
-            row[k] = k * at(k) + 2 * at(k - 1) + (n - k) * at(k - 2)
-        rows.append(row)
-    return Family("runs", 1, rows)
+    return _run_steps("runs", 1, _R_STEPS, {}, n_max)
 
 
 def triangle_A(n_max: int) -> Family:
@@ -103,25 +128,10 @@ def triangle_A(n_max: int) -> Family:
 
     Rows n = 0..n_max from
     a_k(n) = k*a_k(n-1) + a_(k-1)(n-1) + (n-k+1)*a_(k-2)(n-1),
-    seeded with a_0(0) = 1; the printed value a_1(1) = 1 is asserted.
+    seeded with a_0(0) = 1; the printed row a_1(1) = 1, i.e. T_1 = x, is
+    asserted.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            row[k] = k * at(k) + at(k - 1) + (n - k + 1) * at(k - 2)
-        rows.append(row)
-    if n_max >= 1 and rows[1] != [0, 1]:
-        raise ConsistencyError(f"row 1 of the altsubseq triangle is {rows[1]}, "
-                               "expected [0, 1]")
-    return Family("altsubseq", 0, rows)
+    return _run_steps("altsubseq", 0, _A_STEPS, {1: [0, 1]}, n_max)
 
 
 def _recurrence_family(
@@ -154,28 +164,14 @@ def _recurrence_family(
 
 
 def poly_R(n_max: int) -> Family:
-    """Run polynomials from R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'."""
-    return _recurrence_family(
-        "R",
-        1,
-        RatPoly((1,)),
-        lambda n, p: RatPoly((0, 2, n - 1)) * p + RatPoly((0, 1, 0, -1)) * p.derivative(),
-        {},
-        n_max,
-    )
+    """Run polynomials R_n(x) = sum_k R(n,k) x^k: the rows of triangle_R."""
+    return triangle_R(n_max)
 
 
 def poly_T(n_max: int) -> Family:
-    """Alternating-subsequence polynomials from
-    T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n', seeded T_0 = 1; T_1 = x asserted."""
-    return _recurrence_family(
-        "T",
-        0,
-        RatPoly((1,)),
-        lambda n, p: RatPoly((0, 1, n)) * p + RatPoly((0, 1, 0, -1)) * p.derivative(),
-        {1: _X},
-        n_max,
-    )
+    """Alternating-subsequence polynomials T_n(x) = sum_k a_k(n) x^k: the
+    rows of triangle_A."""
+    return triangle_A(n_max)
 
 
 def poly_W(n_max: int) -> Family:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from runlab import grammar as gr
-from runlab.exactnum import RatPoly
 
 
 def mono(**exps):
@@ -169,20 +168,6 @@ class TestDerivation:
         assert gr.leibniz_check(g, x, x, 3)
         assert gr.leibniz_check(g, x, y, 5)
         assert gr.leibniz_check(g, x, y, 0)
-
-
-class TestCollapse:
-    def test_examples(self):
-        X = RatPoly((0, 1))
-        p = gr.MPoly.monomial({"x": 2, "y": 1}, 2)
-        assert gr.collapse(p, {"x": 1, "y": X}) == RatPoly((0, 2))
-        q = gr.MPoly.monomial({"x": 1, "y": 1})
-        assert gr.collapse(q, {"x": 1, "y": X, "z": 1}) == X
-        assert gr.collapse(gr.MPoly.zero(), {}) == RatPoly()
-
-    def test_missing_assignment(self):
-        with pytest.raises(ValueError, match="no assignment"):
-            gr.collapse(gr.MPoly.letter("x"), {"y": 1})
 
 
 class TestSerialization:

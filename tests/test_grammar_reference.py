@@ -246,7 +246,7 @@ class TestConstructionPaths:
         g = gr.builtin("main")
         tri = triangles.triangle_R(n + 1)
         p = gr.d_power(g, gr.MPoly.monomial({"x": 2}), n)
-        assert p == idn._expansion(lambda m: tri.row(m + 1), n, x_exp=2, k_min=1)
+        assert p == idn._expansion(lambda m: tri.row(m + 1), n, x_exp=2)
 
     def test_zero_column_of_a_letter_outside_the_grammar(self):
         # y^2 from the peaks grammar still carries a zero z column; a

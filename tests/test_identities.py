@@ -169,19 +169,40 @@ class TestFaultInjection:
         monkeypatch.setattr(
             triangles, "triangle_R", corrupt_triangle(triangles.triangle_R, 5, 2)
         )
-        report = idn.check_grammar_runs(6)
-        assert not report.passed
-        assert report.first_failure is not None
-        assert report.first_failure.n == 4
-        assert report.first_failure.lhs != report.first_failure.rhs
+        assert self._failure(idn.check_grammar_runs(6)) == (
+            4, "derivative of x^2",
+            "2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
+            "2*x^2*y*z^3 + 29*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
+        )
+
+    def test_corrupt_run_column_zero_breaks_grammar_check(self, monkeypatch):
+        # R(5,0) is 0; a nonzero k = 0 entry must reach the expected poly
+        monkeypatch.setattr(
+            triangles, "triangle_R", corrupt_triangle(triangles.triangle_R, 5, 0)
+        )
+        assert self._failure(idn.check_grammar_runs(6)) == (
+            4, "derivative of x^2",
+            "2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
+            "x^2*z^4 + 2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
+        )
+
+    def test_corrupt_alt_column_zero_breaks_grammar_alt(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "triangle_A", corrupt_triangle(triangles.triangle_A, 4, 0)
+        )
+        assert self._failure(idn.check_grammar_alt(6)) == (
+            4, "derivative of x",
+            "x*y*z^3 + 7*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
+            "x*z^4 + x*y*z^3 + 7*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
+        )
 
     def test_corrupt_alt_entry_breaks_gf_check(self, monkeypatch):
         monkeypatch.setattr(
             triangles, "triangle_A", corrupt_triangle(triangles.triangle_A, 4, 2)
         )
-        report = idn.check_altsubseq_gf(F(1, 3), order=6)
-        assert not report.passed
-        assert report.first_failure.n == 4
+        assert self._failure(idn.check_altsubseq_gf(F(1, 3), order=6)) == (
+            4, "z^4", "259/648", "32/81"
+        )
 
     def test_corrupt_euler_entry_breaks_oracle_check(self, monkeypatch):
         monkeypatch.setattr(
@@ -240,8 +261,51 @@ class TestFaultInjection:
         monkeypatch.setattr(
             triangles, "triangle_R", corrupt_triangle(triangles.triangle_R, 6, 3)
         )
-        report = idn.check_recurrence_consistency(6)
-        assert not report.passed
+        assert self._failure(idn.check_recurrence_consistency(6)) == (
+            4, "R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'",
+            "2*x + 60*x^2 + 237*x^3 + 300*x^4 + 122*x^5",
+            "2*x + 60*x^2 + 236*x^3 + 300*x^4 + 122*x^5",
+        )
+
+    def test_corrupt_left_peak_row_breaks_convolutions(self, monkeypatch):
+        # the first two formulas read only R and T, so the third fails first
+        monkeypatch.setattr(
+            triangles, "poly_Wtilde", corrupt_triangle(triangles.poly_Wtilde, 2, 1)
+        )
+        assert self._failure(idn.check_convolutions(6)) == (
+            2, "R_(n+2) = 2x Wt_n(x^2) + 2x sum C(n,k) R_(k+1) Wt_(n-k)(x^2)",
+            "2*x + 12*x^2 + 10*x^3", "2*x + 12*x^2 + 12*x^3",
+        )
+
+    def test_corrupt_alt_polynomial_breaks_alt_from_runs(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_T", corrupt_triangle(triangles.poly_T, 4, 2)
+        )
+        assert self._failure(idn.check_alt_from_runs(6)) == (
+            4, "2 T_n = (1+x) R_n",
+            "2*x + 16*x^2 + 22*x^3 + 10*x^4", "2*x + 14*x^2 + 22*x^3 + 10*x^4",
+        )
+
+    def test_perturbed_run_table_reaches_every_reader(self, monkeypatch):
+        # the shift-2 coefficient n-k+1 of the A table in place of R's n-k:
+        # rows 1..3 survive, R(4,3) reads 12 instead of 10
+        monkeypatch.setattr(triangles, "_R_STEPS",
+                            ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1)))
+        assert self._failure(idn.check_oracle(6)) == (
+            4, "runs over S_4", "{1:2, 2:12, 3:10}", "{1:2, 2:12, 3:12}",
+        )
+        assert self._failure(idn.check_grammar_runs(6)) == (
+            3, "derivative of x^2",
+            "2*x^2*y*z^2 + 12*x^2*y^2*z + 10*x^2*y^3",
+            "2*x^2*y*z^2 + 12*x^2*y^2*z + 12*x^2*y^3",
+        )
+        assert self._failure(idn.check_alt_from_runs(6)) == (
+            4, "2 T_n = (1+x) R_n",
+            "2*x + 14*x^2 + 22*x^3 + 10*x^4", "2*x + 14*x^2 + 24*x^3 + 12*x^4",
+        )
+        assert self._failure(idn.check_tangent_forms(4)) == (
+            4, "R-form x=3/2", "141/2", "255/4",
+        )
 
     @staticmethod
     def _failure(report):

@@ -144,21 +144,22 @@ class TestPolyFamilies:
                     assert type(c) is int and c >= 0
 
 
+# The differential recurrences of R_n and T_n, stepped on polynomials: an
+# independent reference for the rows of the table runner.
+R_STEP = lambda n, p: RatPoly((0, 2, n - 1)) * p + RatPoly((0, 1, 0, -1)) * p.derivative()
+T_STEP = lambda n, p: RatPoly((0, 1, n)) * p + RatPoly((0, 1, 0, -1)) * p.derivative()
+
+
 class TestCrossGeneration:
     def test_triangle_rows_equal_recurrence_polys(self):
-        t = tr.triangle_R(25)
-        R = tr.poly_R(25)
-        for n in t.indices():
-            assert [int(c) for c in R[n].coeffs] == [
-                v for v in t.row(n)[: len(R[n].coeffs)]
-            ]
-            assert RatPoly(t.row(n)) == R[n]
+        ref = tr._recurrence_family("R", 1, RatPoly((1,)), R_STEP, {}, 102)
+        assert tr.triangle_R(102).rows == ref.rows
+        assert tr.poly_R(102).rows == ref.rows
 
     def test_alt_triangle_rows_equal_recurrence_polys(self):
-        t = tr.triangle_A(25)
-        T = tr.poly_T(25)
-        for n in t.indices():
-            assert RatPoly(t.row(n)) == T[n]
+        ref = tr._recurrence_family("T", 0, RatPoly((1,)), T_STEP, {}, 101)
+        assert tr.triangle_A(101).rows == ref.rows
+        assert tr.poly_T(101).rows == ref.rows
 
     def test_alt_polys_are_half_shifted_run_polys(self):
         R = tr.poly_R(25)
@@ -179,6 +180,13 @@ class TestCrossGeneration:
 
 
 class TestConsistencyGuards:
+    def test_table_seed_row_is_asserted(self, monkeypatch):
+        # a_1(1) = 1 is printed; a shift-1 coefficient of 2 gives [0, 2]
+        monkeypatch.setattr(tr, "_A_STEPS", ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1)))
+        with pytest.raises(tr.ConsistencyError, match=r"row 1 of the altsubseq"):
+            tr.triangle_A(3)
+        assert tr.triangle_A(0).rows == [[1]]
+
     def test_seed_mismatch_fails_loudly(self):
         step = lambda n, p: RatPoly((2, n - 1)) * p + RatPoly((0, 2, -2)) * p.derivative()
         with pytest.raises(tr.ConsistencyError):
