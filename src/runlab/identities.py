@@ -157,13 +157,16 @@ def _take(count: int, keep: "Callable[[Fraction], bool]",
 
 
 def default_plan(identity: str, count: int) -> SamplePlan:
-    """The stock sample plan for one of the pointwise checks.
+    """The stock sample plan of ``count`` >= 1 points for one of the
+    pointwise checks.
 
     ``identity`` is one of ``runs-from-peaks``, ``tangent``,
     ``david-barton``.  Points avoid each identity's singular values and
     prefer non-square discriminants so the quadratic extension is a
     genuine field.
     """
+    if count < 1:
+        raise ValueError(f"points must be >= 1, got {count}")
     if identity == "runs-from-peaks":
         return _take(count, lambda x: x != -1)
     if identity == "tangent":
@@ -238,6 +241,18 @@ def check_grammar_alt(n_max: int = 12) -> CheckReport:
     return _passed("grammar/altsubseq", params)
 
 
+class _DescentTables(dict):
+    """``permcore.descent_classes(n)`` by n, each S_n walked on first read.
+
+    One instance serves every check of one ``run_suite`` call, so a run
+    walks each S_n at most once; a check called on its own makes its own.
+    """
+
+    def __missing__(self, n: int):
+        table = self[n] = permcore.descent_classes(n)
+        return table
+
+
 def _hist_str(counts: "Mapping[int, int]") -> str:
     return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(counts.items())) + "}"
 
@@ -246,14 +261,17 @@ def _row_counts(row: "list[int]") -> "dict[int, int]":
     return {k: v for k, v in enumerate(row) if v}
 
 
-def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
+def check_dumont(n_max: int = 12, oracle_n_max: int = 8, *,
+                 descent_tables: "_DescentTables | None" = None) -> CheckReport:
     """The two-letter grammar {x -> xy, y -> xy} expands descent counts:
     the n-th derivative of x is sum_k E(n,k) x^(k+1) y^(n-k).
 
     Coefficients are compared against the euler triangle for n <= n_max
-    and against the brute-force descent histogram for n <= oracle_n_max.
+    and against the brute-force descent histogram for n <= oracle_n_max,
+    read from ``descent_tables`` (a fresh one by default).
     """
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
+    tables = _DescentTables() if descent_tables is None else descent_tables
     g = grammar.builtin("dumont")
     tri = triangles.triangle_euler(n_max)
     p = grammar.MPoly.letter("x")
@@ -268,8 +286,7 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
         if p != expected:
             return _failed("grammar/eulerian", params, n, "derivative of x", p, expected)
         if n <= oracle_n_max:
-            classes = permcore.descent_classes(n)
-            dist = permcore.distribution(permcore.Stat.DESCENTS, n, classes)
+            dist = permcore.distribution(permcore.Stat.DESCENTS, n, tables[n])
             if _row_counts(row) != dist.counts:
                 return _failed(
                     "grammar/eulerian", params, n, f"descent histogram over S_{n}",
@@ -278,11 +295,15 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     return _passed("grammar/eulerian", params)
 
 
-def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
+def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8, *,
+                        descent_tables: "_DescentTables | None" = None) -> CheckReport:
     """The grammar {y -> yz, z -> y^2} expands both peak triangles:
     derivatives of y carry left-peak counts on monomials y^(2k+1) z^(n-2k),
-    derivatives of z carry interior-peak counts on y^(2k+2) z^(n-2k-1)."""
+    derivatives of z carry interior-peak counts on y^(2k+2) z^(n-2k-1).
+    Both are also compared against the brute-force histograms for
+    n <= oracle_n_max, read from ``descent_tables`` (a fresh one by default)."""
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
+    tables = _DescentTables() if descent_tables is None else descent_tables
     ident = "grammar/peaks"
     g = grammar.builtin("peaks")
     W = triangles.poly_W(n_max)
@@ -309,7 +330,7 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
         if pz != expected_z:
             return _failed(ident, params, n, "derivative of z", pz, expected_z)
         if n <= oracle_n_max:
-            classes = permcore.descent_classes(n)
+            classes = tables[n]
             peaks = permcore.distribution(permcore.Stat.INTERIOR_PEAKS, n, classes)
             wrow = _row_counts(W.row(n))
             if wrow != peaks.counts:
@@ -652,9 +673,12 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 # Oracle equivalence.
 
 
-def check_oracle(n_max: int = 8) -> CheckReport:
-    """All five triangles match brute-force histograms over S_n, n <= n_max."""
+def check_oracle(n_max: int = 8, *,
+                 descent_tables: "_DescentTables | None" = None) -> CheckReport:
+    """All five triangles match brute-force histograms over S_n, n <= n_max,
+    read from ``descent_tables`` (a fresh one by default)."""
     params = {"n_max": n_max}
+    tables = _DescentTables() if descent_tables is None else descent_tables
     ident = "oracle/triangles"
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
@@ -664,7 +688,7 @@ def check_oracle(n_max: int = 8) -> CheckReport:
         (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
     ]
     for n in range(1, n_max + 1):
-        classes = permcore.descent_classes(n)
+        classes = tables[n]
         for stat, tri in sources:
             dist = permcore.distribution(stat, n, classes)
             expected = _row_counts(tri.row(n))
@@ -709,16 +733,21 @@ def run_suite(
     def bound(default: int) -> int:
         return n_max if n_max is not None else default
 
-    def plan_for(kind: str) -> "SamplePlan | None":
-        return default_plan(kind, points) if points is not None else None
+    plans: "dict[str, SamplePlan]" = {}
+    if points is not None and suite in ("all", "closed-forms"):
+        # drawn before any check runs, so a bad count fails at once
+        plans = {kind: default_plan(kind, points)
+                 for kind in ("runs-from-peaks", "tangent", "david-barton")}
+    # the oracle's three readers share one walk of each S_n
+    tables = _DescentTables()
 
     reports: "list[CheckReport]" = []
     if suite in ("all", "grammar"):
         reports += [
             check_grammar_runs(bound(12)),
             check_grammar_alt(bound(12)),
-            check_dumont(bound(12), oracle_cap),
-            check_peaks_grammar(bound(12), oracle_cap),
+            check_dumont(bound(12), oracle_cap, descent_tables=tables),
+            check_peaks_grammar(bound(12), oracle_cap, descent_tables=tables),
             check_leibniz(bound(10)),
         ]
     if suite in ("all", "convolutions"):
@@ -729,9 +758,9 @@ def run_suite(
     if suite in ("all", "closed-forms"):
         reports += [
             check_alt_from_runs(bound(25)),
-            check_runs_from_peaks(bound(20), plan_for("runs-from-peaks")),
-            check_tangent_forms(bound(12), plan_for("tangent")),
-            check_david_barton(bound(12), plan_for("david-barton")),
+            check_runs_from_peaks(bound(20), plans.get("runs-from-peaks")),
+            check_tangent_forms(bound(12), plans.get("tangent")),
+            check_david_barton(bound(12), plans.get("david-barton")),
         ]
     if suite in ("all", "gf"):
         for x0 in carlitz_x0s if carlitz_x0s is not None else DEFAULT_CARLITZ_X0S:
@@ -741,5 +770,5 @@ def run_suite(
         for x0 in final_x0s if final_x0s is not None else DEFAULT_FINAL_X0S:
             reports.append(check_altsubseq_gf(x0, order))
     if suite in ("all", "oracle"):
-        reports.append(check_oracle(oracle_cap))
+        reports.append(check_oracle(oracle_cap, descent_tables=tables))
     return sorted(reports, key=lambda r: r.identity)

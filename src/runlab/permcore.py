@@ -8,8 +8,11 @@ else, and ``longest_alt_subseq`` documents why it is no exception.  So
 the oracle walks S_n once per n and buckets every permutation by its
 descent word (:func:`descent_classes`); a histogram then applies the
 definition once per class, to the class's first permutation, weighted by
-the class size.  The triangle generators are validated against these
-histograms, so this module must stay independent of them.
+the class size.  A caller that needs several histograms of one n passes
+the same table to each call; ``identities.run_suite`` shares one walk of
+each S_n among all the checks of a run.  The triangle
+generators are validated against these histograms, so this module must
+stay independent of them.
 
 Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 0 left peaks, 0 descents, and a longest alternating subsequence of 1.

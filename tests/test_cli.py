@@ -71,6 +71,96 @@ GRAMMAR_N8 = {
 }
 
 
+#: stdout of ``verify all`` in each format at the defaults; the reports'
+#: order, params and serialization must not drift.
+VERIFY_ALL = {
+    "plain": (
+        'PASS closed/alt-from-runs (n_max=25)\n'
+        'PASS closed/david-barton (n_max=12, points=27)\n'
+        'PASS closed/runs-from-peaks (n_max=20, points=22)\n'
+        'PASS closed/tangent (n_max=12, points=27)\n'
+        'PASS gf/altsubseq[x0=1/2] (x0=1/2, order=12)\n'
+        'PASS gf/altsubseq[x0=1/3] (x0=1/3, order=12)\n'
+        'PASS gf/carlitz[x0=0] (x0=0, order=12)\n'
+        'PASS gf/carlitz[x0=1/2] (x0=1/2, order=12)\n'
+        'PASS gf/carlitz[x0=1/3] (x0=1/3, order=12)\n'
+        'PASS gf/stanley[t0=1/2] (t0=1/2, order=12)\n'
+        'PASS gf/stanley[t0=1/3] (t0=1/3, order=12)\n'
+        'PASS grammar/altsubseq (n_max=12)\n'
+        'PASS grammar/eulerian (n_max=12, oracle_n_max=8)\n'
+        'PASS grammar/leibniz (n_max=10, cases=100, seed=20240801)\n'
+        'PASS grammar/peaks (n_max=12, oracle_n_max=8)\n'
+        'PASS grammar/runs (n_max=12)\n'
+        'PASS oracle/triangles (n_max=8)\n'
+        'PASS poly/convolutions (n_max=20)\n'
+        'PASS poly/recurrences (n_max=20)\n'
+        '19/19 checks passed\n'
+    ),
+    "json": (
+        '{"identity":"closed/alt-from-runs","params":{"n_max":25}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"closed/david-barton","params":{"n_max":12,"points":27}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"closed/runs-from-peaks","params":{"n_max":20,"points":22}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"closed/tangent","params":{"n_max":12,"points":27}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/altsubseq[x0=1/2]","params":{"x0":"1/2","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/altsubseq[x0=1/3]","params":{"x0":"1/3","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/carlitz[x0=0]","params":{"x0":"0","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/carlitz[x0=1/2]","params":{"x0":"1/2","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/carlitz[x0=1/3]","params":{"x0":"1/3","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/stanley[t0=1/2]","params":{"t0":"1/2","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"gf/stanley[t0=1/3]","params":{"t0":"1/3","order":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/altsubseq","params":{"n_max":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/eulerian","params":{"n_max":12,"oracle_n_max":8}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/leibniz","params":{"n_max":10,"cases":100,"seed":20240801}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/peaks","params":{"n_max":12,"oracle_n_max":8}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/runs","params":{"n_max":12}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"oracle/triangles","params":{"n_max":8}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"poly/convolutions","params":{"n_max":20}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"poly/recurrences","params":{"n_max":20}'
+        ',"passed":true,"first_failure":null}\n'
+    ),
+    "csv": (
+        'identity,passed,n,point,lhs,rhs\n'
+        'closed/alt-from-runs,True,,,,\n'
+        'closed/david-barton,True,,,,\n'
+        'closed/runs-from-peaks,True,,,,\n'
+        'closed/tangent,True,,,,\n'
+        'gf/altsubseq[x0=1/2],True,,,,\n'
+        'gf/altsubseq[x0=1/3],True,,,,\n'
+        'gf/carlitz[x0=0],True,,,,\n'
+        'gf/carlitz[x0=1/2],True,,,,\n'
+        'gf/carlitz[x0=1/3],True,,,,\n'
+        'gf/stanley[t0=1/2],True,,,,\n'
+        'gf/stanley[t0=1/3],True,,,,\n'
+        'grammar/altsubseq,True,,,,\n'
+        'grammar/eulerian,True,,,,\n'
+        'grammar/leibniz,True,,,,\n'
+        'grammar/peaks,True,,,,\n'
+        'grammar/runs,True,,,,\n'
+        'oracle/triangles,True,,,,\n'
+        'poly/convolutions,True,,,,\n'
+        'poly/recurrences,True,,,,\n'
+    ),
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -216,6 +306,12 @@ class TestGrammarCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("fmt", sorted(VERIFY_ALL))
+    def test_verify_all_output_is_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "verify", "all", f"--format={fmt}")
+        assert code == 0
+        assert out == VERIFY_ALL[fmt]
+
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "grammar", "--n-max", "5")
         assert code == 0
@@ -364,6 +460,26 @@ class TestConsoleEntry:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_nonpositive_points_exit_2_at_once(self, points):
+        # an unbounded sample-point search would grow until killed: the
+        # timeout and the address-space cap turn a hang into a failure
+        def cap_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "runlab", "verify", "closed-forms", "--points", points],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"error: points must be >= 1, got {points}\n" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -1,6 +1,7 @@
 """Identity harness: reports, plans, failure paths, determinism."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,19 @@ class TestPointwiseChecks:
         with pytest.raises(ValueError, match="certify"):
             idn.check_david_barton(6, idn.default_plan("david-barton", 14))
         assert idn.check_david_barton(6, idn.default_plan("david-barton", 15)).passed
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_plan_sizes_rejected(self, monkeypatch, count):
+        # refused before the infinite rational pool is read at all
+        def no_pool():
+            pytest.fail("the sample pool was read")
+
+        monkeypatch.setattr(idn, "_pool", no_pool)
+        for kind in ("runs-from-peaks", "tangent", "david-barton"):
+            with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
+                idn.default_plan(kind, count)
+        with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
+            idn.run_suite("all", points=count)
 
     def test_square_discriminants_still_work(self):
         # non-square d is a preference, not a requirement: x - 1 = 9/4 is square
@@ -307,6 +321,29 @@ class TestFaultInjection:
             4, "R-form x=3/2", "141/2", "255/4",
         )
 
+    def test_moved_descent_class_reaches_every_oracle_reader(self, monkeypatch):
+        # 1234's class counted under 1324's: the sizes still sum to 4!, but
+        # the one shared walk of S_4 is wrong for all three of its readers
+        real = pc.descent_classes
+
+        def moved(n):
+            sizes = dict(real(n))
+            if n == 4:
+                sizes[(1, 3, 2, 4)] += sizes.pop((1, 2, 3, 4))
+            return list(sizes.items())
+
+        monkeypatch.setattr(pc, "descent_classes", moved)
+        failures = {r.identity: self._failure(r)
+                    for r in idn.run_suite("all") if not r.passed}
+        assert failures == {
+            "grammar/eulerian": (4, "descent histogram over S_4",
+                                 "{0:1, 1:11, 2:11, 3:1}", "{1:12, 2:11, 3:1}"),
+            "grammar/peaks": (4, "interior-peak histogram over S_4",
+                              "{0:8, 1:16}", "{0:7, 1:17}"),
+            "oracle/triangles": (4, "runs over S_4",
+                                 "{1:1, 2:12, 3:11}", "{1:2, 2:12, 3:10}"),
+        }
+
     @staticmethod
     def _failure(report):
         assert not report.passed
@@ -434,6 +471,40 @@ class TestFaultInjection:
         assert not report.passed
         assert "sqrt component" in report.first_failure.point
         assert report.first_failure.rhs == "0"
+
+
+class TestDescentWalks:
+    """Each S_n is walked at most once per run, and never across runs."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        counts = Counter()
+        real = pc.descent_classes
+
+        def counted(n):
+            counts[n] += 1
+            return real(n)
+
+        monkeypatch.setattr(pc, "descent_classes", counted)
+        return counts
+
+    def test_one_walk_per_n_in_a_run(self, walks):
+        assert all(r.passed for r in idn.run_suite("all"))
+        assert walks == {n: 1 for n in range(1, 9)}
+
+    def test_no_walk_is_shared_across_runs(self, walks):
+        idn.run_suite("all")
+        idn.run_suite("all")
+        assert walks == {n: 2 for n in range(1, 9)}
+        assert sum(walks.values()) == 16
+
+    def test_a_check_on_its_own_walks_its_range(self, walks):
+        assert idn.check_oracle(6).passed
+        assert walks == {n: 1 for n in range(1, 7)}
+
+    def test_no_walk_beyond_the_oracle_bound(self, walks):
+        assert all(r.passed for r in idn.run_suite("grammar", n_max=5))
+        assert walks == {n: 1 for n in range(1, 6)}
 
 
 class TestSuites:
