@@ -6,19 +6,19 @@ module only adds the layers the identity checks need on top of them:
 
 * :class:`QuadExt` -- elements ``a + b*rho`` of Q(sqrt(d)), with the
   discriminant ``d`` carried by each value,
-* :class:`RatPoly` -- dense univariate polynomials over Q, with integral
-  coefficients kept as ``int``,
+* :class:`RatPoly` -- dense univariate polynomials with ``int``
+  coefficients, integral by type,
 * :class:`PowerSeries` -- series truncated at an explicit order, with
   :class:`QuadExt` coefficients, plus ``sin``/``cos``/``exp`` builders.
 
 Evaluation runs over integers and normalises once at the end.  A
 polynomial is evaluated at ``p/q`` (or at ``(A + B*sigma)/D`` in
-Q(sqrt(d)), see :func:`_int_form`) by homogenised Horner on integer
-numerators, scaled by the lcm of its coefficient denominators, and one
-``Fraction`` per component is built from the result over its single
-shared denominator.  ``QuadExt`` powers use the same integer form, and
-``QuadExt`` arithmetic with ``int``/``Fraction`` operands uses them
-directly instead of wrapping them in a ``QuadExt`` first.
+Q(sqrt(d)), see :func:`_int_form`) by homogenised Horner on its integer
+coefficients, and one ``Fraction`` per component is built from the
+result over its single shared denominator.  ``QuadExt`` powers use the
+same integer form, and ``QuadExt`` arithmetic with ``int``/``Fraction``
+operands uses them directly instead of wrapping them in a ``QuadExt``
+first.
 
 Every value is immutable and every operation is a pure function.
 """
@@ -52,15 +52,6 @@ def _fr(value: Rational) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
-def _coeff(value: Rational) -> Rational:
-    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -179,9 +170,6 @@ class QuadExt:
                 A, B = A * A + e * B * B, 2 * A * B
         return _quad(Fraction(X, den), Fraction(Y * dd, den), self.d)
 
-    def conjugate(self) -> "QuadExt":
-        return _quad(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (multiplicative)."""
         return self.a * self.a - self.d * self.b * self.b
@@ -198,10 +186,6 @@ class QuadExt:
         return _quad(self.a / n, -self.b / n, self.d)
 
     # -- structure -----------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -265,28 +249,24 @@ def _int_form(q: QuadExt) -> "tuple[int, int, int, int, int]":
     return A, B, D, d.numerator * dd, dd
 
 
-def _scaled(cs: "Sequence[Rational]") -> "tuple[Sequence[int], int]":
-    """Coefficients times the lcm ``L`` of their denominators, and ``L``."""
-    dens = [c.denominator for c in cs if type(c) is not int]
-    if not dens:
-        return cs, 1
-    L = lcm(*dens)
-    return [c.numerator * (L // c.denominator) for c in cs], L
-
-
 class RatPoly:
-    """Dense univariate polynomial over Q; index = degree.
+    """Dense univariate polynomial with ``int`` coefficients; index = degree.
 
-    Integral coefficients are stored as ``int`` and the others as
-    ``Fraction``, and trailing zero coefficients are trimmed on
-    construction, so equality is structural.  The zero polynomial has
-    degree ``NEG_INF``.
+    Every polynomial the checks build lies in Z[x], so the constructor
+    takes ``int`` coefficients only and raises ``TypeError`` on any
+    other type, ``bool`` included; sums, products with ``int`` scalars,
+    derivatives and stretches keep them integral.  Trailing zero
+    coefficients are trimmed on construction, so equality is structural.
+    The zero polynomial has degree ``NEG_INF``.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"RatPoly coefficients must be int, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
@@ -295,30 +275,17 @@ class RatPoly:
         raise AttributeError("RatPoly is immutable")
 
     @property
-    def coeffs(self) -> "tuple[Rational, ...]":
+    def coeffs(self) -> "tuple[int, ...]":
         return self._coeffs
 
     @property
     def degree(self):
         return len(self._coeffs) - 1 if self._coeffs else NEG_INF
 
-    def coefficient(self, k: int) -> Rational:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._coeffs)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = RatPoly((other,))
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -332,21 +299,8 @@ class RatPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RatPoly(-c for c in self._coeffs)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             return RatPoly(c * other for c in self._coeffs)
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -362,18 +316,6 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = RatPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def derivative(self) -> "RatPoly":
         return RatPoly(k * c for k, c in enumerate(self._coeffs) if k)
 
@@ -387,42 +329,32 @@ class RatPoly:
         return RatPoly(out)
 
     def __call__(self, point):
-        """Horner evaluation at an int, Fraction, QuadExt or RatPoly point.
+        """Horner evaluation at an int, Fraction or QuadExt point.
 
-        At an ``int``, ``Fraction`` or ``QuadExt`` point the loop runs on
-        integers: the coefficients are scaled by the lcm ``L`` of their
-        denominators and the point is written over one denominator (see
+        The loop runs on integers: the point is written over one
+        denominator, ``p/q`` or ``(A + B*sigma)/D`` (see
         :func:`_int_form`), so the only ``Fraction``s built are those of
         the result.  The value is an ``int`` exactly when the point is an
-        ``int`` and the coefficients are integral.  Any other point (a
-        ``RatPoly``, for composition) takes plain Horner.
+        ``int``.  Any other point raises ``TypeError``.
         """
+        if not isinstance(point, (int, Fraction, QuadExt)):
+            raise TypeError(f"cannot evaluate a RatPoly at a {type(point).__name__}")
         cs = self._coeffs
         if not cs:
             return 0
         if isinstance(point, QuadExt):
-            ints, L = _scaled(cs)
             A, B, D, e, dd = _int_form(point)
-            X, Y, Dk = ints[-1], 0, 1
-            for c in reversed(ints[:-1]):
+            X, Y, Dk = cs[-1], 0, 1
+            for c in reversed(cs[:-1]):
                 Dk *= D
                 X, Y = X * A + e * Y * B + c * Dk, X * B + Y * A
-            den = Dk * L
-            return _quad(Fraction(X, den), Fraction(Y * dd, den), point.d)
-        if isinstance(point, (int, Fraction)):
-            ints, L = _scaled(cs)
-            p, q = point.numerator, point.denominator
-            acc, qk = ints[-1], 1
-            for c in reversed(ints[:-1]):
-                qk *= q
-                acc = acc * p + c * qk
-            if isinstance(point, int) and L == 1:
-                return acc
-            return Fraction(acc, qk * L)
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * point + c
-        return acc
+            return _quad(Fraction(X, Dk), Fraction(Y * dd, Dk), point.d)
+        p, q = point.numerator, point.denominator
+        acc, qk = cs[-1], 1
+        for c in reversed(cs[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return acc if isinstance(point, int) else Fraction(acc, qk)
 
     # -- structure -----------------------------------------------------
 
@@ -430,7 +362,7 @@ class RatPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = RatPoly((other,))
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -510,10 +442,6 @@ class PowerSeries:
         return len(self._coeffs) - 1
 
     @property
-    def d(self) -> Fraction:
-        return self._d
-
-    @property
     def coeffs(self) -> "tuple[QuadExt, ...]":
         return self._coeffs
 
@@ -537,11 +465,6 @@ class PowerSeries:
         return NotImplemented
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (PowerSeries, int, Fraction, QuadExt)):
-            return self + (-other)
-        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -606,41 +529,6 @@ class PowerSeries:
         return self.order == other.order and all(
             a == b for a, b in zip(self._coeffs, other._coeffs)
         )
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __repr__(self):
-        return f"PowerSeries({[str(c) for c in self._coeffs]!r}, d={self._d!r})"
-
-    def __str__(self):
-        def render(k: int, c: QuadExt, *, signless: bool) -> str:
-            if signless:
-                c = -c if self._negative(c) else c
-            zs = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            cs = str(c)
-            if " " in cs or "/" in cs:
-                cs = f"({cs})"
-            if not zs:
-                return cs
-            return zs if c == 1 else f"{cs}*{zs}"
-
-        terms = [(k, c) for k, c in enumerate(self._coeffs) if c or self.order == 0]
-        if not terms:
-            return "0"
-        k0, c0 = terms[0]
-        text = render(k0, c0, signless=False)
-        for k, c in terms[1:]:
-            sign = " - " if self._negative(c) else " + "
-            text += sign + render(k, c, signless=True)
-        return text
-
-    @staticmethod
-    def _negative(c: QuadExt) -> bool:
-        # display heuristic only: a term renders after "-" when its leading
-        # nonzero component is negative
-        lead = c.a if c.a != 0 else c.b
-        return lead < 0
 
 
 def _as_quad(c: "QuadExt | Rational") -> QuadExt:

@@ -269,6 +269,13 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8, *,
     Coefficients are compared against the euler triangle for n <= n_max
     and against the brute-force descent histogram for n <= oracle_n_max,
     read from ``descent_tables`` (a fresh one by default).
+
+    ``triangles.triangle_euler`` builds its rows from this same dumont
+    expansion, so the triangle half compares the grammar with itself:
+    with the rule ``y -> 2*x*y`` in both, ``check_dumont(12,
+    oracle_n_max=0)`` still passes, and only the oracle half catches the
+    swap (at n = 2).  For oracle_n_max < n <= n_max the check proves
+    nothing independent.
     """
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     tables = _DescentTables() if descent_tables is None else descent_tables
@@ -589,6 +596,17 @@ def _egf_coeffs(rows: "Callable[[int], list[int]]", x0: Fraction, order: int) ->
     return out
 
 
+def _series_point(x0: Rational, order: int) -> Fraction:
+    """``x0`` as a ``Fraction``, refused unless it lies in (-1, 1) and the
+    series order is at least 1."""
+    x0 = Fraction(x0)
+    if not -1 < x0 < 1:
+        raise ValueError(f"base point {x0} must lie in (-1, 1)")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return x0
+
+
 def _check_series(ident: str, params: dict, rhs: PowerSeries,
                   expected: "list[Fraction]") -> CheckReport:
     for n, want in enumerate(expected):
@@ -605,11 +623,7 @@ def check_carlitz(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) -> 
     sum_n z^n/n! sum_k R(n+1,k) x0^(n-k)
       = (1-x0)/(1+x0) * ((rho + sin(z rho)) / (x0 - cos(z rho)))^2,
     rho = sqrt(1-x0^2), compared through z^order."""
-    x0 = Fraction(x0)
-    if not -1 < x0 < 1:
-        raise ValueError(f"base point {x0} must lie in (-1, 1)")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    x0 = _series_point(x0, order)
     params = {"x0": str(x0), "order": order}
     ident = f"gf/carlitz[x0={x0}]"
     rho = QuadExt.root(1 - x0 * x0)
@@ -626,11 +640,7 @@ def check_stanley_gf(t0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) 
       = (1-t0) (1 + rho + 2 t0 e^(rho x) + (1-rho) e^(2 rho x))
               / (1 + rho - t0^2 + (1 - rho - t0^2) e^(2 rho x)),
     rho = sqrt(1-t0^2), compared through x^order."""
-    t0 = Fraction(t0)
-    if not -1 < t0 < 1:
-        raise ValueError(f"base point {t0} must lie in (-1, 1)")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    t0 = _series_point(t0, order)
     params = {"t0": str(t0), "order": order}
     ident = f"gf/stanley[t0={t0}]"
     rho = QuadExt.root(1 - t0 * t0)
@@ -654,11 +664,7 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
     sum_n z^n/n! sum_k a_k(n) x0^(n-k)
       = -sqrt((1-x0)/(1+x0)) (rho + sin(z rho)) / (x0 - cos(z rho)),
     with the positive branch sqrt((1-x0)/(1+x0)) = rho/(1+x0)."""
-    x0 = Fraction(x0)
-    if not -1 < x0 < 1:
-        raise ValueError(f"base point {x0} must lie in (-1, 1)")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    x0 = _series_point(x0, order)
     params = {"x0": str(x0), "order": order}
     ident = f"gf/altsubseq[x0={x0}]"
     rho = QuadExt.root(1 - x0 * x0)
@@ -733,9 +739,19 @@ def run_suite(
     def bound(default: int) -> int:
         return n_max if n_max is not None else default
 
+    # every option is validated before any check runs, read by the suite or not
+    if points is not None and points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
+    gf_checks = [
+        (check, [_series_point(x, order) for x in (stock if given is None else given)])
+        for check, given, stock in (
+            (check_carlitz, carlitz_x0s, DEFAULT_CARLITZ_X0S),
+            (check_stanley_gf, stanley_t0s, DEFAULT_STANLEY_T0S),
+            (check_altsubseq_gf, final_x0s, DEFAULT_FINAL_X0S),
+        )
+    ]
     plans: "dict[str, SamplePlan]" = {}
     if points is not None and suite in ("all", "closed-forms"):
-        # drawn before any check runs, so a bad count fails at once
         plans = {kind: default_plan(kind, points)
                  for kind in ("runs-from-peaks", "tangent", "david-barton")}
     # the oracle's three readers share one walk of each S_n
@@ -763,12 +779,8 @@ def run_suite(
             check_david_barton(bound(12), plans.get("david-barton")),
         ]
     if suite in ("all", "gf"):
-        for x0 in carlitz_x0s if carlitz_x0s is not None else DEFAULT_CARLITZ_X0S:
-            reports.append(check_carlitz(x0, order))
-        for t0 in stanley_t0s if stanley_t0s is not None else DEFAULT_STANLEY_T0S:
-            reports.append(check_stanley_gf(t0, order))
-        for x0 in final_x0s if final_x0s is not None else DEFAULT_FINAL_X0S:
-            reports.append(check_altsubseq_gf(x0, order))
+        for check, x0s in gf_checks:
+            reports += [check(x0, order) for x0 in x0s]
     if suite in ("all", "oracle"):
         reports.append(check_oracle(oracle_cap, descent_tables=tables))
     return sorted(reports, key=lambda r: r.identity)

@@ -376,6 +376,21 @@ class TestVerifyCommand:
         assert out == ""
         assert "error: oracle bound 11" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("grammar", "--points", "0"), "points must be >= 1, got 0"),
+        (("grammar", "--order", "0"), "order must be >= 1"),
+        (("oracle", "--order", "-3"), "order must be >= 1"),
+        (("grammar", "--x0", "5"), "base point 5 must lie in (-1, 1)"),
+        (("convolutions", "--t0", "2"), "base point 2 must lie in (-1, 1)"),
+    ], ids=["grammar-points", "grammar-order", "oracle-order", "grammar-x0",
+            "convolutions-t0"])
+    def test_options_the_suite_does_not_read_are_still_validated(self, capsys, argv,
+                                                                 message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: {message}\n") and "Traceback" not in err
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2

@@ -130,10 +130,15 @@ class TestRatPoly:
         assert RatPoly((1, 1))(F(0)) == 1
 
     def test_integral_coefficients_are_ints(self):
-        p = RatPoly((F(4, 2), F(1, 2)))
-        assert p.coeffs == (2, F(1, 2))
-        assert type(p.coeffs[0]) is int
-        assert (p * 2).is_integral and not p.is_integral
+        p = RatPoly((2, 1))
+        assert all(type(c) is int for c in (p * 3).coeffs)
+        for bad in (F(1, 2), 1.0, True):
+            with pytest.raises(TypeError):
+                RatPoly((bad,))
+        with pytest.raises(TypeError):
+            p * F(1, 2)
+        with pytest.raises(TypeError):
+            p(RatPoly((0, 1)))
 
     def test_zero_degree_sentinel(self):
         assert RatPoly().degree == NEG_INF
@@ -143,14 +148,9 @@ class TestRatPoly:
     def test_stretch(self):
         assert RatPoly((1, 2, 3)).stretch(2) == RatPoly((1, 0, 2, 0, 3))
 
-    def test_compose_via_call(self):
-        p = RatPoly((1, 0, 1))  # 1 + x^2
-        q = RatPoly((0, 2))     # 2x
-        assert p(q) == RatPoly((1, 0, 4))
-
     def test_str(self):
         assert str(RatPoly((0, 2, 4))) == "2*x + 4*x^2"
-        assert str(RatPoly((F(1, 2), -1))) == "1/2 - x"
+        assert str(RatPoly((-3, -1, 0, 1))) == "-3 - x + x^3"
         assert str(RatPoly()) == "0"
 
 
@@ -159,9 +159,6 @@ class TestRatPoly:
 
 POINT_DISCRIMINANTS = DISCRIMINANTS + [F(9, 4), F(0)]
 
-coeffs_st = st.lists(
-    st.one_of(st.integers(min_value=-60, max_value=60), fractions_st), max_size=10
-)
 integral_coeffs_st = st.lists(st.integers(min_value=-60, max_value=60), max_size=10)
 
 
@@ -195,7 +192,7 @@ def same(got, want):
 
 
 class TestIntegerEvaluation:
-    @given(st.one_of(coeffs_st, integral_coeffs_st), points())
+    @given(integral_coeffs_st, points())
     def test_call_matches_sum_of_products(self, cs, x):
         # an empty sum is the int 0, as the zero polynomial's value must be
         want = 0
@@ -315,6 +312,3 @@ class TestPowerSeries:
     def test_discriminant_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PowerSeries([QuadExt(0, 1, 2)], d=3)
-
-    def test_str(self):
-        assert str(PowerSeries([0, 1, 0, F(-1, 6)])) == "z - (1/6)*z^3"

@@ -129,8 +129,9 @@ class TestPointwiseChecks:
         for kind in ("runs-from-peaks", "tangent", "david-barton"):
             with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
                 idn.default_plan(kind, count)
-        with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
-            idn.run_suite("all", points=count)
+        for suite in ("all", "grammar"):
+            with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
+                idn.run_suite(suite, points=count)
 
     def test_square_discriminants_still_work(self):
         # non-square d is a preference, not a requirement: x - 1 = 9/4 is square
@@ -171,6 +172,8 @@ class TestSeriesChecks:
                 fn(F(-1), order=4)
             with pytest.raises(ValueError):
                 fn(F(5, 3), order=4)
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                fn(F(1, 2), order=0)
 
 
 class TestOracleCheck:
