@@ -430,6 +430,28 @@ class TestFaultInjection:
             3, "derivative of y", "y*z^3 + 5*y^3*z", "y*z^3 + 6*y^3*z"
         )
 
+    def test_left_peak_sentinel_flip_breaks_peaks_grammar(self, monkeypatch):
+        # the oracle half of the check: the row comes first, the histogram second
+        def flipped(w):
+            n = len(w)
+            if n < 2:
+                return 0
+            return (w[0] < w[1]) + pc.interior_peaks(w)
+
+        monkeypatch.setitem(pc._STAT_FUNCS, pc.Stat.LEFT_PEAKS, flipped)
+        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
+            3, "left-peak histogram over S_3", "{0:1, 1:5}", "{0:3, 1:1, 2:2}",
+        )
+
+    def test_corrupt_left_peak_seed_breaks_peaks_grammar(self, monkeypatch):
+        # Wt_0 = 2 against the seed y, before any derivative is taken
+        monkeypatch.setattr(
+            triangles, "poly_Wtilde", corrupt_triangle(triangles.poly_Wtilde, 0, 0)
+        )
+        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
+            0, "derivative 0 of y", "y", "2"
+        )
+
     def test_non_derivation_breaks_leibniz(self, monkeypatch):
         # a linear map that replaces each letter occurrence by its rule
         # but drops the exponent factor e: not a derivation
