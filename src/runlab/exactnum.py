@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -149,11 +149,6 @@ class QuadExt:
             return _quad(self.a / other, self.b / other, self.d)
         return NotImplemented
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
@@ -198,11 +193,6 @@ class QuadExt:
                 return False
             return self.b == 0 or self.d == other.d
         return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, d={self.d!r})"
@@ -358,18 +348,12 @@ class RatPoly:
 
     # -- structure -----------------------------------------------------
 
-    def __bool__(self):
-        return bool(self._coeffs)
-
     def __eq__(self, other):
         if type(other) is int:
             other = RatPoly((other,))
         if not isinstance(other, RatPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
 
     def __repr__(self):
         return f"RatPoly({list(self._coeffs)!r})"
@@ -404,35 +388,20 @@ class RatPoly:
 class PowerSeries:
     """Coefficients ``c_0 .. c_N`` of a series truncated at order ``N``.
 
-    All coefficients live in one Q(sqrt(d)).  Binary operations truncate
-    to the shorter operand, so a result never pretends to more precision
-    than its inputs carried.
+    Rational coefficients are stored as rational ``QuadExt``s.  The field
+    lives only in the coefficients: combining two whose discriminants
+    differ raises ``ValueError`` (see ``QuadExt._pair``).  Binary
+    operations truncate to the shorter operand, so a result never
+    pretends to more precision than its inputs carried.
     """
 
-    __slots__ = ("_coeffs", "_d")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: "Sequence[QuadExt | Rational]", d: "Rational | None" = None):
-        items = list(coeffs)
+    def __init__(self, coeffs: "Sequence[QuadExt | Rational]"):
+        items = tuple(c if isinstance(c, QuadExt) else QuadExt(c) for c in coeffs)
         if not items:
             raise ValueError("a series needs at least its constant coefficient")
-        if d is None:
-            d = next(
-                (c.d for c in items if isinstance(c, QuadExt) and c.b != 0),
-                Fraction(0),
-            )
-        d = _fr(d)
-        norm = []
-        for c in items:
-            if isinstance(c, QuadExt):
-                if c.b != 0 and c.d != d:
-                    raise ValueError(
-                        f"coefficient discriminant {c.d} != series discriminant {d}"
-                    )
-                norm.append(QuadExt(c.a, c.b, d))
-            else:
-                norm.append(QuadExt(c, 0, d))
-        object.__setattr__(self, "_coeffs", tuple(norm))
-        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_coeffs", items)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -518,7 +487,7 @@ class PowerSeries:
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction, QuadExt)):
             const = [other] + [0] * self.order
-            return PowerSeries(const, d=self._d) / self
+            return PowerSeries(const) / self
         return NotImplemented
 
     # -- structure -----------------------------------------------------
@@ -531,48 +500,32 @@ class PowerSeries:
         )
 
 
-def _as_quad(c: "QuadExt | Rational") -> QuadExt:
-    return c if isinstance(c, QuadExt) else QuadExt(c)
-
-
-def _scaled_powers(c: QuadExt, order: int) -> "Iterator[tuple[int, QuadExt]]":
-    """Yield (n, c**n / n!) for n = 0..order."""
+def _taylor(c: "QuadExt | Rational", order: int, signs: "tuple[int, ...]") -> PowerSeries:
+    """sum_n signs[n % 4] * (c*z)**n / n! truncated at z**order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    c = c if isinstance(c, QuadExt) else QuadExt(c)
+    zero = QuadExt(0, 0, c.d)
     value = QuadExt(1, 0, c.d)
+    out = []
     for n in range(order + 1):
         if n:
             value = value * c * Fraction(1, n)
-        yield n, value
+        sign = signs[n % 4]
+        out.append(value if sign == 1 else -value if sign == -1 else zero)
+    return PowerSeries(out)
 
 
 def sin_series(c: "QuadExt | Rational", order: int) -> PowerSeries:
     """Taylor series of sin(c*z) truncated at z**order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = _as_quad(c)
-    zero = QuadExt(0, 0, c.d)
-    out = [zero] * (order + 1)
-    for n, value in _scaled_powers(c, order):
-        if n % 2 == 1:
-            out[n] = value if n % 4 == 1 else -value
-    return PowerSeries(out, d=c.d)
+    return _taylor(c, order, (0, 1, 0, -1))
 
 
 def cos_series(c: "QuadExt | Rational", order: int) -> PowerSeries:
     """Taylor series of cos(c*z) truncated at z**order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = _as_quad(c)
-    zero = QuadExt(0, 0, c.d)
-    out = [zero] * (order + 1)
-    for n, value in _scaled_powers(c, order):
-        if n % 2 == 0:
-            out[n] = value if n % 4 == 0 else -value
-    return PowerSeries(out, d=c.d)
+    return _taylor(c, order, (1, 0, -1, 0))
 
 
 def exp_series(c: "QuadExt | Rational", order: int) -> PowerSeries:
     """Taylor series of exp(c*z) truncated at z**order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    c = _as_quad(c)
-    return PowerSeries([value for _, value in _scaled_powers(c, order)], d=c.d)
+    return _taylor(c, order, (1, 1, 1, 1))

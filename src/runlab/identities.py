@@ -199,48 +199,6 @@ def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str
 # Grammar expansions vs. triangles and oracle.
 
 
-def _expansion(rows_entry: "Callable[[int], list[int]]", n: int,
-               x_exp: int) -> grammar.MPoly:
-    """Build x^x_exp * sum_k row[k] y^k z^(n-k) as an MPoly, from every
-    nonzero entry of the row (k = 0 included)."""
-    row = rows_entry(n)
-    return grammar.MPoly(
-        (grammar.Monomial({"x": x_exp, "y": k, "z": n - k}), c)
-        for k, c in enumerate(row)
-        if c
-    )
-
-
-def check_grammar_runs(n_max: int = 12) -> CheckReport:
-    """Iterated derivatives of x^2 under the main grammar carry the run
-    triangle: the n-th derivative equals x^2 sum_k R(n+1,k) y^k z^(n-k)."""
-    params = {"n_max": n_max}
-    g = grammar.builtin("main")
-    tri = triangles.triangle_R(n_max + 1)
-    p = grammar.MPoly.monomial({"x": 2})
-    for n in range(1, n_max + 1):
-        p = grammar.d_apply(g, p)
-        expected = _expansion(lambda m: tri.row(m + 1), n, x_exp=2)
-        if p != expected:
-            return _failed("grammar/runs", params, n, "derivative of x^2", p, expected)
-    return _passed("grammar/runs", params)
-
-
-def check_grammar_alt(n_max: int = 12) -> CheckReport:
-    """Iterated derivatives of x under the main grammar carry the
-    altsubseq triangle: the n-th derivative is x sum_k a_k(n) y^k z^(n-k)."""
-    params = {"n_max": n_max}
-    g = grammar.builtin("main")
-    tri = triangles.triangle_A(n_max)
-    p = grammar.MPoly.letter("x")
-    for n in range(1, n_max + 1):
-        p = grammar.d_apply(g, p)
-        expected = _expansion(tri.row, n, x_exp=1)
-        if p != expected:
-            return _failed("grammar/altsubseq", params, n, "derivative of x", p, expected)
-    return _passed("grammar/altsubseq", params)
-
-
 class _DescentTables(dict):
     """``permcore.descent_classes(n)`` by n, each S_n walked on first read.
 
@@ -261,6 +219,65 @@ def _row_counts(row: "list[int]") -> "dict[int, int]":
     return {k: v for k, v in enumerate(row) if v}
 
 
+def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
+            streams: "Sequence[tuple]", oracle: "Sequence[tuple]" = (),
+            oracle_n_max: int = 0,
+            descent_tables: "_DescentTables | None" = None) -> CheckReport:
+    """The loop behind the four grammar checks.
+
+    Each stream ``(seed, point, row, exponents)`` is derived under ``g``
+    once per n = 1..n_max, in the order given, and derivative n must
+    equal sum_k row(n)[k] * Monomial(exponents(n, k)) over the nonzero
+    entries of the row (k = 0 included); a mismatch fails at ``point``.
+    For n <= oracle_n_max each oracle row ``(stat, row, name)`` must then
+    match the brute-force histogram of ``stat`` over S_n, read from
+    ``descent_tables`` (a fresh one by default); a mismatch puts the row
+    first and the histogram second.
+    """
+    tables = _DescentTables() if descent_tables is None else descent_tables
+    polys = [seed for seed, _, _, _ in streams]
+    for n in range(1, n_max + 1):
+        for i, (_, point, row, exponents) in enumerate(streams):
+            p = polys[i] = grammar.d_apply(g, polys[i])
+            expected = grammar.MPoly(
+                (grammar.Monomial(exponents(n, k)), c)
+                for k, c in enumerate(row(n))
+                if c
+            )
+            if p != expected:
+                return _failed(ident, params, n, point, p, expected)
+        if n <= oracle_n_max:
+            for stat, row, name in oracle:
+                counts = _row_counts(row(n))
+                dist = permcore.distribution(stat, n, tables[n])
+                if counts != dist.counts:
+                    return _failed(ident, params, n, f"{name} over S_{n}",
+                                   _hist_str(counts), _hist_str(dist.counts))
+    return _passed(ident, params)
+
+
+def check_grammar_runs(n_max: int = 12) -> CheckReport:
+    """Iterated derivatives of x^2 under the main grammar carry the run
+    triangle: the n-th derivative equals x^2 sum_k R(n+1,k) y^k z^(n-k)."""
+    tri = triangles.triangle_R(n_max + 1)
+    return _expand(
+        "grammar/runs", {"n_max": n_max}, grammar.builtin("main"), n_max,
+        [(grammar.MPoly.monomial({"x": 2}), "derivative of x^2",
+          lambda n: tri.row(n + 1), lambda n, k: {"x": 2, "y": k, "z": n - k})],
+    )
+
+
+def check_grammar_alt(n_max: int = 12) -> CheckReport:
+    """Iterated derivatives of x under the main grammar carry the
+    altsubseq triangle: the n-th derivative is x sum_k a_k(n) y^k z^(n-k)."""
+    tri = triangles.triangle_A(n_max)
+    return _expand(
+        "grammar/altsubseq", {"n_max": n_max}, grammar.builtin("main"), n_max,
+        [(grammar.MPoly.letter("x"), "derivative of x",
+          tri.row, lambda n, k: {"x": 1, "y": k, "z": n - k})],
+    )
+
+
 def check_dumont(n_max: int = 12, oracle_n_max: int = 8, *,
                  descent_tables: "_DescentTables | None" = None) -> CheckReport:
     """The two-letter grammar {x -> xy, y -> xy} expands descent counts:
@@ -278,28 +295,14 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8, *,
     nothing independent.
     """
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
-    tables = _DescentTables() if descent_tables is None else descent_tables
-    g = grammar.builtin("dumont")
     tri = triangles.triangle_euler(n_max)
-    p = grammar.MPoly.letter("x")
-    for n in range(1, n_max + 1):
-        p = grammar.d_apply(g, p)
-        row = tri.row(n)
-        expected = grammar.MPoly(
-            (grammar.Monomial({"x": k + 1, "y": n - k}), row[k])
-            for k in range(n)
-            if row[k]
-        )
-        if p != expected:
-            return _failed("grammar/eulerian", params, n, "derivative of x", p, expected)
-        if n <= oracle_n_max:
-            dist = permcore.distribution(permcore.Stat.DESCENTS, n, tables[n])
-            if _row_counts(row) != dist.counts:
-                return _failed(
-                    "grammar/eulerian", params, n, f"descent histogram over S_{n}",
-                    _hist_str(_row_counts(row)), _hist_str(dist.counts),
-                )
-    return _passed("grammar/eulerian", params)
+    return _expand(
+        "grammar/eulerian", params, grammar.builtin("dumont"), n_max,
+        [(grammar.MPoly.letter("x"), "derivative of x",
+          tri.row, lambda n, k: {"x": k + 1, "y": n - k})],
+        oracle=[(permcore.Stat.DESCENTS, tri.row, "descent histogram")],
+        oracle_n_max=oracle_n_max, descent_tables=descent_tables,
+    )
 
 
 def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8, *,
@@ -310,45 +313,22 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8, *,
     Both are also compared against the brute-force histograms for
     n <= oracle_n_max, read from ``descent_tables`` (a fresh one by default)."""
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
-    tables = _DescentTables() if descent_tables is None else descent_tables
     ident = "grammar/peaks"
-    g = grammar.builtin("peaks")
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
     py = grammar.MPoly.letter("y")
-    pz = grammar.MPoly.letter("z")
     if py != grammar.MPoly.monomial({"y": 1}, Wt.entry(0, 0)):
         return _failed(ident, params, 0, "derivative 0 of y", py, Wt[0])
-    for n in range(1, n_max + 1):
-        py = grammar.d_apply(g, py)
-        pz = grammar.d_apply(g, pz)
-        expected_y = grammar.MPoly(
-            (grammar.Monomial({"y": 2 * k + 1, "z": n - 2 * k}), c)
-            for k, c in enumerate(Wt.row(n))
-            if c
-        )
-        if py != expected_y:
-            return _failed(ident, params, n, "derivative of y", py, expected_y)
-        expected_z = grammar.MPoly(
-            (grammar.Monomial({"y": 2 * k + 2, "z": n - 2 * k - 1}), c)
-            for k, c in enumerate(W.row(n))
-            if c
-        )
-        if pz != expected_z:
-            return _failed(ident, params, n, "derivative of z", pz, expected_z)
-        if n <= oracle_n_max:
-            classes = tables[n]
-            peaks = permcore.distribution(permcore.Stat.INTERIOR_PEAKS, n, classes)
-            wrow = _row_counts(W.row(n))
-            if wrow != peaks.counts:
-                return _failed(ident, params, n, f"interior-peak histogram over S_{n}",
-                               _hist_str(wrow), _hist_str(peaks.counts))
-            lpeaks = permcore.distribution(permcore.Stat.LEFT_PEAKS, n, classes)
-            wtrow = _row_counts(Wt.row(n))
-            if wtrow != lpeaks.counts:
-                return _failed(ident, params, n, f"left-peak histogram over S_{n}",
-                               _hist_str(wtrow), _hist_str(lpeaks.counts))
-    return _passed(ident, params)
+    return _expand(
+        ident, params, grammar.builtin("peaks"), n_max,
+        [(py, "derivative of y",
+          Wt.row, lambda n, k: {"y": 2 * k + 1, "z": n - 2 * k}),
+         (grammar.MPoly.letter("z"), "derivative of z",
+          W.row, lambda n, k: {"y": 2 * k + 2, "z": n - 2 * k - 1})],
+        oracle=[(permcore.Stat.INTERIOR_PEAKS, W.row, "interior-peak histogram"),
+                (permcore.Stat.LEFT_PEAKS, Wt.row, "left-peak histogram")],
+        oracle_n_max=oracle_n_max, descent_tables=descent_tables,
+    )
 
 
 def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPoly:

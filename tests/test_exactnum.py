@@ -48,7 +48,7 @@ class TestQuadExt:
         assert QuadExt(1, 1, 2) * QuadExt(1, -1, 2) == -1
 
     def test_div_root(self):
-        assert 1 / QuadExt.root(2) == QuadExt(0, F(1, 2), 2)
+        assert QuadExt.root(2).inverse() == QuadExt(0, F(1, 2), 2)
 
     def test_div_by_one_and_zero_numerator(self):
         u = QuadExt(3, F(1, 5), 2)
@@ -209,7 +209,7 @@ class TestIntegerEvaluation:
         if r:
             pairs.append((u / r, u / e))
         if u.norm():
-            pairs.append((r / u, e / u))
+            pairs.append((u.inverse() * r, e / u))
         for got, want in pairs:
             assert same(got, want)
 
@@ -277,7 +277,7 @@ class TestPowerSeries:
 
     def test_cos_of_root(self):
         rho = QuadExt.root(F(3, 4))
-        assert cos_series(rho, 2) == PowerSeries([1, 0, F(-3, 8)], d=F(3, 4))
+        assert cos_series(rho, 2) == PowerSeries([1, 0, F(-3, 8)])
 
     def test_exp_of_zero(self):
         assert exp_series(0, 7) == PowerSeries([1] + [0] * 7)
@@ -291,7 +291,7 @@ class TestPowerSeries:
         order = 9
         s = sin_series(c, order)
         co = cos_series(c, order)
-        one = PowerSeries([1] + [0] * order, d=d)
+        one = PowerSeries([1] + [0] * order)
         assert s * s + co * co == one
 
     @given(
@@ -302,7 +302,7 @@ class TestPowerSeries:
         c = QuadExt(F(1, 2), b, d)
         e = exp_series(c, 10)
         # termwise d/dz of exp(c z) is c exp(c z), one order lower
-        derivative = PowerSeries([e.coeffs[k] * k for k in range(1, 11)], d=d)
+        derivative = PowerSeries([e.coeffs[k] * k for k in range(1, 11)])
         assert derivative.coeffs == (e * c).coeffs[:10]
 
     def test_coefficient_out_of_range(self):
@@ -310,5 +310,7 @@ class TestPowerSeries:
             PowerSeries([1, 2]).coefficient(5)
 
     def test_discriminant_mismatch_rejected(self):
+        # a series in sqrt(2) times one in sqrt(3): the field lives in the
+        # coefficients, which refuse to combine
         with pytest.raises(ValueError):
-            PowerSeries([QuadExt(0, 1, 2)], d=3)
+            PowerSeries([QuadExt(1, 1, 2), 1]) * PowerSeries([QuadExt(1, 1, 3), 1])

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from runlab import grammar as gr
-from runlab import identities as idn
 from runlab import triangles
 
 LETTERS = "wxyz"
@@ -246,7 +245,8 @@ class TestConstructionPaths:
         g = gr.builtin("main")
         tri = triangles.triangle_R(n + 1)
         p = gr.d_power(g, gr.MPoly.monomial({"x": 2}), n)
-        assert p == idn._expansion(lambda m: tri.row(m + 1), n, x_exp=2)
+        row = tri.row(n + 1)
+        assert p == build([({"x": 2, "y": k, "z": n - k}, c) for k, c in enumerate(row)])
 
     def test_zero_column_of_a_letter_outside_the_grammar(self):
         # y^2 from the peaks grammar still carries a zero z column; a
