@@ -200,10 +200,11 @@ def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str
 
 
 class _DescentTables(dict):
-    """``permcore.descent_classes(n)`` by n, each S_n walked on first read.
+    """``permcore.descent_classes(n)`` by n, each table built on first read.
 
     One instance serves every check of one ``run_suite`` call, so a run
-    walks each S_n at most once; a check called on its own makes its own.
+    builds each S_n's table at most once; a check called on its own makes
+    its own.
     """
 
     def __missing__(self, n: int):
@@ -734,7 +735,7 @@ def run_suite(
     if points is not None and suite in ("all", "closed-forms"):
         plans = {kind: default_plan(kind, points)
                  for kind in ("runs-from-peaks", "tangent", "david-barton")}
-    # the oracle's three readers share one walk of each S_n
+    # the oracle's three readers share one class table of each S_n
     tables = _DescentTables()
 
     reports: "list[CheckReport]" = []

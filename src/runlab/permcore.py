@@ -5,14 +5,16 @@ direction changes, scan for peaks, quadratic DP for the longest
 alternating subsequence.  All five depend only on a permutation's
 descent word, its n-1 adjacent comparisons: four of them read nothing
 else, and ``longest_alt_subseq`` documents why it is no exception.  So
-the oracle walks S_n once per n and buckets every permutation by its
-descent word (:func:`descent_classes`); a histogram then applies the
-definition once per class, to the class's first permutation, weighted by
-the class size.  A caller that needs several histograms of one n passes
-the same table to each call; ``identities.run_suite`` shares one walk of
-each S_n among all the checks of a run.  The triangle
-generators are validated against these histograms, so this module must
-stay independent of them.
+the oracle never visits S_n one permutation at a time: it counts the
+permutations of each descent word by the descent-set prefix DP and takes
+the word's lexicographically least permutation as its member
+(:func:`descent_classes`); a histogram then applies the definition once
+per class, to that member, weighted by the class size.  A caller that
+needs several histograms of one n passes the same table to each call;
+``identities.run_suite`` shares one table of each S_n among all the
+checks of a run.  The triangle generators are validated against these
+histograms, so this module must stay independent of them: the DP reads
+no triangle, recurrence or grammar.
 
 Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 0 left peaks, 0 descents, and a longest alternating subsequence of 1.
@@ -20,12 +22,10 @@ Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, product
 from math import factorial
-from operator import gt
 from typing import Sequence
 
 __all__ = [
@@ -41,8 +41,9 @@ __all__ = [
     "longest_alt_subseq",
 ]
 
-#: 10! permutations is the practical ceiling for exhaustive enumeration.
-MAX_ENUM_N = 10
+#: The class table of S_n has 2^(n-1) rows, and each histogram applies its
+#: definition once per row: S_1..S_14 check all five in about a second.
+MAX_ENUM_N = 14
 
 
 class Stat(Enum):
@@ -174,24 +175,53 @@ class StatDistribution:
 
 
 def descent_classes(n: int) -> "list[tuple[tuple[int, ...], int]]":
-    """S_n (n <= 10) bucketed by descent word, in one walk.
+    """S_n (n <= 14) partitioned by descent word, counted without a walk.
 
-    Returns one ``(first word, class size)`` pair per descent word that
-    occurs -- all 2^(n-1) of them -- ordered by first word.  The walk is
-    lexicographic, so each class's first word is its lexicographically
-    least member, and the sizes sum to n!.
+    Returns one ``(member, class size)`` pair per descent word -- all
+    2^(n-1) of them occur -- ordered by member, and the sizes sum to n!.
+    The member is the word's lexicographically least permutation: 1..n
+    with each maximal descent block reversed.
+
+    The sizes come from the descent-set prefix DP (Stanley, *EC1*,
+    Sec. 1.4).  For each prefix of the word, ``f[j]`` counts the
+    permutations of its length, with that prefix as descent word, that end
+    at rank j.  Appending an ascent gives ``f'[j] = sum_{l<j} f[l]``, a
+    descent ``f'[j] = sum_{l>=j} f[l]``; the class size is ``sum(f)``.
+    Each level extends its prefixes ascent first, so the words stay in
+    lexicographic order with ascent before descent.  That is the order of
+    their least members: where two words first differ, the one with the
+    ascent ends its descent block sooner, so its member is smaller at the
+    block's first position and equal before it.
     """
     _check_enum_n(n)
-    first: "dict[bytes, tuple[int, ...]]" = {}
-    # The key is the descent word as bytes 0/1: tuple() of an iterator
-    # would leave thousands of resized tuples on CPython's free lists.
-    # setdefault hands back the first word seen with this descent word,
-    # so the Counter tallies every permutation under its class's first word.
-    sizes = Counter(
-        first.setdefault(bytes(map(gt, w, w[1:])), w)
-        for w in itertools.permutations(range(1, n + 1))
-    )
-    return list(sizes.items())
+    if n == 1:
+        return [((1,), 1)]
+    # the n - 1 letter prefixes of every word, by one prefix sum per step
+    level = [[1]]
+    for _ in range(n - 2):
+        grown = []
+        for f in level:
+            sums = list(accumulate(f, initial=0))
+            total = sums[-1]
+            grown.append(sums)
+            grown.append([total - s for s in sums])
+        level = grown
+    # the last step needs only the totals of the two extensions
+    sizes = []
+    for f in level:
+        up = sum(accumulate(f, initial=0))
+        sizes += (up, n * sum(f) - up)
+    members = []
+    for word in product((False, True), repeat=n - 1):
+        member: "list[int]" = []
+        start = 1
+        for i, desc in enumerate(word, start=1):
+            if not desc:
+                member.extend(range(i, start - 1, -1))
+                start = i + 1
+        member.extend(range(n, start - 1, -1))
+        members.append(tuple(member))
+    return list(zip(members, sizes))
 
 
 def distribution(
@@ -199,13 +229,13 @@ def distribution(
     n: int,
     classes: "Sequence[tuple[Sequence[int], int]] | None" = None,
 ) -> StatDistribution:
-    """Histogram of ``stat`` over all of S_n (n <= 10).
+    """Histogram of ``stat`` over all of S_n (n <= 14).
 
-    One walk of S_n buckets its permutations by descent word
-    (:func:`descent_classes`); the statistic's definition then runs once
-    per class, on the class's first word, and counts the class size.  A
-    caller that needs several statistics of one n builds ``classes`` once
-    and passes it to each call; it must be a table for this ``n``.
+    S_n is partitioned by descent word (:func:`descent_classes`); the
+    statistic's definition then runs once per class, on the class's
+    member, and counts the class size.  A caller that needs several
+    statistics of one n builds ``classes`` once and passes it to each
+    call; it must be a table for this ``n``.
     """
     stat = Stat(stat)
     _check_enum_n(n)

@@ -231,9 +231,17 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "peaks", "3", "--format=csv")
         assert out.splitlines() == ["k,count", "0,4", "1,2"]
 
+    def test_eulerian_row_above_the_old_ceiling(self, capsys):
+        code, out, _ = run(capsys, "oracle", "descents", "12")
+        assert code == 0
+        assert out == (
+            "{0:1, 1:4083, 2:478271, 3:10187685, 4:66318474, 5:162512286, "
+            "6:162512286, 7:66318474, 8:10187685, 9:478271, 10:4083, 11:1}\n"
+        )
+
     def test_range_guard_exits_2(self, capsys):
-        code, _, err = run(capsys, "oracle", "runs", "11")
-        assert code == 2 and "between 1 and 10" in err
+        code, _, err = run(capsys, "oracle", "runs", "15")
+        assert code == 2 and "between 1 and 14" in err
 
 
 class TestGrammarCommand:
@@ -370,11 +378,16 @@ class TestVerifyCommand:
         assert code == 0
         assert out.splitlines()[0] == "PASS oracle/triangles (n_max=9)"
 
+    def test_oracle_suite_runs_to_the_enumeration_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "oracle", "--n-max", "14")
+        assert code == 0
+        assert out.splitlines()[0] == "PASS oracle/triangles (n_max=14)"
+
     def test_oracle_bound_beyond_enumeration_exits_2(self, capsys):
-        code, out, err = run(capsys, "verify", "oracle", "--n-max", "11")
+        code, out, err = run(capsys, "verify", "oracle", "--n-max", "15")
         assert code == 2
         assert out == ""
-        assert "error: oracle bound 11" in err and "Traceback" not in err
+        assert "error: oracle bound 15" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
         (("grammar", "--points", "0"), "points must be >= 1, got 0"),

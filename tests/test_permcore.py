@@ -3,7 +3,8 @@
 import random
 from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
+from operator import gt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,12 +44,56 @@ perms_st = st.integers(1, 7).flatmap(
 )
 
 
+def walk(n):
+    """Reference table: every permutation of S_n, in lexicographic order,
+    tallied under the first permutation seen with its descent word."""
+    first = {}
+    sizes = Counter(
+        first.setdefault(bytes(map(gt, w, w[1:])), w)
+        for w in permutations(range(1, n + 1))
+    )
+    return list(sizes.items())
+
+
+def sizes_by_descent_set(n):
+    """``descent_classes(n)`` keyed by each member's own descent positions
+    (1-based), so a lookup does not trust the table's word order."""
+    sizes = {
+        frozenset(i for i in range(1, n) if w[i - 1] > w[i]): size
+        for w, size in pc.descent_classes(n)
+    }
+    assert len(sizes) == 2 ** (n - 1)
+    return sizes
+
+
+#: Euler zigzag numbers E_2..E_14 (OEIS A000111)
+ZIGZAG = [1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765,
+          22368256, 199360981]
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_table_equals_the_literal_walk(self, n):
+        assert pc.descent_classes(n) == walk(n)
+
     def test_sizes(self):
-        for n in range(1, 9):
+        for n in range(1, pc.MAX_ENUM_N + 1):
             classes = pc.descent_classes(n)
             assert len(classes) == 2 ** (n - 1)
             assert sum(size for _, size in classes) == factorial(n)
+
+    @pytest.mark.parametrize("n, euler", zip(range(2, 15), ZIGZAG))
+    def test_alternating_word_counts_zigzag_permutations(self, n, euler):
+        # descent, ascent, descent, ...: the down-up permutations
+        assert sizes_by_descent_set(n)[frozenset(range(1, n, 2))] == euler
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_one_descent_counts_binomials(self, n):
+        # a descent only at i: choose the first i letters, each set but
+        # {1..i} leaves a descent at the cut
+        sizes = sizes_by_descent_set(n)
+        for i in range(1, n):
+            assert sizes[frozenset([i])] == comb(n, i) - 1
 
     def test_lexicographic_and_deterministic(self):
         words = [w for w, _ in pc.descent_classes(3)]
@@ -60,7 +105,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pc.descent_classes(0)
         with pytest.raises(ValueError):
-            pc.descent_classes(11)
+            pc.descent_classes(15)
 
 
 def descent_word(w):
