@@ -153,9 +153,9 @@ class MPoly:
     structural.  The canonical term order (used for printing and
     serialization) compares exponent vectors over the sorted letters.
 
-    ``MPoly(...)``, :meth:`letter`, :meth:`monomial` and :meth:`constant`
-    validate through :class:`Monomial`; arithmetic builds its results
-    from exponent vectors directly.
+    ``MPoly(...)``, :meth:`letter` and :meth:`monomial` validate through
+    :class:`Monomial`; arithmetic builds its results from exponent
+    vectors directly.
     """
 
     __slots__ = ("_letters", "_terms")
@@ -185,10 +185,6 @@ class MPoly:
         return cls()
 
     @classmethod
-    def constant(cls, c: int) -> "MPoly":
-        return cls([(Monomial(), c)])
-
-    @classmethod
     def letter(cls, letter: str) -> "MPoly":
         return cls([(Monomial({letter: 1}), 1)])
 
@@ -201,13 +197,6 @@ class MPoly:
 
     def terms(self):
         return {self._monomial(k): c for k, c in self._terms.items()}.items()
-
-    def coefficient(self, mono: "Monomial | Mapping[str, int]") -> int:
-        if not isinstance(mono, Monomial):
-            mono = Monomial(mono)
-        if not set(mono.letters) <= set(self._letters):
-            return 0
-        return self._terms.get(mono.exponent_vector(self._letters), 0)
 
     def letters(self) -> "tuple[str, ...]":
         return tuple(
@@ -230,19 +219,6 @@ class MPoly:
             out[k] = out.get(k, 0) + c
         return _mpoly(letters, out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, MPoly)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _mpoly(self._letters, {k: -c for k, c in self._terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return _mpoly(self._letters, {k: c * other for k, c in self._terms.items()})
@@ -258,22 +234,7 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = _mpoly((), {(): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- structure -----------------------------------------------------
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)

@@ -199,19 +199,6 @@ def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str
 # Grammar expansions vs. triangles and oracle.
 
 
-class _DescentTables(dict):
-    """``permcore.descent_classes(n)`` by n, each table built on first read.
-
-    One instance serves every check of one ``run_suite`` call, so a run
-    builds each S_n's table at most once; a check called on its own makes
-    its own.
-    """
-
-    def __missing__(self, n: int):
-        table = self[n] = permcore.descent_classes(n)
-        return table
-
-
 def _hist_str(counts: "Mapping[int, int]") -> str:
     return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(counts.items())) + "}"
 
@@ -222,8 +209,7 @@ def _row_counts(row: "list[int]") -> "dict[int, int]":
 
 def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
             streams: "Sequence[tuple]", oracle: "Sequence[tuple]" = (),
-            oracle_n_max: int = 0,
-            descent_tables: "_DescentTables | None" = None) -> CheckReport:
+            oracle_n_max: int = 0) -> CheckReport:
     """The loop behind the four grammar checks.
 
     Each stream ``(seed, point, row, exponents)`` is derived under ``g``
@@ -231,11 +217,10 @@ def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
     equal sum_k row(n)[k] * Monomial(exponents(n, k)) over the nonzero
     entries of the row (k = 0 included); a mismatch fails at ``point``.
     For n <= oracle_n_max each oracle row ``(stat, row, name)`` must then
-    match the brute-force histogram of ``stat`` over S_n, read from
-    ``descent_tables`` (a fresh one by default); a mismatch puts the row
-    first and the histogram second.
+    match the brute-force histogram of ``stat`` over S_n, all rows read
+    from one class table of S_n; a mismatch puts the row first and the
+    histogram second.
     """
-    tables = _DescentTables() if descent_tables is None else descent_tables
     polys = [seed for seed, _, _, _ in streams]
     for n in range(1, n_max + 1):
         for i, (_, point, row, exponents) in enumerate(streams):
@@ -248,9 +233,10 @@ def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
             if p != expected:
                 return _failed(ident, params, n, point, p, expected)
         if n <= oracle_n_max:
+            classes = permcore.descent_classes(n)
             for stat, row, name in oracle:
                 counts = _row_counts(row(n))
-                dist = permcore.distribution(stat, n, tables[n])
+                dist = permcore.distribution(stat, n, classes)
                 if counts != dist.counts:
                     return _failed(ident, params, n, f"{name} over S_{n}",
                                    _hist_str(counts), _hist_str(dist.counts))
@@ -279,14 +265,12 @@ def check_grammar_alt(n_max: int = 12) -> CheckReport:
     )
 
 
-def check_dumont(n_max: int = 12, oracle_n_max: int = 8, *,
-                 descent_tables: "_DescentTables | None" = None) -> CheckReport:
+def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     """The two-letter grammar {x -> xy, y -> xy} expands descent counts:
     the n-th derivative of x is sum_k E(n,k) x^(k+1) y^(n-k).
 
     Coefficients are compared against the euler triangle for n <= n_max
-    and against the brute-force descent histogram for n <= oracle_n_max,
-    read from ``descent_tables`` (a fresh one by default).
+    and against the brute-force descent histogram for n <= oracle_n_max.
 
     ``triangles.triangle_euler`` builds its rows from this same dumont
     expansion, so the triangle half compares the grammar with itself:
@@ -302,17 +286,16 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8, *,
         [(grammar.MPoly.letter("x"), "derivative of x",
           tri.row, lambda n, k: {"x": k + 1, "y": n - k})],
         oracle=[(permcore.Stat.DESCENTS, tri.row, "descent histogram")],
-        oracle_n_max=oracle_n_max, descent_tables=descent_tables,
+        oracle_n_max=oracle_n_max,
     )
 
 
-def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8, *,
-                        descent_tables: "_DescentTables | None" = None) -> CheckReport:
+def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     """The grammar {y -> yz, z -> y^2} expands both peak triangles:
     derivatives of y carry left-peak counts on monomials y^(2k+1) z^(n-2k),
     derivatives of z carry interior-peak counts on y^(2k+2) z^(n-2k-1).
     Both are also compared against the brute-force histograms for
-    n <= oracle_n_max, read from ``descent_tables`` (a fresh one by default)."""
+    n <= oracle_n_max, read from one class table of each S_n."""
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     ident = "grammar/peaks"
     W = triangles.poly_W(n_max)
@@ -328,7 +311,7 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8, *,
           W.row, lambda n, k: {"y": 2 * k + 2, "z": n - 2 * k - 1})],
         oracle=[(permcore.Stat.INTERIOR_PEAKS, W.row, "interior-peak histogram"),
                 (permcore.Stat.LEFT_PEAKS, Wt.row, "left-peak histogram")],
-        oracle_n_max=oracle_n_max, descent_tables=descent_tables,
+        oracle_n_max=oracle_n_max,
     )
 
 
@@ -660,12 +643,10 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 # Oracle equivalence.
 
 
-def check_oracle(n_max: int = 8, *,
-                 descent_tables: "_DescentTables | None" = None) -> CheckReport:
+def check_oracle(n_max: int = 8) -> CheckReport:
     """All five triangles match brute-force histograms over S_n, n <= n_max,
-    read from ``descent_tables`` (a fresh one by default)."""
+    the five read from one class table of each S_n."""
     params = {"n_max": n_max}
-    tables = _DescentTables() if descent_tables is None else descent_tables
     ident = "oracle/triangles"
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
@@ -675,7 +656,7 @@ def check_oracle(n_max: int = 8, *,
         (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
     ]
     for n in range(1, n_max + 1):
-        classes = tables[n]
+        classes = permcore.descent_classes(n)
         for stat, tri in sources:
             dist = permcore.distribution(stat, n, classes)
             expected = _row_counts(tri.row(n))
@@ -695,7 +676,6 @@ def run_suite(
     suite: str = "all",
     *,
     n_max: "int | None" = None,
-    oracle_n_max: "int | None" = None,
     order: "int | None" = None,
     points: "int | None" = None,
     carlitz_x0s: "Sequence[Rational] | None" = None,
@@ -706,13 +686,14 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (known: {', '.join(SUITES)})")
     order = DEFAULT_ORDER if order is None else order
-    if oracle_n_max is not None:
-        oracle_cap = oracle_n_max
-    elif suite == "oracle" and n_max is not None:
+    # every option is validated before any check runs, read by the suite or not
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if suite == "oracle" and n_max is not None:
         oracle_cap = n_max
     else:
         # in `all` and `grammar` the oracle share stays at S_8; params show it
-        oracle_cap = min(n_max or 8, 8)
+        oracle_cap = 8 if n_max is None else min(n_max, 8)
     if oracle_cap > permcore.MAX_ENUM_N:
         raise ValueError(f"oracle bound {oracle_cap} exceeds the brute-force "
                          f"limit S_{permcore.MAX_ENUM_N}")
@@ -720,7 +701,6 @@ def run_suite(
     def bound(default: int) -> int:
         return n_max if n_max is not None else default
 
-    # every option is validated before any check runs, read by the suite or not
     if points is not None and points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     gf_checks = [
@@ -735,16 +715,14 @@ def run_suite(
     if points is not None and suite in ("all", "closed-forms"):
         plans = {kind: default_plan(kind, points)
                  for kind in ("runs-from-peaks", "tangent", "david-barton")}
-    # the oracle's three readers share one class table of each S_n
-    tables = _DescentTables()
 
     reports: "list[CheckReport]" = []
     if suite in ("all", "grammar"):
         reports += [
             check_grammar_runs(bound(12)),
             check_grammar_alt(bound(12)),
-            check_dumont(bound(12), oracle_cap, descent_tables=tables),
-            check_peaks_grammar(bound(12), oracle_cap, descent_tables=tables),
+            check_dumont(bound(12), oracle_cap),
+            check_peaks_grammar(bound(12), oracle_cap),
             check_leibniz(bound(10)),
         ]
     if suite in ("all", "convolutions"):
@@ -763,5 +741,5 @@ def run_suite(
         for check, x0s in gf_checks:
             reports += [check(x0, order) for x0 in x0s]
     if suite in ("all", "oracle"):
-        reports.append(check_oracle(oracle_cap, descent_tables=tables))
+        reports.append(check_oracle(oracle_cap))
     return sorted(reports, key=lambda r: r.identity)

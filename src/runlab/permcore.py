@@ -10,11 +10,10 @@ permutations of each descent word by the descent-set prefix DP and takes
 the word's lexicographically least permutation as its member
 (:func:`descent_classes`); a histogram then applies the definition once
 per class, to that member, weighted by the class size.  A caller that
-needs several histograms of one n passes the same table to each call;
-``identities.run_suite`` shares one table of each S_n among all the
-checks of a run.  The triangle generators are validated against these
-histograms, so this module must stay independent of them: the DP reads
-no triangle, recurrence or grammar.
+needs several histograms of one n passes the same table to each call,
+as each oracle check in ``identities`` does.  The triangle generators
+are validated against these histograms, so this module must stay
+independent of them: the DP reads no triangle, recurrence or grammar.
 
 Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 0 left peaks, 0 descents, and a longest alternating subsequence of 1.
@@ -166,12 +165,6 @@ class StatDistribution:
     stat: Stat
     n: int
     counts: "dict[int, int]"
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts.get(k, 0)
 
 
 def descent_classes(n: int) -> "list[tuple[tuple[int, ...], int]]":

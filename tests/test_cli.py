@@ -395,8 +395,11 @@ class TestVerifyCommand:
         (("oracle", "--order", "-3"), "order must be >= 1"),
         (("grammar", "--x0", "5"), "base point 5 must lie in (-1, 1)"),
         (("convolutions", "--t0", "2"), "base point 2 must lie in (-1, 1)"),
+        (("gf", "--n-max", "0"), "n_max must be >= 1, got 0"),
+        (("gf", "--n-max", "-5"), "n_max must be >= 1, got -5"),
+        (("oracle", "--n-max", "0"), "n_max must be >= 1, got 0"),
     ], ids=["grammar-points", "grammar-order", "oracle-order", "grammar-x0",
-            "convolutions-t0"])
+            "convolutions-t0", "gf-n-max-0", "gf-n-max-negative", "oracle-n-max-0"])
     def test_options_the_suite_does_not_read_are_still_validated(self, capsys, argv,
                                                                  message):
         code, out, err = run(capsys, "verify", *argv)

@@ -55,13 +55,6 @@ def ref_mul(p, q):
     return ref(terms)
 
 
-def ref_pow(p, n):
-    out = {(): 1}
-    for _ in range(n):
-        out = ref_mul(out, p)
-    return out
-
-
 def ref_d(rules, p):
     """One derivation step: each occurrence of a letter replaced by its rule."""
     terms = []
@@ -176,27 +169,20 @@ class TestAgainstReference:
             assert as_ref(gr.d_apply(g, p)) == expected
 
     @given(operands(), operands())
-    def test_add_sub_neg(self, a, b):
+    def test_add(self, a, b):
         (p, r), (q, s) = a, b
         assert as_ref(p + q) == ref_add(r, s)
-        assert as_ref(p - q) == ref_add(r, ref_scale(s, -1))
-        assert as_ref(-p) == ref_scale(r, -1)
 
     @given(operands(), st.integers(-3, 3))
     def test_int_operands(self, a, k):
         p, r = a
         assert as_ref(k * p) == as_ref(p * k) == ref_scale(r, k)
-        assert as_ref(p + k) == as_ref(k + p) == ref_add(r, ref([({}, k)]))
-        assert as_ref(k - p) == ref_add(ref([({}, k)]), ref_scale(r, -1))
+        assert as_ref(p + k) == ref_add(r, ref([({}, k)]))
 
     @given(operands(), operands())
     def test_mul(self, a, b):
         (p, r), (q, s) = a, b
         assert as_ref(p * q) == ref_mul(r, s)
-
-    @given(term_lists(size=3), st.integers(0, 4))
-    def test_pow(self, terms, n):
-        assert as_ref(build(terms) ** n) == ref_pow(ref(terms), n)
 
     @given(operands(), operands())
     def test_equality_is_reference_equality(self, a, b):
@@ -214,21 +200,14 @@ class TestAgainstReference:
         occurring = sorted({l for k in r for l, _ in k})
         assert p.letters() == tuple(occurring)
 
-    @given(operands(), term_lists(letters=LETTERS, coeffs=st.just(1)))
-    def test_coefficient(self, a, probes):
-        p, r = a
-        for exps, _ in probes:
-            assert p.coefficient(exps) == r.get(key(exps), 0)
-            assert p.coefficient(gr.Monomial(exps)) == r.get(key(exps), 0)
-
 
 class TestConstructionPaths:
     def test_letter_monomial_and_parser_agree(self):
         x = gr.MPoly.letter("x")
         assert x == gr.MPoly.monomial({"x": 1, "y": 0}) == gr.parse_word("x")
         assert x == gr.MPoly([(gr.Monomial({"x": 1, "z": 0}), 1)])
-        assert gr.MPoly.constant(3) == 3 == gr.parse_word("3")
-        assert gr.MPoly.zero() == 0 == gr.MPoly.constant(0)
+        assert gr.MPoly.monomial({}, 3) == 3 == gr.parse_word("3")
+        assert gr.MPoly.zero() == 0 == gr.MPoly.monomial({}, 0)
         assert x != gr.MPoly.letter("y") and x != 1
 
     def test_derivative_equals_its_public_form(self):

@@ -326,7 +326,7 @@ class TestFaultInjection:
 
     def test_moved_descent_class_reaches_every_oracle_reader(self, monkeypatch):
         # 1234's class counted under 1324's: the sizes still sum to 4!, but
-        # the one shared walk of S_4 is wrong for all three of its readers
+        # S_4's class table is wrong for all three of its readers
         real = pc.descent_classes
 
         def moved(n):
@@ -499,7 +499,8 @@ class TestFaultInjection:
 
 
 class TestDescentWalks:
-    """Each S_n is walked at most once per run, and never across runs."""
+    """Each oracle reader builds the class table of each S_n it reads once,
+    and shares it among all of its histograms of that n."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -513,15 +514,10 @@ class TestDescentWalks:
         monkeypatch.setattr(pc, "descent_classes", counted)
         return counts
 
-    def test_one_walk_per_n_in_a_run(self, walks):
+    def test_one_table_per_reader_and_n_in_a_run(self, walks):
+        # grammar/eulerian, grammar/peaks and oracle/triangles read S_1..S_8
         assert all(r.passed for r in idn.run_suite("all"))
-        assert walks == {n: 1 for n in range(1, 9)}
-
-    def test_no_walk_is_shared_across_runs(self, walks):
-        idn.run_suite("all")
-        idn.run_suite("all")
-        assert walks == {n: 2 for n in range(1, 9)}
-        assert sum(walks.values()) == 16
+        assert walks == {n: 3 for n in range(1, 9)}
 
     def test_a_check_on_its_own_walks_its_range(self, walks):
         assert idn.check_oracle(6).passed
@@ -529,7 +525,7 @@ class TestDescentWalks:
 
     def test_no_walk_beyond_the_oracle_bound(self, walks):
         assert all(r.passed for r in idn.run_suite("grammar", n_max=5))
-        assert walks == {n: 1 for n in range(1, 6)}
+        assert walks == {n: 2 for n in range(1, 6)}
 
 
 class TestSuites:
@@ -554,7 +550,7 @@ class TestSuites:
         assert a == b
 
     def test_report_json_schema(self):
-        reports = idn.run_suite("oracle", oracle_n_max=4)
+        reports = idn.run_suite("oracle", n_max=4)
         for r in reports:
             obj = r.to_json_obj()
             assert set(obj) == REPORT_SCHEMA_KEYS
