@@ -11,14 +11,15 @@ module only adds the layers the identity checks need on top of them:
 * :class:`PowerSeries` -- series truncated at an explicit order, with
   :class:`QuadExt` coefficients, plus ``sin``/``cos``/``exp`` builders.
 
-Evaluation runs over integers and normalises once at the end.  A
-polynomial is evaluated at ``p/q`` (or at ``(A + B*sigma)/D`` in
-Q(sqrt(d)), see :func:`_int_form`) by homogenised Horner on its integer
-coefficients, and one ``Fraction`` per component is built from the
-result over its single shared denominator.  ``QuadExt`` powers use the
-same integer form, and ``QuadExt`` arithmetic with ``int``/``Fraction``
-operands uses them directly instead of wrapping them in a ``QuadExt``
-first.
+Arithmetic runs over integers and normalises once per result.  A
+``QuadExt`` is stored as ``(A + B*sigma)/D`` with integer ``A``, ``B``,
+``D`` and ``sigma**2`` an integer, so each of its operations is an
+integer formula followed by one three-argument ``gcd``; its ``a``,
+``b`` and ``d`` are ``Fraction``s built only when read.  ``int`` and
+``Fraction`` operands enter those formulas as ``p/q`` directly.  A
+polynomial is evaluated at ``p/q`` or at ``(A + B*sigma)/D`` by
+homogenised Horner on its integer coefficients, and the result is
+normalised once over its single shared denominator.
 
 Every value is immutable and every operation is a pure function.
 """
@@ -26,7 +27,7 @@ Every value is immutable and every operation is a pure function.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -47,11 +48,10 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-def _fr(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _parts(value: Rational) -> "tuple[int, int]":
+    """Numerator and denominator of an ``int`` or ``Fraction``."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -65,14 +65,25 @@ class QuadExt:
     Plain ``int``/``Fraction`` operands combine with the rational
     component directly.  ``d`` may be a rational square; the arithmetic
     does not care.
+
+    A value is stored over integers as ``(A + B*sigma)/D``: with ``d =
+    dn/dd`` in lowest terms, ``sigma = dd*rho`` has the integer square
+    ``e = dn*dd``.  The one slot holds ``(A, B, D, e, dd)`` with ``D > 0``
+    and ``gcd(A, B, D) == 1``, so each value has exactly one form and
+    equality is structural.  ``a``, ``b`` and ``d`` are read-only
+    ``Fraction``s derived from it: ``a = A/D``, ``b = B*dd/D``,
+    ``d = dn/dd``.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_s",)
 
-    def __init__(self, a: Rational, b: Rational = 0, d: Rational = 0):
-        object.__setattr__(self, "a", _fr(a))
-        object.__setattr__(self, "b", _fr(b))
-        object.__setattr__(self, "d", _fr(d))
+    def __new__(cls, a: Rational, b: Rational = 0, d: Rational = 0):
+        an, ad = _parts(a)
+        bn, bd = _parts(b)
+        dn, dd = _parts(d)
+        bden = bd * dd
+        D = lcm(ad, bden)
+        return _quad(an * (D // ad), bn * (D // bden), D, dn * dd, dd)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -82,17 +93,32 @@ class QuadExt:
         """The element rho = sqrt(d) itself."""
         return QuadExt(0, 1, d)
 
+    @property
+    def a(self) -> Fraction:
+        A, _, D, _, _ = self._s
+        return Fraction(A, D)
+
+    @property
+    def b(self) -> Fraction:
+        _, B, D, _, dd = self._s
+        return Fraction(B * dd, D)
+
+    @property
+    def d(self) -> Fraction:
+        _, _, _, e, dd = self._s
+        return Fraction(e // dd, dd)
+
     # -- coercion ------------------------------------------------------
 
-    def _pair(self, other: "QuadExt") -> "tuple[QuadExt, QuadExt]":
-        """``self`` and ``other`` in one field: the same field when the
-        discriminants agree, else the rational one embedded in the other's."""
-        if self.d == other.d:
-            return self, other
-        if other.b == 0:
-            return self, _quad(other.a, other.b, self.d)
-        if self.b == 0:
-            return _quad(self.a, self.b, other.d), other
+    def _pair(self, other: "QuadExt") -> "tuple[int, int]":
+        """The field ``(e, dd)`` in which ``self`` and ``other``, whose
+        discriminants differ, combine: a rational operand embeds into
+        the other's field, ``other`` into ``self``'s when both are."""
+        s, t = self._s, other._s
+        if t[1] == 0:
+            return s[3], s[4]
+        if s[1] == 0:
+            return t[3], t[4]
         raise ValueError(
             f"mismatched discriminants: sqrt({self.d}) vs sqrt({other.d})"
         )
@@ -100,53 +126,77 @@ class QuadExt:
     # -- ring/field operations ----------------------------------------
 
     def __add__(self, other):
+        A, B, D, e, dd = self._s
         if isinstance(other, QuadExt):
-            u, v = self._pair(other)
-            return _quad(u.a + v.a, u.b + v.b, u.d)
+            A2, B2, D2, e2, dd2 = other._s
+            if e != e2 or dd != dd2:
+                e, dd = self._pair(other)
+            return _quad(A * D2 + A2 * D, B * D2 + B2 * D, D * D2, e, dd)
         if isinstance(other, (int, Fraction)):
-            return _quad(self.a + other, self.b, self.d)
+            p, q = other.numerator, other.denominator
+            return _quad(A * q + p * D, B * q, D * q, e, dd)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        A, B, D, e, dd = self._s
         if isinstance(other, QuadExt):
-            u, v = self._pair(other)
-            return _quad(u.a - v.a, u.b - v.b, u.d)
+            A2, B2, D2, e2, dd2 = other._s
+            if e != e2 or dd != dd2:
+                e, dd = self._pair(other)
+            return _quad(A * D2 - A2 * D, B * D2 - B2 * D, D * D2, e, dd)
         if isinstance(other, (int, Fraction)):
-            return _quad(self.a - other, self.b, self.d)
+            p, q = other.numerator, other.denominator
+            return _quad(A * q - p * D, B * q, D * q, e, dd)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _quad(other - self.a, -self.b, self.d)
+            A, B, D, e, dd = self._s
+            p, q = other.numerator, other.denominator
+            return _quad(p * D - A * q, -B * q, D * q, e, dd)
         return NotImplemented
 
     def __neg__(self):
-        return _quad(-self.a, -self.b, self.d)
+        A, B, D, e, dd = self._s
+        return _quad(-A, -B, D, e, dd)
 
     def __mul__(self, other):
+        A, B, D, e, dd = self._s
         if isinstance(other, QuadExt):
-            u, v = self._pair(other)
-            return _quad(
-                u.a * v.a + u.d * u.b * v.b,
-                u.a * v.b + u.b * v.a,
-                u.d,
-            )
+            A2, B2, D2, e2, dd2 = other._s
+            if e != e2 or dd != dd2:
+                e, dd = self._pair(other)
+            return _quad(A * A2 + e * B * B2, A * B2 + B * A2, D * D2, e, dd)
         if isinstance(other, (int, Fraction)):
-            return _quad(self.a * other, self.b * other, self.d)
+            p, q = other.numerator, other.denominator
+            return _quad(A * p, B * p, D * q, e, dd)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        A, B, D, e, dd = self._s
         if isinstance(other, QuadExt):
-            u, v = self._pair(other)
-            return u * v.inverse()
+            A2, B2, D2, e2, dd2 = other._s
+            if e != e2 or dd != dd2:
+                e, dd = self._pair(other)
+            # (A + B s)/D * D2 (A2 - B2 s) / (A2^2 - e B2^2)
+            N = A2 * A2 - e * B2 * B2
+            if N == 0:
+                other._no_inverse()
+            if N < 0:
+                N, D2 = -N, -D2
+            return _quad(D2 * (A * A2 - e * B * B2), D2 * (B * A2 - A * B2),
+                         D * N, e, dd)
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return _quad(self.a / other, self.b / other, self.d)
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return _quad(A * q, B * q, D * p, e, dd)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -154,7 +204,7 @@ class QuadExt:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        A, B, D, e, dd = _int_form(self)
+        A, B, D, e, dd = self._s
         den = D ** n
         X, Y = 1, 0
         while n:
@@ -163,80 +213,76 @@ class QuadExt:
             n >>= 1
             if n:
                 A, B = A * A + e * B * B, 2 * A * B
-        return _quad(Fraction(X, den), Fraction(Y * dd, den), self.d)
+        return _quad(X, Y, den, e, dd)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (multiplicative)."""
-        return self.a * self.a - self.d * self.b * self.b
+        A, B, D, e, _ = self._s
+        return Fraction(A * A - e * B * B, D * D)
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("division by zero")
-            raise ZeroDivisionError(
-                f"element {self} has zero norm (d = {self.d} is a rational "
-                "square) and no inverse"
-            )
-        return _quad(self.a / n, -self.b / n, self.d)
+        A, B, D, e, dd = self._s
+        N = A * A - e * B * B
+        if N == 0:
+            self._no_inverse()
+        if N < 0:
+            N, D = -N, -D
+        return _quad(D * A, -D * B, N, e, dd)
+
+    def _no_inverse(self):
+        """Raise the ``ZeroDivisionError`` of an element of norm zero."""
+        if not self:
+            raise ZeroDivisionError("division by zero")
+        raise ZeroDivisionError(
+            f"element {self} has zero norm (d = {self.d} is a rational "
+            "square) and no inverse"
+        )
 
     # -- structure -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        A, B, _, _, _ = self._s
+        return A != 0 or B != 0
 
     def __eq__(self, other):
+        s = self._s
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return s[1] == 0 and s[0] == other.numerator and s[2] == other.denominator
         if isinstance(other, QuadExt):
-            if self.a != other.a or self.b != other.b:
-                return False
-            return self.b == 0 or self.d == other.d
+            t = other._s
+            # a rational value has one form in every field
+            return s == t or s[1] == 0 and s[:3] == t[:3]
         return NotImplemented
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, d={self.d!r})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         root = f"sqrt({self.d})"
-        mag = abs(self.b)
+        mag = abs(b)
         tail = root if mag == 1 else f"{mag}*{root}"
-        if self.a == 0:
-            return tail if self.b > 0 else f"-{tail}"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {tail}"
+        if a == 0:
+            return tail if b > 0 else f"-{tail}"
+        sign = "+" if b > 0 else "-"
+        return f"{a} {sign} {tail}"
 
 
-def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
-    """A ``QuadExt`` from components that are already ``Fraction``s.
+_new = object.__new__
+_set = object.__setattr__
 
-    The arithmetic's own results take this path; the public constructor
-    keeps validating its arguments.
-    """
-    q = object.__new__(QuadExt)
-    object.__setattr__(q, "a", a)
-    object.__setattr__(q, "b", b)
-    object.__setattr__(q, "d", d)
+
+def _quad(A: int, B: int, D: int, e: int, dd: int) -> QuadExt:
+    """The ``QuadExt`` ``(A + B*sigma)/D`` in the field ``(e, dd)``,
+    brought to lowest terms; ``D`` must be positive."""
+    g = gcd(A, B, D)
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    q = _new(QuadExt)
+    _set(q, "_s", (A, B, D, e, dd))
     return q
-
-
-def _int_form(q: QuadExt) -> "tuple[int, int, int, int, int]":
-    """``q = a + b*rho`` as ``(A + B*sigma) / D`` over integers.
-
-    With ``d = dn/dd`` in lowest terms, ``sigma = dd*rho`` has the integer
-    square ``e = dn*dd``.  Returns ``(A, B, D, e, dd)``; an integer pair
-    ``(X, Y)`` over the denominator ``den`` maps back to
-    ``Fraction(X, den) + Fraction(Y*dd, den)*rho``.
-    """
-    a, b, d = q.a, q.b, q.d
-    dd = d.denominator
-    bden = b.denominator * dd
-    D = lcm(a.denominator, bden)
-    A = a.numerator * (D // a.denominator)
-    B = b.numerator * (D // bden)
-    return A, B, D, d.numerator * dd, dd
 
 
 class RatPoly:
@@ -322,10 +368,10 @@ class RatPoly:
         """Horner evaluation at an int, Fraction or QuadExt point.
 
         The loop runs on integers: the point is written over one
-        denominator, ``p/q`` or ``(A + B*sigma)/D`` (see
-        :func:`_int_form`), so the only ``Fraction``s built are those of
-        the result.  The value is an ``int`` exactly when the point is an
-        ``int``.  Any other point raises ``TypeError``.
+        denominator, ``p/q`` or the stored ``(A + B*sigma)/D`` of a
+        ``QuadExt``, and the result is normalised once at the end.  The
+        value is an ``int`` exactly when the point is an ``int``.  Any
+        other point raises ``TypeError``.
         """
         if not isinstance(point, (int, Fraction, QuadExt)):
             raise TypeError(f"cannot evaluate a RatPoly at a {type(point).__name__}")
@@ -333,12 +379,12 @@ class RatPoly:
         if not cs:
             return 0
         if isinstance(point, QuadExt):
-            A, B, D, e, dd = _int_form(point)
+            A, B, D, e, dd = point._s
             X, Y, Dk = cs[-1], 0, 1
             for c in reversed(cs[:-1]):
                 Dk *= D
                 X, Y = X * A + e * Y * B + c * Dk, X * B + Y * A
-            return _quad(Fraction(X, Dk), Fraction(Y * dd, Dk), point.d)
+            return _quad(X, Y, Dk, e, dd)
         p, q = point.numerator, point.denominator
         acc, qk = cs[-1], 1
         for c in reversed(cs[:-1]):
@@ -480,7 +526,7 @@ class PowerSeries:
             else:
                 if other == 0:
                     raise ZeroDivisionError("division by zero")
-                inv = Fraction(1) / _fr(other)
+                inv = Fraction(1) / other
             return PowerSeries([c * inv for c in self._coeffs])
         return NotImplemented
 

@@ -460,15 +460,17 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     T = triangles.poly_T(n_max)
+    # what does not depend on n, once per point: 2x/(1+x) and (1+x)/2
+    points = [(x, 2 * x / (1 + x), (1 + x) / 2) for x in plan.points]
     for n in range(1, n_max + 1):
         Wn, Rn, Tn = W[n], R[n], T[n]
-        for x in plan.points:
-            wn = Wn(2 * x / (1 + x))
-            rhs = x * (1 + x) ** (n - 1) / 2 ** (n - 1) * wn
+        for x, t, h in points:
+            wn = Wn(t)
+            rhs = x * h ** (n - 1) * wn
             if rhs != Tn(x):
                 return _failed(ident, params, n, f"T-form x={x}", Tn(x), rhs)
             if n >= 2:
-                rhs = x * (1 + x) ** (n - 2) / 2 ** (n - 2) * wn
+                rhs = x * h ** (n - 2) * wn
                 if rhs != Rn(x):
                     return _failed(ident, params, n, f"R-form x={x}", Rn(x), rhs)
     return _passed(ident, params)
@@ -495,18 +497,23 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     P = triangles.poly_P(n_max)
+    # what does not depend on n, once per point: sigma, 1/sigma, 1/tau,
+    # tau and (x+1)/2
+    points = []
+    for x in plan.points:
+        sigma = QuadExt.root(x - 1)
+        tau = QuadExt.root((x + 1) / (x - 1))
+        points.append((x, sigma, sigma.inverse(), tau.inverse(), tau, (x + 1) / 2))
     for n in range(2, n_max + 1):
         Wn, Rn, Pn = W[n], R[n], P[n]
-        for x in plan.points:
-            sigma = QuadExt.root(x - 1)
-            val = sigma ** (n + 1) * Pn(sigma.inverse()) / x
+        for x, sigma, sigma_inv, tau_inv, tau, h in points:
+            val = sigma ** (n + 1) * Pn(sigma_inv) / x
             if val.b != 0:
                 return _failed(ident, params, n,
                                f"W-form x={x}: sqrt component", val, 0)
             if val.a != Wn(x):
                 return _failed(ident, params, n, f"W-form x={x}", Wn(x), val.a)
-            tau = QuadExt.root((x + 1) / (x - 1))
-            val = ((x + 1) / 2) ** (n - 1) * tau ** (-(n + 1)) * Pn(tau)
+            val = h ** (n - 1) * tau_inv ** (n + 1) * Pn(tau)
             if val.b != 0:
                 return _failed(ident, params, n,
                                f"R-form x={x}: sqrt component", val, 0)
@@ -530,12 +537,15 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     params = {"n_max": n_max, "points": len(plan)}
     A = triangles.poly_A(n_max)
     R = triangles.poly_R(n_max)
+    # what does not depend on n, once per point: (1-w)/(1+w), (1+x)/2, 1+w
+    points = []
+    for x in plan.points:
+        w = QuadExt.root(1 - x * x) / (1 + x)
+        points.append((x, (1 - w) / (1 + w), (1 + x) / 2, 1 + w))
     for n in range(2, n_max + 1):
         An, Rn = A[n], R[n]
-        for x in plan.points:
-            w = QuadExt.root(1 - x * x) / (1 + x)
-            u = (1 - w) / (1 + w)
-            val = ((1 + x) / 2) ** (n - 1) * (1 + w) ** (n + 1) * An(u)
+        for x, u, h, one_plus_w in points:
+            val = h ** (n - 1) * one_plus_w ** (n + 1) * An(u)
             if val.b != 0:
                 return _failed(ident, params, n, f"x={x}: sqrt component", val, 0)
             if val.a != Rn(x):
@@ -548,15 +558,14 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
 
 
 def _egf_coeffs(rows: "Callable[[int], list[int]]", x0: Fraction, order: int) -> "list[Fraction]":
-    """Coefficient of z^n: (1/n!) sum_k row(n)[k] x0^(n-k)."""
+    """Coefficient of z^n: (1/n!) sum_k row(n)[k] x0^(n-k), for rows of
+    n+1 entries; the sum is the reversed row evaluated at x0 by Horner."""
     out = []
     fact = 1
     for n in range(order + 1):
         if n:
             fact *= n
-        row = rows(n)
-        total = sum(row[k] * x0 ** (n - k) for k in range(len(row)))
-        out.append(Fraction(total, fact))
+        out.append(Fraction(RatPoly(rows(n)[::-1])(x0), fact))
     return out
 
 

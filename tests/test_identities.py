@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -155,6 +156,18 @@ class TestSeriesChecks:
         coeffs = idn._egf_coeffs(lambda n: tri.row(n + 1), F(0), 4)
         fact = [1, 1, 2, 6, 24]
         assert [c * f for c, f in zip(coeffs, fact)] == [1, 2, 4, 10, 32]
+
+    @pytest.mark.parametrize("x0", [F(0), F(1, 3), F(1, 2), F(-3, 7)])
+    def test_egf_coeffs_match_the_defining_sum(self, x0):
+        # Horner on the reversed row against (1/n!) sum_k row[k] x0^(n-k)
+        R, A = triangles.triangle_R(13), triangles.triangle_A(12)
+        for rows in (lambda n: R.row(n + 1), A.row):
+            want = [
+                F(sum(c * x0 ** (n - k) for k, c in enumerate(rows(n))), factorial(n))
+                for n in range(13)
+            ]
+            got = idn._egf_coeffs(rows, x0, 12)
+            assert got == want and all(type(c) is F for c in got)
 
     def test_stanley(self):
         for t0 in idn.DEFAULT_STANLEY_T0S:
