@@ -9,6 +9,14 @@ that cross-check is the point of the whole module.
 
 Coefficients are plain ``int`` (iterated derivatives reach
 tangent-number growth, far past 64 bits), and all values are immutable.
+Monomials inside an :class:`MPoly` are packed exponent vectors (Monagan
+and Pearce, CASC 2007): one int per monomial, one fixed-width bit field
+per letter, the first letter of the sorted alphabet in the most
+significant field.  A monomial product is then one int addition, a
+derivation step adds a precompiled int offset per rule term, and int
+order is the canonical term order.  Exponents stay unbounded: a result
+whose exponents could reach the top bit of a field is repacked at twice
+the width first.
 """
 
 from __future__ import annotations
@@ -16,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "BUILTIN_GRAMMARS",
@@ -50,7 +57,7 @@ class Monomial:
         clean = {}
         for letter, e in pairs.items():
             _check_letter(letter)
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise ValueError(f"exponent of {letter!r} must be a nonnegative int")
             if e:
                 clean[letter] = e
@@ -106,59 +113,110 @@ class Monomial:
 
 _set = object.__setattr__
 
+#: Field width, in bits, that a new polynomial's exponents start in.
+_WIDTH = 16
 
-def _mpoly(letters: "tuple[str, ...]", terms: "dict[tuple[int, ...], int]") -> "MPoly":
+
+def _fit(top: int, width: int) -> int:
+    """The smallest of width, 2*width, 4*width, ... whose fields hold
+    every exponent up to ``top`` below their top bit."""
+    while top >> (width - 1):
+        width *= 2
+    return width
+
+
+def _shifts(n: int, width: int) -> "list[int]":
+    """Bit offsets of the fields of ``n`` letters, the first letter highest."""
+    return [width * (n - 1 - i) for i in range(n)]
+
+
+def _unpack(keys: "Iterable[int]", n: int, width: int) -> "list[list[int]]":
+    """The exponent vectors of ``n`` letters that ``keys`` pack in fields
+    of ``width`` bits."""
+    mask = (1 << width) - 1
+    shifts = _shifts(n, width)
+    return [[k >> s & mask for s in shifts] for k in keys]
+
+
+def _mpoly(letters: "tuple[str, ...]", width: int, top: int,
+           terms: "dict[int, int]") -> "MPoly":
     """The MPoly with ``terms`` over ``letters``, zero coefficients dropped.
 
-    The trusted path: keys must be exponent vectors over ``letters``, a
-    sorted tuple of valid letters, and coefficients must be ints.
+    The trusted path: ``letters`` must be a sorted tuple of valid
+    letters, every key a packed exponent vector over them in fields of
+    ``width`` bits, ``top`` at least every exponent and below
+    ``2**(width - 1)``, and every coefficient an int.
     """
     p = object.__new__(MPoly)
     _set(p, "_letters", letters)
+    _set(p, "_width", width)
+    _set(p, "_top", top)
     _set(p, "_terms", {k: c for k, c in terms.items() if c})
     return p
 
 
-def _reindex(p: "MPoly", letters: "tuple[str, ...]") -> "dict[tuple[int, ...], int]":
-    """The terms of ``p`` as exponent vectors over ``letters``.
+def _repack(p: "MPoly", letters: "tuple[str, ...]", width: int) -> "dict[int, int]":
+    """The terms of ``p`` keyed over ``letters`` in fields of ``width`` bits.
 
     Letters of ``p`` outside ``letters`` are dropped, so their exponents
-    must be 0 in every term.
+    must be 0 in every term; ``width`` must hold ``p``'s exponents.
     """
-    if p._letters == letters:
+    if p._letters == letters and p._width == width:
         return p._terms
     own = p._letters
-    src = [own.index(l) if l in own else -1 for l in letters]
-    return {
-        tuple(k[i] if i >= 0 else 0 for i in src): c for k, c in p._terms.items()
-    }
+    mask = (1 << p._width) - 1
+    dest = dict(zip(letters, _shifts(len(letters), width)))
+    moves = [(s, dest[l]) for l, s in zip(own, _shifts(len(own), p._width)) if l in dest]
+    out = {}
+    for k, c in p._terms.items():
+        m = 0
+        for s, t in moves:
+            m |= ((k >> s) & mask) << t
+        out[m] = c
+    return out
 
 
-def _common(p: "MPoly", q: "MPoly"):
-    """(letters, p's terms, q's terms) over the union of both alphabets."""
-    if p._letters == q._letters:
-        return p._letters, p._terms, q._terms
-    letters = tuple(sorted(set(p._letters).union(q._letters)))
-    return letters, _reindex(p, letters), _reindex(q, letters)
+def _align(polys: "Sequence[MPoly]", top: int):
+    """(letters, width, terms of each poly) over the union of the
+    alphabets, in the widest of the polys' widths that holds ``top``."""
+    letters = polys[0]._letters
+    if any(p._letters != letters for p in polys):
+        letters = tuple(sorted({l for p in polys for l in p._letters}))
+    width = _fit(top, max(p._width for p in polys))
+    return letters, width, [_repack(p, letters, width) for p in polys]
 
 
 class MPoly:
     """Sparse multivariate polynomial with int coefficients.
 
-    Terms are stored as ``{exponent vector: coefficient}`` over a sorted
-    tuple of letters.  That alphabet may hold letters whose exponent is 0
-    in every term (a derivative keeps its grammar's alphabet), so
-    operations and equality align two polynomials over the union of their
-    alphabets.  Zero coefficients are never stored, so equality is
-    structural.  The canonical term order (used for printing and
-    serialization) compares exponent vectors over the sorted letters.
+    Terms are stored as ``{packed exponent vector: coefficient}`` over a
+    sorted tuple of letters.  A monomial's key is one int: the exponent
+    of each letter sits in a field of ``width`` bits, the first letter
+    in the most significant field, so ``x^a*y^b*z^c`` over ``(x, y, z)``
+    is ``a << 2*width | b << width | c``.  Integer order on keys is then
+    the canonical term order (exponent vectors compared over the sorted
+    letters, used for printing and serialization), and multiplying two
+    monomials adds their keys.
+
+    Exponents are unbounded.  Each polynomial carries its field width
+    and an upper bound ``top`` on its exponents, kept below the top bit
+    of a field.  An operation first bounds the exponents of its result;
+    when that bound would reach the top bit, it repacks its operands at
+    twice the width (as often as needed), so no field ever carries into
+    the next.  New polynomials start at ``_WIDTH`` bits.
+
+    The alphabet may hold letters whose exponent is 0 in every term (a
+    derivative keeps its grammar's alphabet), so operations and equality
+    align two polynomials over the union of their alphabets and the
+    wider of their widths.  Zero coefficients are never stored, so
+    equality is structural.
 
     ``MPoly(...)``, :meth:`letter` and :meth:`monomial` validate through
-    :class:`Monomial`; arithmetic builds its results from exponent
-    vectors directly.
+    :class:`Monomial`; arithmetic builds its results from packed keys
+    directly.
     """
 
-    __slots__ = ("_letters", "_terms")
+    __slots__ = ("_letters", "_width", "_top", "_terms")
 
     def __init__(self, terms: "Mapping[Monomial, int] | Iterable[tuple[Monomial, int]]" = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -170,11 +228,17 @@ class MPoly:
                 raise TypeError("MPoly coefficients must be int")
             checked.append((mono, c))
         letters = tuple(sorted({l for mono, _ in checked for l in mono.letters}))
-        agg: "dict[tuple[int, ...], int]" = {}
+        top = max((e for mono, _ in checked for _, e in mono.items()), default=0)
+        width = _fit(top, _WIDTH)
+        agg: "dict[int, int]" = {}
         for mono, c in checked:
-            k = mono.exponent_vector(letters)
+            k = 0
+            for e in mono.exponent_vector(letters):
+                k = k << width | e
             agg[k] = agg.get(k, 0) + c
         _set(self, "_letters", letters)
+        _set(self, "_width", width)
+        _set(self, "_top", top)
         _set(self, "_terms", {k: c for k, c in agg.items() if c})
 
     def __setattr__(self, name, value):
@@ -192,45 +256,52 @@ class MPoly:
     def monomial(cls, exps: "Mapping[str, int]", coeff: int = 1) -> "MPoly":
         return cls([(Monomial(exps), coeff)])
 
-    def _monomial(self, k: "tuple[int, ...]") -> Monomial:
-        return Monomial(zip(self._letters, k))
+    def _monomials(self, keys: "Iterable[int]") -> "list[Monomial]":
+        letters = self._letters
+        return [Monomial(zip(letters, v)) for v in _unpack(keys, len(letters), self._width)]
 
     def terms(self):
-        return {self._monomial(k): c for k, c in self._terms.items()}.items()
+        terms = self._terms
+        return dict(zip(self._monomials(terms), terms.values())).items()
 
     def letters(self) -> "tuple[str, ...]":
+        vectors = _unpack(self._terms, len(self._letters), self._width)
         return tuple(
-            l for i, l in enumerate(self._letters) if any(k[i] for k in self._terms)
+            l for i, l in enumerate(self._letters) if any(v[i] for v in vectors)
         )
 
     def sorted_terms(self) -> "list[tuple[Monomial, int]]":
-        return [(self._monomial(k), c) for k, c in sorted(self._terms.items())]
+        keys = sorted(self._terms)
+        return list(zip(self._monomials(keys), map(self._terms.__getitem__, keys)))
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = _mpoly((), {(): other})
+            other = _mpoly((), _WIDTH, 0, {0: other})
         if not isinstance(other, MPoly):
             return NotImplemented
-        letters, a, b = _common(self, other)
+        top = max(self._top, other._top)
+        letters, width, (a, b) = _align((self, other), top)
         out = dict(a)
         for k, c in b.items():
             out[k] = out.get(k, 0) + c
-        return _mpoly(letters, out)
+        return _mpoly(letters, width, top, out)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _mpoly(self._letters, {k: c * other for k, c in self._terms.items()})
+            return _mpoly(self._letters, self._width, self._top,
+                          {k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        letters, a, b = _common(self, other)
-        out: "dict[tuple[int, ...], int]" = {}
+        top = self._top + other._top
+        letters, width, (a, b) = _align((self, other), top)
+        out: "dict[int, int]" = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                k = tuple(map(add, k1, k2))
+                k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return _mpoly(letters, out)
+        return _mpoly(letters, width, top, out)
 
     __rmul__ = __mul__
 
@@ -241,10 +312,10 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = _mpoly((), {(): other})
+            other = _mpoly((), _WIDTH, 0, {0: other})
         if not isinstance(other, MPoly):
             return NotImplemented
-        _, a, b = _common(self, other)
+        _, _, (a, b) = _align((self, other), max(self._top, other._top))
         return a == b
 
     __hash__ = None  # dict-backed; not hashable
@@ -288,8 +359,11 @@ class Grammar:
     The rules are compiled once, at construction, over the sorted
     alphabet: the rule for letter ``i`` becomes its terms as exponent
     vectors minus the unit vector of ``i`` (the "delta" that one
-    replaced occurrence adds to a monomial).  ``rules`` must not be
-    changed after construction.
+    replaced occurrence adds to a monomial), and ``_grow`` is the
+    largest amount by which a delta raises any exponent.  For each field
+    width it is used at, a delta is packed once more into an int offset
+    (fields of -1 included), which :func:`d_apply` adds to a key.
+    ``rules`` must not be changed after construction.
     """
 
     rules: "Mapping[str, MPoly]"
@@ -297,6 +371,8 @@ class Grammar:
     _deltas: "tuple[tuple[tuple[tuple[int, ...], int], ...], ...]" = field(
         init=False, repr=False, compare=False
     )
+    _grow: int = field(init=False, repr=False, compare=False)
+    _packed: "dict[int, tuple]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = set(self.rules)
@@ -311,46 +387,71 @@ class Grammar:
                         "but has no rule of its own"
                     )
         letters = tuple(sorted(declared))
-        deltas = tuple(
-            tuple(
-                (tuple(e - (j == i) for j, e in enumerate(k)), c)
-                for k, c in _reindex(self.rules[letter], letters).items()
-            )
-            for i, letter in enumerate(letters)
-        )
+        deltas = []
+        for i, letter in enumerate(letters):
+            rule = self.rules[letter]
+            terms = _repack(rule, letters, rule._width)
+            deltas.append(tuple(
+                (tuple(e - (j == i) for j, e in enumerate(v)), c)
+                for v, c in zip(_unpack(terms, len(letters), rule._width), terms.values())
+            ))
+        deltas = tuple(deltas)
         _set(self, "_letters", letters)
         _set(self, "_deltas", deltas)
+        _set(self, "_grow", max((e for rule in deltas for delta, _ in rule for e in delta
+                                 if e > 0), default=0))
+        _set(self, "_packed", {})
 
     @property
     def alphabet(self) -> "frozenset[str]":
         return frozenset(self.rules)
+
+    def _fields(self, width: int) -> "tuple[tuple[int, tuple[tuple[int, int], ...]], ...]":
+        """Per letter, its field's bit offset and its rule as (packed delta,
+        coefficient) pairs, for fields of ``width`` bits."""
+        fields = self._packed.get(width)
+        if fields is None:
+            shifts = _shifts(len(self._letters), width)
+            fields = self._packed[width] = tuple(
+                (s, tuple((sum(e << t for e, t in zip(delta, shifts)), c)
+                          for delta, c in rule))
+                for s, rule in zip(shifts, self._deltas)
+            )
+        return fields
 
 
 def d_apply(g: Grammar, p: MPoly) -> MPoly:
     """One application of the derivation induced by ``g``.
 
     Acts linearly on terms and by the product rule inside each monomial:
-    every letter occurrence is replaced, once, by its rule.  On exponent
-    vectors over the grammar's alphabet, a term ``c * v`` with ``v[i] = e``
-    contributes ``c * e * rc`` at ``v + delta`` for each compiled rule
-    term ``(delta, rc)`` of letter ``i``.
+    every letter occurrence is replaced, once, by its rule.  On packed
+    keys over the grammar's alphabet, a term ``c * v`` whose field ``i``
+    reads ``e`` contributes ``c * e * rc`` at ``v + delta`` for each
+    compiled rule term ``(delta, rc)`` of letter ``i``.  A delta field of
+    -1 is only added where that exponent is >= 1, so no field borrows,
+    and the result's fields are widened first if ``g`` could raise an
+    exponent to their top bit.
     """
     letters = g._letters
     if p._letters != letters:
-        for k in p._terms:
-            for letter, e in zip(p._letters, k):
+        for v in _unpack(p._terms, len(p._letters), p._width):
+            for letter, e in zip(p._letters, v):
                 if e and letter not in g.rules:
                     raise ValueError(f"letter {letter!r} has no rule in this grammar")
-    deltas = g._deltas
-    acc: "dict[tuple[int, ...], int]" = {}
-    for k, c in _reindex(p, letters).items():
-        for i, e in enumerate(k):
+    top = p._top + g._grow
+    width = _fit(top, p._width)
+    fields = g._fields(width)
+    mask = (1 << width) - 1
+    acc: "dict[int, int]" = {}
+    for k, c in _repack(p, letters, width).items():
+        for s, rule in fields:
+            e = k >> s & mask
             if e:
                 ce = c * e
-                for delta, rc in deltas[i]:
-                    m = tuple(map(add, k, delta))
+                for delta, rc in rule:
+                    m = k + delta
                     acc[m] = acc.get(m, 0) + ce * rc
-    return _mpoly(letters, acc)
+    return _mpoly(letters, width, top, acc)
 
 
 def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
@@ -363,7 +464,12 @@ def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
 
 
 def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:
-    """Whether D^n(u*v) equals sum_k C(n,k) D^k(u) D^(n-k)(v) exactly."""
+    """Whether D^n(u*v) equals sum_k C(n,k) D^k(u) D^(n-k)(v) exactly.
+
+    The right-hand side is summed into one dict of packed keys, every
+    derivative aligned first to one alphabet and one width that holds
+    the exponents of each product.
+    """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
     du = [u]
@@ -371,10 +477,18 @@ def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:
     for _ in range(n):
         du.append(d_apply(g, du[-1]))
         dv.append(d_apply(g, dv[-1]))
-    rhs = MPoly.zero()
+    top = max(du[k]._top + dv[n - k]._top for k in range(n + 1))
+    letters, width, terms = _align(du + dv, top)
+    acc: "dict[int, int]" = {}
     for k in range(n + 1):
-        rhs = rhs + comb(n, k) * (du[k] * dv[n - k])
-    return d_power(g, u * v, n) == rhs
+        ck = comb(n, k)
+        b = terms[2 * n + 1 - k].items()
+        for k1, c1 in terms[k].items():
+            c1 *= ck
+            for k2, c2 in b:
+                m = k1 + k2
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return d_power(g, u * v, n) == _mpoly(letters, width, top, acc)
 
 
 # ----------------------------------------------------------------------

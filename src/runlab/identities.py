@@ -354,49 +354,107 @@ def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> Ch
 # Polynomial identities (exact polynomial arithmetic).
 
 
+def _kron(row: "Sequence[int]", bits: int) -> int:
+    """The polynomial with coefficients ``row`` evaluated at 2**bits."""
+    value = 0
+    for c in reversed(row):
+        value = (value << bits) + c
+    return value
+
+
+def _unkron(value: int, bits: int) -> RatPoly:
+    """The polynomial whose balanced base-2**bits digits, each in
+    [-2**(bits-1), 2**(bits-1)), spell ``value``: the inverse of
+    :func:`_kron` on coefficients in that range."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return RatPoly(coeffs)
+
+
+#: The five convolution formulas, in the order they are checked.
+_CONVOLUTIONS = (
+    "R_(n+1) = sum C(n,k) T_k T_(n-k)",
+    "R_(n+2) = 2 sum C(n,k) T_k T_(n-k+1)",
+    "R_(n+2) = 2x Wt_n(x^2) + 2x sum C(n,k) R_(k+1) Wt_(n-k)(x^2)",
+    "T_(n+1) = x sum C(n,k) T_k Wt_(n-k)(x^2)",
+    "T_(n+1) = T_n + x^2 sum C(n,k) T_k W_(n-k)(x^2)",
+)
+
+
+def _convolution_sides(n: int, T, R, W, Wt):
+    """The five convolution formulas at ``n`` as ``(bits, sides)``: each
+    side is ``(formula, lhs, lhs(2**bits), rhs(2**bits))``, with ``lhs``
+    the polynomial on the left and ``rhs`` the right-hand sum.
+
+    ``bits`` exceeds by 2 the bit length of a bound on the absolute
+    value of every coefficient of either side of every formula: the 1-norm
+    of each left side, and each right side summed over the 1-norms of its
+    rows.  That bounds it because a coefficient of F*G is at most
+    |F|_1 |G|_1, and x -> x^2 and the prefactors x and x^2 keep 1-norms.
+    """
+    c = [comb(n, k) for k in range(n + 1)]
+
+    def right_sides(t, r, w, wt, times_x):
+        # t, r, w, wt: one value per row; times_x(v, j) is x^j * v
+        return (
+            sum(c[k] * t[k] * t[n - k] for k in range(n + 1)),
+            2 * sum(c[k] * t[k] * t[n - k + 1] for k in range(n + 1)),
+            2 * times_x(wt[n] + sum(c[k] * r[k + 1] * wt[n - k] for k in range(1, n + 1)), 1),
+            times_x(sum(c[k] * t[k] * wt[n - k] for k in range(n + 1)), 1),
+            t[n] + times_x(sum(c[k] * t[k] * w[n - k] for k in range(n)), 2),
+        )
+
+    # rows 0..n+1 of T, 1..n+2 of R, 1..n of W and 0..n of Wt
+    rows = ([T.row(k) for k in range(n + 2)], [[]] + [R.row(k) for k in range(1, n + 3)],
+            [[]] + [W.row(k) for k in range(1, n + 1)], [Wt.row(k) for k in range(n + 1)])
+    t, r, w, wt = ([sum(map(abs, row)) for row in family] for family in rows)
+    bound = max(r[n + 1], r[n + 2], t[n + 1], *right_sides(t, r, w, wt, lambda v, j: v))
+    b = bound.bit_length() + 2
+    # W and Wt enter as W(x^2), so they are evaluated at X^2
+    t, r, w, wt = ([_kron(row, bits) for row in family]
+                   for family, bits in zip(rows, (b, b, 2 * b, 2 * b)))
+    lefts = ((R[n + 1], r[n + 1]), (R[n + 2], r[n + 2]), (R[n + 2], r[n + 2]),
+             (T[n + 1], t[n + 1]), (T[n + 1], t[n + 1]))
+    rights = right_sides(t, r, w, wt, lambda v, j: v << j * b)
+    return b, tuple((formula, lhs, lhs_value, rhs_value) for formula, (lhs, lhs_value), rhs_value
+                    in zip(_CONVOLUTIONS, lefts, rights))
+
+
 def check_convolutions(n_max: int = 20) -> CheckReport:
     """Five binomial convolution formulas tying together the run,
     altsubseq and peak polynomial families, e.g.
-    R_(n+1) = sum_k C(n,k) T_k T_(n-k); peak factors enter at x^2."""
+    R_(n+1) = sum_k C(n,k) T_k T_(n-k); peak factors enter at x^2.
+
+    Each formula is checked at n by evaluating both sides at X = 2**b
+    (Kronecker substitution): a row is one shift-add Horner pass, a row
+    W(x^2) or Wt(x^2) is evaluated at X^2, prefactors x and x^2 are
+    shifts, and each product is one integer product.  ``b`` is chosen
+    per n from a bound B on every coefficient of both sides (see
+    :func:`_convolution_sides`), with 2B < 2**(b-1).  Equal values then
+    mean equal polynomials: if the two sides differed, their difference
+    D would be nonzero with every coefficient below X in absolute value,
+    and D(X) = 0 would force X to divide its lowest nonzero coefficient.
+    On a mismatch the right-hand value is decoded into its balanced
+    base-X digits, which are exactly the coefficients the term-by-term
+    sum would build, since each lies in (-X/2, X/2).
+    """
     params = {"n_max": n_max}
     ident = "poly/convolutions"
     T = triangles.poly_T(n_max + 1)
     R = triangles.poly_R(n_max + 2)
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
-    x = RatPoly((0, 1))
-    x2 = RatPoly((0, 0, 1))
     for n in range(1, n_max + 1):
-        c = [comb(n, k) for k in range(n + 1)]
-        rhs = sum((c[k] * (T[k] * T[n - k]) for k in range(n + 1)), RatPoly())
-        if rhs != R[n + 1]:
-            return _failed(ident, params, n,
-                           "R_(n+1) = sum C(n,k) T_k T_(n-k)", R[n + 1], rhs)
-        rhs = 2 * sum((c[k] * (T[k] * T[n - k + 1]) for k in range(n + 1)), RatPoly())
-        if rhs != R[n + 2]:
-            return _failed(ident, params, n,
-                           "R_(n+2) = 2 sum C(n,k) T_k T_(n-k+1)", R[n + 2], rhs)
-        rhs = 2 * x * Wt[n].stretch(2) + 2 * x * sum(
-            (c[k] * (R[k + 1] * Wt[n - k].stretch(2)) for k in range(1, n + 1)),
-            RatPoly(),
-        )
-        if rhs != R[n + 2]:
-            return _failed(ident, params, n,
-                           "R_(n+2) = 2x Wt_n(x^2) + 2x sum C(n,k) R_(k+1) Wt_(n-k)(x^2)",
-                           R[n + 2], rhs)
-        rhs = x * sum(
-            (c[k] * (T[k] * Wt[n - k].stretch(2)) for k in range(n + 1)), RatPoly()
-        )
-        if rhs != T[n + 1]:
-            return _failed(ident, params, n,
-                           "T_(n+1) = x sum C(n,k) T_k Wt_(n-k)(x^2)", T[n + 1], rhs)
-        rhs = T[n] + x2 * sum(
-            (c[k] * (T[k] * W[n - k].stretch(2)) for k in range(n)), RatPoly()
-        )
-        if rhs != T[n + 1]:
-            return _failed(ident, params, n,
-                           "T_(n+1) = T_n + x^2 sum C(n,k) T_k W_(n-k)(x^2)",
-                           T[n + 1], rhs)
+        b, sides = _convolution_sides(n, T, R, W, Wt)
+        for formula, lhs, lhs_value, rhs_value in sides:
+            if lhs_value != rhs_value:
+                return _failed(ident, params, n, formula, lhs, _unkron(rhs_value, b))
     return _passed(ident, params)
 
 

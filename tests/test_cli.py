@@ -161,6 +161,49 @@ VERIFY_ALL = {
 }
 
 
+#: stdout of ``grammar --builtin NAME --word WORD --n 2`` in plain, JSON and
+#: CSV, for exponents at and far past the width of a machine word: the
+#: exponent field width is internal, so none of it may show in the output.
+GRAMMAR_WIDE = {
+    ("main", "x^99999999999999999999"): (
+        "99999999999999999999*x^99999999999999999999*y*z + "
+        "9999999999999999999800000000000000000001*x^99999999999999999999*y^2\n",
+        '[{"coeff":"99999999999999999999","mono":{"x":99999999999999999999,"y":1,"z":1}},'
+        '{"coeff":"9999999999999999999800000000000000000001",'
+        '"mono":{"x":99999999999999999999,"y":2}}]\n',
+        "coeff,x,y,z\n"
+        "99999999999999999999,99999999999999999999,1,1\n"
+        "9999999999999999999800000000000000000001,99999999999999999999,2,0\n",
+    ),
+    # y^65535 * z^65536 straddles a 16-bit field
+    ("peaks", "y^65535*z^65536"): (
+        "4294836225*y^65535*z^65538 + 8590000127*y^65537*z^65536 + "
+        "4294901760*y^65539*z^65534\n",
+        '[{"coeff":"4294836225","mono":{"y":65535,"z":65538}},'
+        '{"coeff":"8590000127","mono":{"y":65537,"z":65536}},'
+        '{"coeff":"4294901760","mono":{"y":65539,"z":65534}}]\n',
+        "coeff,y,z\n"
+        "4294836225,65535,65538\n"
+        "8590000127,65537,65536\n"
+        "4294901760,65539,65534\n",
+    ),
+    # z^(2^32 - 1): the first derivative already carries z^(2^32)
+    ("main", "x*z^4294967295"): (
+        "x*y*z^4294967296 + 8589934591*x*y^2*z^4294967295 + "
+        "8589934590*x*y^3*z^4294967294 + 18446744060824649730*x*y^4*z^4294967293\n",
+        '[{"coeff":"1","mono":{"x":1,"y":1,"z":4294967296}},'
+        '{"coeff":"8589934591","mono":{"x":1,"y":2,"z":4294967295}},'
+        '{"coeff":"8589934590","mono":{"x":1,"y":3,"z":4294967294}},'
+        '{"coeff":"18446744060824649730","mono":{"x":1,"y":4,"z":4294967293}}]\n',
+        "coeff,x,y,z\n"
+        "1,1,1,4294967296\n"
+        "8589934591,1,2,4294967295\n"
+        "8589934590,1,3,4294967294\n"
+        "18446744060824649730,1,4,4294967293\n",
+    ),
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -252,6 +295,14 @@ class TestGrammarCommand:
                            "--n", "8", "--format", fmt)
         assert code == 0
         assert out == GRAMMAR_N8[name, seed][fmt == "json"]
+
+    @pytest.mark.parametrize("name, word", sorted(GRAMMAR_WIDE))
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_wide_exponents_are_pinned(self, capsys, name, word, fmt):
+        code, out, err = run(capsys, "grammar", "--builtin", name, "--word", word,
+                             "--n", "2", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == GRAMMAR_WIDE[name, word][("plain", "json", "csv").index(fmt)]
 
     def test_main_expansion(self, capsys):
         code, out, _ = run(

@@ -193,3 +193,22 @@ class TestSerialization:
         )
         keys = [str(m) for m, _ in p.sorted_terms()]
         assert keys == ["y", "x*y^2", "x^2*y"]
+
+
+class TestMonomialValidation:
+    @pytest.mark.parametrize("exps", [{"x": True, "y": 2}, {"x": 1, "y": False}],
+                             ids=["true", "false"])
+    def test_bool_exponents_rejected(self, exps):
+        # bool is an int subclass, but an exponent of True would
+        # serialise as "x": true; the message is the one for any non-int
+        letter = next(l for l, e in exps.items() if isinstance(e, bool))
+        message = f"exponent of {letter!r} must be a nonnegative int"
+        for build in (gr.Monomial, gr.MPoly.monomial):
+            with pytest.raises(ValueError) as err:
+                build(exps)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("e", [-1, 1.0, "2", None])
+    def test_other_non_ints_rejected(self, e):
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            gr.Monomial({"x": e})

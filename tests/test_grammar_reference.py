@@ -112,42 +112,89 @@ def build(terms):
 subsets = st.lists(st.sampled_from(LETTERS), unique=True, max_size=len(LETTERS))
 
 
+small_exps = st.integers(0, 3)
+
+#: The initial exponent field width.
+W = gr._WIDTH
+
+#: Exponents at the field boundary, mixed: small ones, ones of W-1, W and
+#: W+1 bits (the exact edges of the top bit of a field included), and
+#: ones far past any machine word.
+wide_exps = st.one_of(
+    small_exps,
+    st.integers(2 ** (W - 2), 2 ** (W + 1) - 1),
+    st.sampled_from([2 ** (W - 1) - 1, 2 ** (W - 1), 2 ** W - 1, 2 ** W]),
+    st.integers(2 ** 62, 2 ** 130),
+)
+
+#: Exponents that still fit the initial width below its top bit, the
+#: largest ones included.
+narrow_top_exps = st.one_of(
+    small_exps, st.integers(2 ** (W - 3), 2 ** (W - 1) - 1), st.just(2 ** (W - 1) - 1))
+
+
 @st.composite
-def term_lists(draw, letters=None, coeffs=st.integers(-3, 3), size=4):
+def term_lists(draw, letters=None, coeffs=st.integers(-3, 3), size=4, exps=small_exps):
     """Up to ``size`` terms over a random letter subset; zero exponents and
     zero coefficients included, as are the empty list and constants."""
     if letters is None:
         letters = draw(subsets)
-    exps = st.fixed_dictionaries({l: st.integers(0, 3) for l in letters})
-    return draw(st.lists(st.tuples(exps, coeffs), max_size=size))
+    vectors = st.fixed_dictionaries({l: exps for l in letters})
+    return draw(st.lists(st.tuples(vectors, coeffs), max_size=size))
 
 
 @st.composite
-def grammars(draw, letters=None):
+def grammars(draw, letters=None, exps=small_exps):
     """(Grammar, reference rules) over a random nonempty alphabet."""
     if letters is None:
         letters = draw(subsets.filter(bool))
     rules = {}
     for l in letters:
-        rules[l] = draw(term_lists(letters=letters, coeffs=st.integers(0, 3), size=2))
+        rules[l] = draw(term_lists(letters=letters, coeffs=st.integers(0, 3), size=2,
+                                   exps=exps))
     g = gr.Grammar({l: build(terms) for l, terms in rules.items()})
     return g, {l: ref(terms) for l, terms in rules.items()}
 
 
 @st.composite
-def operands(draw):
+def operands(draw, exps=small_exps):
     """(MPoly, reference) built through the public constructor, or as the
     derivative under a four-letter grammar, whose alphabet then often
     holds letters with exponent 0 in every term."""
-    terms = draw(term_lists())
+    terms = draw(term_lists(exps=exps))
     p, r = build(terms), ref(terms)
     if draw(st.booleans()):
-        g, rules = draw(grammars(letters=tuple(LETTERS)))
+        g, rules = draw(grammars(letters=tuple(LETTERS), exps=exps))
         p, r = gr.d_apply(g, p), ref_d(rules, r)
     return p, r
 
 
+wide_operands = operands(exps=wide_exps)
+
+
 # -- properties ----------------------------------------------------------
+
+
+def assert_d_apply_matches(grammar, operand):
+    g, rules = grammar
+    p, r = operand
+    try:
+        expected = ref_d(rules, r)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            gr.d_apply(g, p)
+        assert str(err.value) == str(exc)
+    else:
+        assert as_ref(gr.d_apply(g, p)) == expected
+
+
+def assert_serializes_like_reference(p, r):
+    assert str(p) == ref_str(r)
+    assert [(tuple(m.items()), c) for m, c in p.sorted_terms()] == ref_sorted(r)
+    expected = [{"coeff": str(c), "mono": dict(k)} for k, c in ref_sorted(r)]
+    assert json.dumps(p.to_json_obj()) == json.dumps(expected)
+    occurring = sorted({l for k in r for l, _ in k})
+    assert p.letters() == tuple(occurring)
 
 
 class TestAgainstReference:
@@ -157,16 +204,7 @@ class TestAgainstReference:
 
     @given(grammars(), operands())
     def test_d_apply(self, grammar, operand):
-        g, rules = grammar
-        p, r = operand
-        try:
-            expected = ref_d(rules, r)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as err:
-                gr.d_apply(g, p)
-            assert str(err.value) == str(exc)
-        else:
-            assert as_ref(gr.d_apply(g, p)) == expected
+        assert_d_apply_matches(grammar, operand)
 
     @given(operands(), operands())
     def test_add(self, a, b):
@@ -192,13 +230,63 @@ class TestAgainstReference:
 
     @given(operands())
     def test_serialization_order(self, a):
-        p, r = a
-        assert str(p) == ref_str(r)
-        assert [(tuple(m.items()), c) for m, c in p.sorted_terms()] == ref_sorted(r)
-        expected = [{"coeff": str(c), "mono": dict(k)} for k, c in ref_sorted(r)]
-        assert json.dumps(p.to_json_obj()) == json.dumps(expected)
-        occurring = sorted({l for k in r for l, _ in k})
-        assert p.letters() == tuple(occurring)
+        assert_serializes_like_reference(*a)
+
+
+class TestFieldBoundary:
+    """The reference properties with exponents around and far past the
+    initial field width, so results must widen their fields."""
+
+    @given(grammars(exps=wide_exps), wide_operands)
+    def test_d_apply(self, grammar, operand):
+        assert_d_apply_matches(grammar, operand)
+
+    @given(wide_operands, wide_operands)
+    def test_add_and_mul(self, a, b):
+        (p, r), (q, s) = a, b
+        assert as_ref(p + q) == ref_add(r, s)
+        assert as_ref(p * q) == ref_mul(r, s)
+
+    @given(term_lists(exps=narrow_top_exps, size=3), term_lists(exps=narrow_top_exps, size=3))
+    def test_product_of_products(self, t, u):
+        # factors that just fit W bits: (pq)^2 has exponents up to four
+        # times theirs, so the bound of pq must count both factors even
+        # though pq itself still fits
+        pq, rs = build(t) * build(u), ref_mul(ref(t), ref(u))
+        assert as_ref(pq * pq) == ref_mul(rs, rs)
+
+    @given(wide_operands, wide_operands)
+    def test_equality_is_reference_equality(self, a, b):
+        (p, r), (q, s) = a, b
+        assert (p == q) == (r == s)
+        assert p == build([(dict(k), c) for k, c in r.items()])
+
+    @given(wide_operands)
+    def test_serialization_order(self, a):
+        assert_serializes_like_reference(*a)
+
+    @given(grammars(letters=tuple(LETTERS), exps=wide_exps),
+           term_lists(exps=wide_exps), term_lists(exps=wide_exps), st.integers(0, 3))
+    def test_leibniz_holds(self, grammar, u_terms, v_terms, n):
+        # every D is a derivation, so a False here is a carry between fields
+        g, _ = grammar
+        assert gr.leibniz_check(g, build(u_terms), build(v_terms), n)
+
+    def test_equal_values_at_different_widths(self):
+        # x + x^(2^40) - x^(2^40) is x, but its fields stay as wide as
+        # x^(2^40) needed; it must still equal and print like x
+        big = gr.MPoly.monomial({"x": 2 ** 40, "y": 1})
+        x = gr.MPoly.letter("x") + 2 * gr.MPoly.letter("y")
+        wide = x + big + (-1) * big
+        assert wide._width > x._width
+        assert wide == x and x == wide and not wide != x
+        assert (str(wide), repr(wide)) == (str(x), repr(x)) == (
+            "2*y + x", "MPoly(2*y + x)")
+        assert wide.to_json_obj() == x.to_json_obj()
+        assert wide.sorted_terms() == x.sorted_terms()
+        assert dict(wide.terms()) == dict(x.terms())
+        assert wide.letters() == x.letters() == ("x", "y")
+        assert wide * x == x * x and wide + x == 2 * x
 
 
 class TestConstructionPaths:

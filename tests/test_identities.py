@@ -3,13 +3,13 @@
 import json
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from runlab import identities as idn
 from runlab import grammar, permcore as pc, triangles
-from runlab.exactnum import QuadExt
+from runlab.exactnum import QuadExt, RatPoly
 
 F = Fraction
 
@@ -51,6 +51,39 @@ class TestGrammarChecks:
 class TestPolynomialChecks:
     def test_convolutions(self):
         assert idn.check_convolutions(10).passed
+
+    @pytest.mark.parametrize("perturb", [0, 2 ** 64, -3 ** 80])
+    def test_convolution_sides_decode_to_the_term_by_term_sums(self, perturb):
+        # at X = 2^b each right-hand side must decode to the RatPoly sum
+        # written out term by term, also when a T row carries a huge or
+        # negative entry; every coefficient stays below X/4
+        T = corrupt_triangle(triangles.poly_T, 5, 2, perturb)(13)
+        R = triangles.poly_R(14)
+        W = triangles.poly_W(12)
+        Wt = triangles.poly_Wtilde(12)
+        x, x2 = RatPoly((0, 1)), RatPoly((0, 0, 1))
+        for n in range(1, 13):
+            b, sides = idn._convolution_sides(n, T, R, W, Wt)
+            c = [comb(n, k) for k in range(n + 1)]
+            expected = [
+                (R[n + 1], sum((c[k] * (T[k] * T[n - k]) for k in range(n + 1)), RatPoly())),
+                (R[n + 2], 2 * sum((c[k] * (T[k] * T[n - k + 1]) for k in range(n + 1)),
+                                   RatPoly())),
+                (R[n + 2], 2 * x * Wt[n].stretch(2) + 2 * x * sum(
+                    (c[k] * (R[k + 1] * Wt[n - k].stretch(2)) for k in range(1, n + 1)),
+                    RatPoly())),
+                (T[n + 1], x * sum((c[k] * (T[k] * Wt[n - k].stretch(2))
+                                    for k in range(n + 1)), RatPoly())),
+                (T[n + 1], T[n] + x2 * sum((c[k] * (T[k] * W[n - k].stretch(2))
+                                            for k in range(n)), RatPoly())),
+            ]
+            assert len(sides) == len(expected)
+            for (_, lhs, lhs_value, rhs_value), (lhs_poly, rhs_poly) in zip(sides, expected):
+                assert lhs == lhs_poly
+                assert idn._unkron(lhs_value, b) == lhs_poly
+                assert idn._unkron(rhs_value, b) == rhs_poly
+                for coeff in lhs_poly.coeffs + rhs_poly.coeffs:
+                    assert abs(coeff) < 2 ** (b - 2)
 
     def test_recurrences(self):
         assert idn.check_recurrence_consistency(10).passed
@@ -305,6 +338,48 @@ class TestFaultInjection:
         assert self._failure(idn.check_convolutions(6)) == (
             2, "R_(n+2) = 2x Wt_n(x^2) + 2x sum C(n,k) R_(k+1) Wt_(n-k)(x^2)",
             "2*x + 12*x^2 + 10*x^3", "2*x + 12*x^2 + 12*x^3",
+        )
+
+    #: Where a perturbed T_4 makes the convolutions fail, and R_5 there.
+    T4_FAILURE = (3, "R_(n+2) = 2 sum C(n,k) T_k T_(n-k+1)",
+                  "2*x + 28*x^2 + 58*x^3 + 32*x^4")
+
+    def test_aliasing_pair_in_alt_row_breaks_convolutions(self, monkeypatch):
+        # +2^64 at x^2 and -1 at x^3 of T_4 cancel at X = 2^64, so a width
+        # sized without the perturbed row would let this pass
+        monkeypatch.setattr(triangles, "poly_T", corrupt_triangle(
+            corrupt_triangle(triangles.poly_T, 4, 2, 2 ** 64), 4, 3, -1))
+        assert self._failure(idn.check_convolutions(8)) == (
+            *self.T4_FAILURE, "2*x + 36893488147419103260*x^2 + 56*x^3 + 32*x^4",
+        )
+
+    def test_aliasing_pair_in_a_left_side_row_breaks_convolutions(self, monkeypatch):
+        # R_5 is only ever a left side at n = 3, where the right sides alone
+        # would give X = 2^9: +2^9 at x^2 and -1 at x^3 cancel there
+        monkeypatch.setattr(triangles, "poly_R", corrupt_triangle(
+            corrupt_triangle(triangles.poly_R, 5, 2, 2 ** 9), 5, 3, -1))
+        assert self._failure(idn.check_convolutions(8)) == (
+            3, "R_(n+2) = 2 sum C(n,k) T_k T_(n-k+1)",
+            "2*x + 540*x^2 + 57*x^3 + 32*x^4", "2*x + 28*x^2 + 58*x^3 + 32*x^4",
+        )
+
+    def test_huge_entry_in_alt_row_breaks_convolutions(self, monkeypatch):
+        monkeypatch.setattr(
+            triangles, "poly_T", corrupt_triangle(triangles.poly_T, 4, 2, 3 ** 200)
+        )
+        assert self._failure(idn.check_convolutions(8)) == (
+            *self.T4_FAILURE,
+            "2*x + 53122797775174953867756264407155925365846690530678899194914992347"
+            "8184981802604365988769398088030*x^2 + 58*x^3 + 32*x^4",
+        )
+
+    def test_negated_entry_in_alt_row_breaks_convolutions(self, monkeypatch):
+        # T_4 = x + 7x^2 + ... with -7x^2 cancels R_5's x^2 term on the right
+        monkeypatch.setattr(
+            triangles, "poly_T", corrupt_triangle(triangles.poly_T, 4, 2, -14)
+        )
+        assert self._failure(idn.check_convolutions(8)) == (
+            *self.T4_FAILURE, "2*x + 58*x^3 + 32*x^4",
         )
 
     def test_corrupt_alt_polynomial_breaks_alt_from_runs(self, monkeypatch):
