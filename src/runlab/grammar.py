@@ -186,6 +186,18 @@ def _align(polys: "Sequence[MPoly]", top: int):
     return letters, width, [_repack(p, letters, width) for p in polys]
 
 
+def _mul_into(acc: "dict[int, int]", a: "dict[int, int]", b: "dict[int, int]",
+              scale: int = 1) -> None:
+    """Add ``scale`` times the product of the packed terms ``a`` and ``b``
+    into ``acc``; the keys of all three must share one alphabet and width."""
+    b_items = b.items()
+    for k1, c1 in a.items():
+        c1 *= scale
+        for k2, c2 in b_items:
+            m = k1 + k2
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
 class MPoly:
     """Sparse multivariate polynomial with int coefficients.
 
@@ -297,10 +309,7 @@ class MPoly:
         top = self._top + other._top
         letters, width, (a, b) = _align((self, other), top)
         out: "dict[int, int]" = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
+        _mul_into(out, a, b)
         return _mpoly(letters, width, top, out)
 
     __rmul__ = __mul__
@@ -390,11 +399,14 @@ class Grammar:
         deltas = []
         for i, letter in enumerate(letters):
             rule = self.rules[letter]
-            terms = _repack(rule, letters, rule._width)
-            deltas.append(tuple(
-                (tuple(e - (j == i) for j, e in enumerate(v)), c)
-                for v, c in zip(_unpack(terms, len(letters), rule._width), terms.values())
-            ))
+            compiled = []
+            for v, c in zip(_unpack(rule._terms, len(rule._letters), rule._width),
+                            rule._terms.values()):
+                # a rule's alphabet may hold undeclared letters, at exponent 0
+                exps = dict(zip(rule._letters, v))
+                delta = tuple(exps.get(l, 0) - (j == i) for j, l in enumerate(letters))
+                compiled.append((delta, c))
+            deltas.append(tuple(compiled))
         deltas = tuple(deltas)
         _set(self, "_letters", letters)
         _set(self, "_deltas", deltas)
@@ -481,13 +493,7 @@ def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:
     letters, width, terms = _align(du + dv, top)
     acc: "dict[int, int]" = {}
     for k in range(n + 1):
-        ck = comb(n, k)
-        b = terms[2 * n + 1 - k].items()
-        for k1, c1 in terms[k].items():
-            c1 *= ck
-            for k2, c2 in b:
-                m = k1 + k2
-                acc[m] = acc.get(m, 0) + c1 * c2
+        _mul_into(acc, terms[k], terms[2 * n + 1 - k], comb(n, k))
     return d_power(g, u * v, n) == _mpoly(letters, width, top, acc)
 
 

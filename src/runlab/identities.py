@@ -389,8 +389,8 @@ _CONVOLUTIONS = (
 
 def _convolution_sides(n: int, T, R, W, Wt):
     """The five convolution formulas at ``n`` as ``(bits, sides)``: each
-    side is ``(formula, lhs, lhs(2**bits), rhs(2**bits))``, with ``lhs``
-    the polynomial on the left and ``rhs`` the right-hand sum.
+    side is ``(formula, lhs(2**bits), rhs(2**bits))``, with ``lhs`` the
+    polynomial on the left and ``rhs`` the right-hand sum.
 
     ``bits`` exceeds by 2 the bit length of a bound on the absolute
     value of every coefficient of either side of every formula: the 1-norm
@@ -419,11 +419,9 @@ def _convolution_sides(n: int, T, R, W, Wt):
     # W and Wt enter as W(x^2), so they are evaluated at X^2
     t, r, w, wt = ([_kron(row, bits) for row in family]
                    for family, bits in zip(rows, (b, b, 2 * b, 2 * b)))
-    lefts = ((R[n + 1], r[n + 1]), (R[n + 2], r[n + 2]), (R[n + 2], r[n + 2]),
-             (T[n + 1], t[n + 1]), (T[n + 1], t[n + 1]))
+    lefts = (r[n + 1], r[n + 2], r[n + 2], t[n + 1], t[n + 1])
     rights = right_sides(t, r, w, wt, lambda v, j: v << j * b)
-    return b, tuple((formula, lhs, lhs_value, rhs_value) for formula, (lhs, lhs_value), rhs_value
-                    in zip(_CONVOLUTIONS, lefts, rights))
+    return b, tuple(zip(_CONVOLUTIONS, lefts, rights))
 
 
 def check_convolutions(n_max: int = 20) -> CheckReport:
@@ -440,9 +438,9 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     mean equal polynomials: if the two sides differed, their difference
     D would be nonzero with every coefficient below X in absolute value,
     and D(X) = 0 would force X to divide its lowest nonzero coefficient.
-    On a mismatch the right-hand value is decoded into its balanced
-    base-X digits, which are exactly the coefficients the term-by-term
-    sum would build, since each lies in (-X/2, X/2).
+    On a mismatch both values are decoded into their balanced base-X
+    digits, which are exactly the coefficients of the left-hand row and
+    of the term-by-term sum, since each lies in (-X/2, X/2).
     """
     params = {"n_max": n_max}
     ident = "poly/convolutions"
@@ -452,9 +450,10 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     Wt = triangles.poly_Wtilde(n_max)
     for n in range(1, n_max + 1):
         b, sides = _convolution_sides(n, T, R, W, Wt)
-        for formula, lhs, lhs_value, rhs_value in sides:
+        for formula, lhs_value, rhs_value in sides:
             if lhs_value != rhs_value:
-                return _failed(ident, params, n, formula, lhs, _unkron(rhs_value, b))
+                return _failed(ident, params, n, formula,
+                               _unkron(lhs_value, b), _unkron(rhs_value, b))
     return _passed(ident, params)
 
 

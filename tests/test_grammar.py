@@ -162,6 +162,18 @@ class TestDerivation:
         v = data.draw(mpolys(letters=letters))
         assert gr.leibniz_check(g, u, v, n)
 
+    def test_rule_alphabet_may_hold_undeclared_letters(self):
+        # x*w - x*w keeps w in the alphabet of the rule for x at exponent 0
+        # in every term; w has no rule, and compiling must ignore it
+        w, x, y = (gr.MPoly.letter(l) for l in "wxy")
+        rule_x = x * y + x * w + (-1) * (x * w)
+        assert rule_x._letters == ("w", "x", "y") and rule_x.letters() == ("x", "y")
+        padded = gr.Grammar({"x": rule_x, "y": x * y * y})
+        plain = gr.Grammar({"x": x * y, "y": x * y * y})
+        p = x * x * y + gr.MPoly.monomial({"x": 70000, "y": 3}, 5)
+        for n in range(5):
+            assert gr.d_power(padded, p, n) == gr.d_power(plain, p, n)
+
     def test_leibniz_examples(self):
         g = gr.builtin("main")
         x, y = gr.MPoly.letter("x"), gr.MPoly.letter("y")

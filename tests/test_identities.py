@@ -78,8 +78,7 @@ class TestPolynomialChecks:
                                             for k in range(n)), RatPoly())),
             ]
             assert len(sides) == len(expected)
-            for (_, lhs, lhs_value, rhs_value), (lhs_poly, rhs_poly) in zip(sides, expected):
-                assert lhs == lhs_poly
+            for (_, lhs_value, rhs_value), (lhs_poly, rhs_poly) in zip(sides, expected):
                 assert idn._unkron(lhs_value, b) == lhs_poly
                 assert idn._unkron(rhs_value, b) == rhs_poly
                 for coeff in lhs_poly.coeffs + rhs_poly.coeffs:
