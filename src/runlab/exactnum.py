@@ -290,10 +290,10 @@ class RatPoly:
 
     Every polynomial the checks build lies in Z[x], so the constructor
     takes ``int`` coefficients only and raises ``TypeError`` on any
-    other type, ``bool`` included; sums, products with ``int`` scalars,
-    derivatives and stretches keep them integral.  Trailing zero
-    coefficients are trimmed on construction, so equality is structural.
-    The zero polynomial has degree ``NEG_INF``.
+    other type, ``bool`` included; sums, products with ``int`` scalars
+    and derivatives keep them integral.  Trailing zero coefficients are
+    trimmed on construction, so equality is structural.  The zero
+    polynomial has degree ``NEG_INF``.
     """
 
     __slots__ = ("_coeffs",)
@@ -354,15 +354,6 @@ class RatPoly:
 
     def derivative(self) -> "RatPoly":
         return RatPoly(k * c for k, c in enumerate(self._coeffs) if k)
-
-    def stretch(self, k: int) -> "RatPoly":
-        """Substitute x -> x**k."""
-        if k < 1:
-            raise ValueError("stretch factor must be >= 1")
-        out = [0] * (len(self._coeffs) * k)
-        for i, c in enumerate(self._coeffs):
-            out[i * k] = c
-        return RatPoly(out)
 
     def __call__(self, point):
         """Horner evaluation at an int, Fraction or QuadExt point.

@@ -117,9 +117,10 @@ _set = object.__setattr__
 _WIDTH = 16
 
 
-def _fit(top: int, width: int) -> int:
-    """The smallest of width, 2*width, 4*width, ... whose fields hold
-    every exponent up to ``top`` below their top bit."""
+def _fit(top: int) -> int:
+    """The field width for exponents up to ``top``: the smallest of _WIDTH,
+    2*_WIDTH, 4*_WIDTH, ... bits whose fields hold ``top`` below their top bit."""
+    width = _WIDTH
     while top >> (width - 1):
         width *= 2
     return width
@@ -138,18 +139,16 @@ def _unpack(keys: "Iterable[int]", n: int, width: int) -> "list[list[int]]":
     return [[k >> s & mask for s in shifts] for k in keys]
 
 
-def _mpoly(letters: "tuple[str, ...]", width: int, top: int,
-           terms: "dict[int, int]") -> "MPoly":
+def _mpoly(letters: "tuple[str, ...]", top: int, terms: "dict[int, int]") -> "MPoly":
     """The MPoly with ``terms`` over ``letters``, zero coefficients dropped.
 
     The trusted path: ``letters`` must be a sorted tuple of valid
-    letters, every key a packed exponent vector over them in fields of
-    ``width`` bits, ``top`` at least every exponent and below
-    ``2**(width - 1)``, and every coefficient an int.
+    letters, ``top`` at least every exponent, every key a packed exponent
+    vector over ``letters`` in fields of ``_fit(top)`` bits, and every
+    coefficient an int.
     """
     p = object.__new__(MPoly)
     _set(p, "_letters", letters)
-    _set(p, "_width", width)
     _set(p, "_top", top)
     _set(p, "_terms", {k: c for k, c in terms.items() if c})
     return p
@@ -161,12 +160,13 @@ def _repack(p: "MPoly", letters: "tuple[str, ...]", width: int) -> "dict[int, in
     Letters of ``p`` outside ``letters`` are dropped, so their exponents
     must be 0 in every term; ``width`` must hold ``p``'s exponents.
     """
-    if p._letters == letters and p._width == width:
+    own_width = _fit(p._top)
+    if p._letters == letters and own_width == width:
         return p._terms
     own = p._letters
-    mask = (1 << p._width) - 1
+    mask = (1 << own_width) - 1
     dest = dict(zip(letters, _shifts(len(letters), width)))
-    moves = [(s, dest[l]) for l, s in zip(own, _shifts(len(own), p._width)) if l in dest]
+    moves = [(s, dest[l]) for l, s in zip(own, _shifts(len(own), own_width)) if l in dest]
     out = {}
     for k, c in p._terms.items():
         m = 0
@@ -177,13 +177,13 @@ def _repack(p: "MPoly", letters: "tuple[str, ...]", width: int) -> "dict[int, in
 
 
 def _align(polys: "Sequence[MPoly]", top: int):
-    """(letters, width, terms of each poly) over the union of the
-    alphabets, in the widest of the polys' widths that holds ``top``."""
+    """(letters, terms of each poly) over the union of the alphabets, in
+    fields of ``_fit(top)`` bits; ``top`` must bound every poly's exponents."""
     letters = polys[0]._letters
     if any(p._letters != letters for p in polys):
         letters = tuple(sorted({l for p in polys for l in p._letters}))
-    width = _fit(top, max(p._width for p in polys))
-    return letters, width, [_repack(p, letters, width) for p in polys]
+    width = _fit(top)
+    return letters, [_repack(p, letters, width) for p in polys]
 
 
 def _mul_into(acc: "dict[int, int]", a: "dict[int, int]", b: "dict[int, int]",
@@ -210,25 +210,26 @@ class MPoly:
     letters, used for printing and serialization), and multiplying two
     monomials adds their keys.
 
-    Exponents are unbounded.  Each polynomial carries its field width
-    and an upper bound ``top`` on its exponents, kept below the top bit
-    of a field.  An operation first bounds the exponents of its result;
-    when that bound would reach the top bit, it repacks its operands at
-    twice the width (as often as needed), so no field ever carries into
-    the next.  New polynomials start at ``_WIDTH`` bits.
+    Exponents are unbounded.  Each polynomial carries an upper bound
+    ``top`` on its exponents, and its field width is ``_fit(top)``: the
+    smallest of 16, 32, 64, ... bits whose fields hold ``top`` below
+    their top bit.  An operation first bounds the exponents of its
+    result and packs its operands at that bound's width, so no field
+    carries into the next.
 
     The alphabet may hold letters whose exponent is 0 in every term (a
     derivative keeps its grammar's alphabet), so operations and equality
-    align two polynomials over the union of their alphabets and the
-    wider of their widths.  Zero coefficients are never stored, so
+    align two polynomials over the union of their alphabets and one
+    width that holds both.  Zero coefficients are never stored, so
     equality is structural.
 
     ``MPoly(...)``, :meth:`letter` and :meth:`monomial` validate through
-    :class:`Monomial`; arithmetic builds its results from packed keys
-    directly.
+    :class:`Monomial`.  Coefficients and scalars are ``int`` only, with
+    ``bool`` refused as by ``RatPoly``; arithmetic builds its results
+    from packed keys directly.
     """
 
-    __slots__ = ("_letters", "_width", "_top", "_terms")
+    __slots__ = ("_letters", "_top", "_terms")
 
     def __init__(self, terms: "Mapping[Monomial, int] | Iterable[tuple[Monomial, int]]" = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -236,12 +237,12 @@ class MPoly:
         for mono, c in items:
             if not isinstance(mono, Monomial):
                 raise TypeError("MPoly terms are keyed by Monomial")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError("MPoly coefficients must be int")
             checked.append((mono, c))
         letters = tuple(sorted({l for mono, _ in checked for l in mono.letters}))
         top = max((e for mono, _ in checked for _, e in mono.items()), default=0)
-        width = _fit(top, _WIDTH)
+        width = _fit(top)
         agg: "dict[int, int]" = {}
         for mono, c in checked:
             k = 0
@@ -249,7 +250,6 @@ class MPoly:
                 k = k << width | e
             agg[k] = agg.get(k, 0) + c
         _set(self, "_letters", letters)
-        _set(self, "_width", width)
         _set(self, "_top", top)
         _set(self, "_terms", {k: c for k, c in agg.items() if c})
 
@@ -270,14 +270,14 @@ class MPoly:
 
     def _monomials(self, keys: "Iterable[int]") -> "list[Monomial]":
         letters = self._letters
-        return [Monomial(zip(letters, v)) for v in _unpack(keys, len(letters), self._width)]
+        return [Monomial(zip(letters, v)) for v in _unpack(keys, len(letters), _fit(self._top))]
 
     def terms(self):
         terms = self._terms
         return dict(zip(self._monomials(terms), terms.values())).items()
 
     def letters(self) -> "tuple[str, ...]":
-        vectors = _unpack(self._terms, len(self._letters), self._width)
+        vectors = _unpack(self._terms, len(self._letters), _fit(self._top))
         return tuple(
             l for i, l in enumerate(self._letters) if any(v[i] for v in vectors)
         )
@@ -289,28 +289,28 @@ class MPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = _mpoly((), _WIDTH, 0, {0: other})
+        if type(other) is int:
+            other = _mpoly((), 0, {0: other})
         if not isinstance(other, MPoly):
             return NotImplemented
         top = max(self._top, other._top)
-        letters, width, (a, b) = _align((self, other), top)
+        letters, (a, b) = _align((self, other), top)
         out = dict(a)
         for k, c in b.items():
             out[k] = out.get(k, 0) + c
-        return _mpoly(letters, width, top, out)
+        return _mpoly(letters, top, out)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _mpoly(self._letters, self._width, self._top,
+        if type(other) is int:
+            return _mpoly(self._letters, self._top,
                           {k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         top = self._top + other._top
-        letters, width, (a, b) = _align((self, other), top)
+        letters, (a, b) = _align((self, other), top)
         out: "dict[int, int]" = {}
         _mul_into(out, a, b)
-        return _mpoly(letters, width, top, out)
+        return _mpoly(letters, top, out)
 
     __rmul__ = __mul__
 
@@ -320,11 +320,11 @@ class MPoly:
         return len(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = _mpoly((), _WIDTH, 0, {0: other})
+        if type(other) is int:
+            other = _mpoly((), 0, {0: other})
         if not isinstance(other, MPoly):
             return NotImplemented
-        _, _, (a, b) = _align((self, other), max(self._top, other._top))
+        _, (a, b) = _align((self, other), max(self._top, other._top))
         return a == b
 
     __hash__ = None  # dict-backed; not hashable
@@ -400,7 +400,7 @@ class Grammar:
         for i, letter in enumerate(letters):
             rule = self.rules[letter]
             compiled = []
-            for v, c in zip(_unpack(rule._terms, len(rule._letters), rule._width),
+            for v, c in zip(_unpack(rule._terms, len(rule._letters), _fit(rule._top)),
                             rule._terms.values()):
                 # a rule's alphabet may hold undeclared letters, at exponent 0
                 exps = dict(zip(rule._letters, v))
@@ -446,12 +446,12 @@ def d_apply(g: Grammar, p: MPoly) -> MPoly:
     """
     letters = g._letters
     if p._letters != letters:
-        for v in _unpack(p._terms, len(p._letters), p._width):
+        for v in _unpack(p._terms, len(p._letters), _fit(p._top)):
             for letter, e in zip(p._letters, v):
                 if e and letter not in g.rules:
                     raise ValueError(f"letter {letter!r} has no rule in this grammar")
     top = p._top + g._grow
-    width = _fit(top, p._width)
+    width = _fit(top)
     fields = g._fields(width)
     mask = (1 << width) - 1
     acc: "dict[int, int]" = {}
@@ -463,7 +463,7 @@ def d_apply(g: Grammar, p: MPoly) -> MPoly:
                 for delta, rc in rule:
                     m = k + delta
                     acc[m] = acc.get(m, 0) + ce * rc
-    return _mpoly(letters, width, top, acc)
+    return _mpoly(letters, top, acc)
 
 
 def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
@@ -475,12 +475,12 @@ def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
     return p
 
 
-def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:
-    """Whether D^n(u*v) equals sum_k C(n,k) D^k(u) D^(n-k)(v) exactly.
+def _leibniz_sides(g: Grammar, u: MPoly, v: MPoly, n: int) -> "tuple[MPoly, MPoly]":
+    """D^n(u*v) and sum_k C(n,k) D^k(u) D^(n-k)(v).
 
-    The right-hand side is summed into one dict of packed keys, every
-    derivative aligned first to one alphabet and one width that holds
-    the exponents of each product.
+    The sum is accumulated in one dict of packed keys, every derivative
+    aligned first to one alphabet and to the width that holds the
+    exponents of each product.
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
@@ -490,11 +490,17 @@ def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:
         du.append(d_apply(g, du[-1]))
         dv.append(d_apply(g, dv[-1]))
     top = max(du[k]._top + dv[n - k]._top for k in range(n + 1))
-    letters, width, terms = _align(du + dv, top)
+    letters, terms = _align(du + dv, top)
     acc: "dict[int, int]" = {}
     for k in range(n + 1):
         _mul_into(acc, terms[k], terms[2 * n + 1 - k], comb(n, k))
-    return d_power(g, u * v, n) == _mpoly(letters, width, top, acc)
+    return d_power(g, u * v, n), _mpoly(letters, top, acc)
+
+
+def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:
+    """Whether D^n(u*v) equals sum_k C(n,k) D^k(u) D^(n-k)(v) exactly."""
+    lhs, rhs = _leibniz_sides(g, u, v, n)
+    return lhs == rhs
 
 
 # ----------------------------------------------------------------------
@@ -530,9 +536,10 @@ def _tokenize(src: str) -> "list[tuple[str, str, int]]":
         elif ch in _PUNCT:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
+            # isdecimal, not isdigit: exactly the digits int() reads
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(("INT", src[i:j], i))
             i = j

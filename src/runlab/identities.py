@@ -183,16 +183,32 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     raise ValueError(f"no default plan for identity {identity!r}")
 
 
-def _require(plan: SamplePlan, singular: "Callable[[Fraction], bool]", what: str,
-             ident: str, needed: int) -> None:
-    """Refuse a plan with a point singular for ``what``, or with fewer
-    points than the degree bound needs to certify ``ident``."""
+#: Per pointwise check: the sample points that certify it for every
+#: n <= n_max (one more than its degree bound after clearing
+#: denominators), the points where it is singular, and what for.
+_POINTWISE = {
+    "runs-from-peaks": (lambda n: n + 2, lambda x: x == -1, "W_n(2x/(1+x))"),
+    "tangent": (lambda n: 2 * n + 3, lambda x: x in (0, 1, -1), "the tangent closed forms"),
+    "david-barton": (lambda n: 2 * n + 3, lambda x: x == 0 or abs(x) >= 1,
+                     "the descent closed form"),
+}
+
+
+def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
+    """``plan``, or the stock plan when it is None, refused if a point is
+    singular for ``closed/<kind>`` or if it has fewer points than that
+    check needs at ``n_max``."""
+    points_for, singular, what = _POINTWISE[kind]
+    needed = points_for(n_max)
+    if plan is None:
+        plan = default_plan(kind, needed)
     for x in plan.points:
         if singular(x):
             raise ValueError(f"sample point {x} is singular for {what}")
     if len(plan) < needed:
-        raise ValueError(f"{len(plan)} sample points cannot certify {ident}: "
+        raise ValueError(f"{len(plan)} sample points cannot certify closed/{kind}: "
                          f"the degree bound needs at least {needed}")
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +353,7 @@ def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> Ch
         v = _random_mpoly(rng, letters)
         n = rng.randint(0, n_max)
         if not grammar.leibniz_check(g, u, v, n):
-            lhs = grammar.d_power(g, u * v, n)
-            rhs = grammar.MPoly.zero()
-            for k in range(n + 1):
-                rhs = rhs + comb(n, k) * (
-                    grammar.d_power(g, u, k) * grammar.d_power(g, v, n - k)
-                )
+            lhs, rhs = grammar._leibniz_sides(g, u, v, n)
             return _failed(
                 "grammar/leibniz", params, n,
                 f"case {case}: grammar={name}, u={u}, v={v}", lhs, rhs,
@@ -508,11 +519,8 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     the degree is at most n, so the n_max+2 sample points certify every
     n <= n_max.
     """
-    needed = n_max + 2
-    if plan is None:
-        plan = default_plan("runs-from-peaks", needed)
     ident = "closed/runs-from-peaks"
-    _require(plan, lambda x: x == -1, "W_n(2x/(1+x))", ident, needed)
+    plan = _require(plan, "runs-from-peaks", n_max)
     params = {"n_max": n_max, "points": len(plan)}
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
@@ -545,11 +553,8 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     rational parts are compared.  After clearing denominators the degree
     is at most 2n+2, so 2*n_max+3 points certify every n <= n_max.
     """
-    needed = 2 * n_max + 3
-    if plan is None:
-        plan = default_plan("tangent", needed)
     ident = "closed/tangent"
-    _require(plan, lambda x: x in (0, 1, -1), "the tangent closed forms", ident, needed)
+    plan = _require(plan, "tangent", n_max)
     params = {"n_max": n_max, "points": len(plan)}
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
@@ -586,11 +591,8 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     rho^2 = 1-x^2.  Points stay in (-1,1) \\ {0}; the sqrt component of
     every evaluation must vanish exactly.
     """
-    needed = 2 * n_max + 3
-    if plan is None:
-        plan = default_plan("david-barton", needed)
     ident = "closed/david-barton"
-    _require(plan, lambda x: x == 0 or abs(x) >= 1, "the descent closed form", ident, needed)
+    plan = _require(plan, "david-barton", n_max)
     params = {"n_max": n_max, "points": len(plan)}
     A = triangles.poly_A(n_max)
     R = triangles.poly_R(n_max)
@@ -680,12 +682,8 @@ def check_stanley_gf(t0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) 
     den = ((1 - t0 * t0) + rho) + e2 * ((1 - t0 * t0) - rho)
     rhs = num / den * (1 - t0)
     T = triangles.poly_T(order)
-    expected = []
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        expected.append(T[n](t0) / fact)
+    # over a reversed row of n+1 entries, sum_k row[k] t0^(n-k) is T_n(t0)
+    expected = _egf_coeffs(lambda n: T.row(n)[::-1], t0, order)
     return _check_series(ident, params, rhs, expected)
 
 
@@ -777,10 +775,16 @@ def run_suite(
             (check_altsubseq_gf, final_x0s, DEFAULT_FINAL_X0S),
         )
     ]
+    pointwise = (
+        (check_runs_from_peaks, "runs-from-peaks", bound(20)),
+        (check_tangent_forms, "tangent", bound(12)),
+        (check_david_barton, "david-barton", bound(12)),
+    )
     plans: "dict[str, SamplePlan]" = {}
     if points is not None and suite in ("all", "closed-forms"):
-        plans = {kind: default_plan(kind, points)
-                 for kind in ("runs-from-peaks", "tangent", "david-barton")}
+        # in the order the checks run; stock points are never singular
+        plans = {kind: _require(default_plan(kind, points), kind, n)
+                 for _, kind, n in pointwise}
 
     reports: "list[CheckReport]" = []
     if suite in ("all", "grammar"):
@@ -797,12 +801,8 @@ def run_suite(
             check_recurrence_consistency(bound(20)),
         ]
     if suite in ("all", "closed-forms"):
-        reports += [
-            check_alt_from_runs(bound(25)),
-            check_runs_from_peaks(bound(20), plans.get("runs-from-peaks")),
-            check_tangent_forms(bound(12), plans.get("tangent")),
-            check_david_barton(bound(12), plans.get("david-barton")),
-        ]
+        reports.append(check_alt_from_runs(bound(25)))
+        reports += [check(n, plans.get(kind)) for check, kind, n in pointwise]
     if suite in ("all", "gf"):
         for check, x0s in gf_checks:
             reports += [check(x0, order) for x0 in x0s]

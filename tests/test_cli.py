@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from runlab import cli, triangles
+from runlab import cli, identities, triangles
 from tests.test_identities import corrupt_triangle
 
 
@@ -351,6 +351,11 @@ class TestGrammarCommand:
         assert code == 2
         assert "position 7" in err
 
+    def test_non_decimal_digit_exits_2_with_position(self, capsys):
+        code, out, err = run(capsys, "grammar", "--builtin", "main", "--word", "x^²")
+        assert code == 2 and out == ""
+        assert err.endswith("error: unknown character '²' (at position 2)\n")
+
     def test_unknown_letter_exits_2(self, capsys):
         code, _, err = run(
             capsys, "grammar", "--builtin", "dumont", "--word", "z"
@@ -423,6 +428,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "certify" in err
+
+    def test_too_few_points_exit_2_before_any_check(self, capsys, monkeypatch):
+        # the grammar and convolution checks would run first in `all`
+        monkeypatch.setattr(identities, "check_grammar_runs",
+                            lambda *a: pytest.fail("a check ran"))
+        code, out, err = run(capsys, "verify", "all", "--n-max", "40", "--points", "5")
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: 5 sample points cannot certify closed/runs-from-peaks: "
+                            "the degree bound needs at least 42\n")
 
     def test_oracle_suite_runs_to_the_requested_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "oracle", "--n-max", "9")

@@ -145,9 +145,6 @@ class TestRatPoly:
         assert RatPoly((0, 0)).degree == NEG_INF
         assert RatPoly((1, 2)).degree == 1
 
-    def test_stretch(self):
-        assert RatPoly((1, 2, 3)).stretch(2) == RatPoly((1, 0, 2, 0, 3))
-
     def test_str(self):
         assert str(RatPoly((0, 2, 4))) == "2*x + 4*x^2"
         assert str(RatPoly((-3, -1, 0, 1))) == "-3 - x + x^3"

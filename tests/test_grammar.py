@@ -58,6 +58,14 @@ class TestParser:
             gr.parse_grammar("x -> x*% y")
         assert err.value.position == 7
 
+    def test_non_decimal_digit_is_an_unknown_character(self):
+        # '²' passes str.isdigit but int() refuses it
+        for parse, text, at in ((gr.parse_word, "x^²", 2), (gr.parse_grammar, "x -> x^²", 7)):
+            with pytest.raises(gr.GrammarError) as err:
+                parse(text)
+            assert str(err.value) == f"unknown character '²' (at position {at})"
+        assert gr.parse_word("x^\u0663") == gr.MPoly.monomial({"x": 3})  # Arabic-Indic 3
+
     def test_duplicate_rule(self):
         with pytest.raises(gr.GrammarError, match="duplicate"):
             gr.parse_grammar("x -> x; x -> x*x")
@@ -224,3 +232,25 @@ class TestMonomialValidation:
     def test_other_non_ints_rejected(self, e):
         with pytest.raises(ValueError, match="must be a nonnegative int"):
             gr.Monomial({"x": e})
+
+
+class TestMPolyBool:
+    """bool coefficients and scalars are refused, as by RatPoly."""
+
+    @pytest.mark.parametrize("b", [True, False])
+    def test_bool_coefficients_rejected(self, b):
+        with pytest.raises(TypeError, match="MPoly coefficients must be int"):
+            gr.MPoly.monomial({"x": 1}, b)
+        with pytest.raises(TypeError, match="MPoly coefficients must be int"):
+            gr.MPoly([(gr.Monomial({"x": 1}), b)])
+
+    @pytest.mark.parametrize("b", [True, False])
+    def test_bool_scalars_rejected(self, b):
+        p = gr.MPoly.letter("x")
+        for op in (lambda: p + b, lambda: p * b, lambda: b * p):
+            with pytest.raises(TypeError):
+                op()
+        one = gr.MPoly.monomial({}, 1)
+        assert one == 1 and one != True  # noqa: E712
+        assert gr.MPoly.zero() == 0 and gr.MPoly.zero() != False  # noqa: E712
+        assert one + 1 == 2 * one

@@ -62,6 +62,12 @@ class TestPolynomialChecks:
         W = triangles.poly_W(12)
         Wt = triangles.poly_Wtilde(12)
         x, x2 = RatPoly((0, 1)), RatPoly((0, 0, 1))
+
+        def at_x2(p):  # p(x^2)
+            out = [0] * (2 * len(p.coeffs))
+            out[::2] = p.coeffs
+            return RatPoly(out)
+
         for n in range(1, 13):
             b, sides = idn._convolution_sides(n, T, R, W, Wt)
             c = [comb(n, k) for k in range(n + 1)]
@@ -69,12 +75,12 @@ class TestPolynomialChecks:
                 (R[n + 1], sum((c[k] * (T[k] * T[n - k]) for k in range(n + 1)), RatPoly())),
                 (R[n + 2], 2 * sum((c[k] * (T[k] * T[n - k + 1]) for k in range(n + 1)),
                                    RatPoly())),
-                (R[n + 2], 2 * x * Wt[n].stretch(2) + 2 * x * sum(
-                    (c[k] * (R[k + 1] * Wt[n - k].stretch(2)) for k in range(1, n + 1)),
+                (R[n + 2], 2 * x * at_x2(Wt[n]) + 2 * x * sum(
+                    (c[k] * (R[k + 1] * at_x2(Wt[n - k])) for k in range(1, n + 1)),
                     RatPoly())),
-                (T[n + 1], x * sum((c[k] * (T[k] * Wt[n - k].stretch(2))
+                (T[n + 1], x * sum((c[k] * (T[k] * at_x2(Wt[n - k]))
                                     for k in range(n + 1)), RatPoly())),
-                (T[n + 1], T[n] + x2 * sum((c[k] * (T[k] * W[n - k].stretch(2))
+                (T[n + 1], T[n] + x2 * sum((c[k] * (T[k] * at_x2(W[n - k]))
                                             for k in range(n)), RatPoly())),
             ]
             assert len(sides) == len(expected)
@@ -165,6 +171,23 @@ class TestPointwiseChecks:
         for suite in ("all", "grammar"):
             with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
                 idn.run_suite(suite, points=count)
+
+    @pytest.mark.parametrize("points, n_max, named, needed", [
+        (5, 40, "runs-from-peaks", 42), (20, 12, "tangent", 27),
+    ])
+    def test_too_few_points_refused_before_any_check_runs(self, monkeypatch, points, n_max,
+                                                          named, needed):
+        # each plan is held to its own check's degree bound up front, and
+        # the check that runs first is the one named
+        ran = []
+        for name in idn.__all__:
+            if name.startswith("check_"):
+                monkeypatch.setattr(idn, name, lambda *a, name=name, **k: ran.append(name))
+        message = (f"{points} sample points cannot certify closed/{named}: "
+                   f"the degree bound needs at least {needed}")
+        with pytest.raises(ValueError) as err:
+            idn.run_suite("all", n_max=n_max, points=points)
+        assert str(err.value) == message and ran == []
 
     def test_square_discriminants_still_work(self):
         # non-square d is a preference, not a requirement: x - 1 = 9/4 is square
