@@ -153,12 +153,10 @@ def _render_params(params: "dict[str, object]") -> str:
 def _cmd_verify(args) -> int:
     _guard_n(args.n_max, "n_max")
     _guard_n(args.order, "order")
-    _guard_n(args.points, "points")
     reports = identities.run_suite(
         args.suite,
         n_max=args.n_max,
         order=args.order,
-        points=args.points,
         carlitz_x0s=None if args.x0 is None else (args.x0,),
         final_x0s=None if args.x0 is None else (args.x0,),
         stanley_t0s=None if args.t0 is None else (args.t0,),
@@ -231,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override every check's n range")
     p.add_argument("--order", type=int, default=None,
                    help="series truncation order for the gf checks")
-    p.add_argument("--points", type=int, default=None,
-                   help="sample point count for the pointwise checks")
     p.add_argument("--x0", type=_fraction, default=None,
                    help="single base point for the EGF checks in z")
     p.add_argument("--t0", type=_fraction, default=None,

@@ -223,6 +223,13 @@ def _row_counts(row: "list[int]") -> "dict[int, int]":
     return {k: v for k, v in enumerate(row) if v}
 
 
+def _term_str(exps: "Mapping[str, int]", c: int) -> str:
+    """``c`` times the power product ``exps``, as ``MPoly`` prints a term,
+    negative exponents included."""
+    mono = "*".join(l if e == 1 else f"{l}^{e}" for l, e in sorted(exps.items()) if e)
+    return mono if c == 1 else f"{c}*{mono}"
+
+
 def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
             streams: "Sequence[tuple]", oracle: "Sequence[tuple]" = (),
             oracle_n_max: int = 0) -> CheckReport:
@@ -231,7 +238,8 @@ def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
     Each stream ``(seed, point, row, exponents)`` is derived under ``g``
     once per n = 1..n_max, in the order given, and derivative n must
     equal sum_k row(n)[k] * Monomial(exponents(n, k)) over the nonzero
-    entries of the row (k = 0 included); a mismatch fails at ``point``.
+    entries of the row (k = 0 included); a mismatch fails at ``point``,
+    as does an entry whose monomial would need a negative exponent.
     For n <= oracle_n_max each oracle row ``(stat, row, name)`` must then
     match the brute-force histogram of ``stat`` over S_n, all rows read
     from one class table of S_n; a mismatch puts the row first and the
@@ -241,11 +249,15 @@ def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
     for n in range(1, n_max + 1):
         for i, (_, point, row, exponents) in enumerate(streams):
             p = polys[i] = grammar.d_apply(g, polys[i])
+            terms = [(exponents(n, k), c) for k, c in enumerate(row(n)) if c]
+            # an entry past the degree of derivative n has a negative exponent
+            stray = [(e, c) for e, c in terms if min(e.values()) < 0]
             expected = grammar.MPoly(
-                (grammar.Monomial(exponents(n, k)), c)
-                for k, c in enumerate(row(n))
-                if c
+                (grammar.Monomial(e), c) for e, c in terms if min(e.values()) >= 0
             )
+            if stray:
+                return _failed(ident, params, n, point, p, " + ".join(
+                    [str(expected), *(_term_str(e, c) for e, c in stray)]))
             if p != expected:
                 return _failed(ident, params, n, point, p, expected)
         if n <= oracle_n_max:
@@ -287,13 +299,9 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
 
     Coefficients are compared against the euler triangle for n <= n_max
     and against the brute-force descent histogram for n <= oracle_n_max.
-
-    ``triangles.triangle_euler`` builds its rows from this same dumont
-    expansion, so the triangle half compares the grammar with itself:
-    with the rule ``y -> 2*x*y`` in both, ``check_dumont(12,
-    oracle_n_max=0)`` still passes, and only the oracle half catches the
-    swap (at n = 2).  For oracle_n_max < n <= n_max the check proves
-    nothing independent.
+    ``triangles.triangle_euler`` steps the eulerian recurrence
+    E(n,k) = (k+1)E(n-1,k) + (n-k)E(n-1,k-1) and never reads a grammar,
+    so each half is an independent comparison.
     """
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     tri = triangles.triangle_euler(n_max)
@@ -741,7 +749,6 @@ def run_suite(
     *,
     n_max: "int | None" = None,
     order: "int | None" = None,
-    points: "int | None" = None,
     carlitz_x0s: "Sequence[Rational] | None" = None,
     stanley_t0s: "Sequence[Rational] | None" = None,
     final_x0s: "Sequence[Rational] | None" = None,
@@ -765,8 +772,6 @@ def run_suite(
     def bound(default: int) -> int:
         return n_max if n_max is not None else default
 
-    if points is not None and points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
     gf_checks = [
         (check, [_series_point(x, order) for x in (stock if given is None else given)])
         for check, given, stock in (
@@ -775,16 +780,6 @@ def run_suite(
             (check_altsubseq_gf, final_x0s, DEFAULT_FINAL_X0S),
         )
     ]
-    pointwise = (
-        (check_runs_from_peaks, "runs-from-peaks", bound(20)),
-        (check_tangent_forms, "tangent", bound(12)),
-        (check_david_barton, "david-barton", bound(12)),
-    )
-    plans: "dict[str, SamplePlan]" = {}
-    if points is not None and suite in ("all", "closed-forms"):
-        # in the order the checks run; stock points are never singular
-        plans = {kind: _require(default_plan(kind, points), kind, n)
-                 for _, kind, n in pointwise}
 
     reports: "list[CheckReport]" = []
     if suite in ("all", "grammar"):
@@ -801,8 +796,12 @@ def run_suite(
             check_recurrence_consistency(bound(20)),
         ]
     if suite in ("all", "closed-forms"):
-        reports.append(check_alt_from_runs(bound(25)))
-        reports += [check(n, plans.get(kind)) for check, kind, n in pointwise]
+        reports += [
+            check_alt_from_runs(bound(25)),
+            check_runs_from_peaks(bound(20)),
+            check_tangent_forms(bound(12)),
+            check_david_barton(bound(12)),
+        ]
     if suite in ("all", "gf"):
         for check, x0s in gf_checks:
             reports += [check(x0, order) for x0 in x0s]

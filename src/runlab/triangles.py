@@ -1,25 +1,24 @@
 """Recurrence-driven integer families, one :class:`Family` per statistic.
 
-The run and altsubseq triangles come from one integer runner over a
-small table per recurrence, each (shift, a, b, c) entry adding
-(a*k + b*n + c) * T(n-1, k-shift) to entry k of row n; the polynomials
-R_n and T_n are those rows.  The peak polynomials W_n, Wt_n and the
-tangent polynomials P_n step a differential recurrence on ``RatPoly``,
-whose coefficients are integral by type.  The euler rows and A_n expand
-the dumont grammar.  Every generator runs from its smallest seed only
-and asserts any later printed seed row, so a mistranscribed recurrence
+Every family comes from one integer runner over a small table per
+recurrence, each (shift, a, b, c) entry adding
+(a*k + b*n + c) * F(n-1, k-shift) to entry k of row n: the run and
+altsubseq triangles, the peak and left-peak polynomials W_n and Wt_n,
+the tangent derivative polynomials P_n and the eulerian numbers.  The
+polynomials are those rows, and A_n is the euler row shifted by x; none
+of them reads the grammar module, so the grammar checks compare against
+independent numbers.  Every generator runs from its smallest seed only
+and asserts every later printed seed row, so a mistranscribed recurrence
 fails loudly instead of producing plausible garbage.
 
-Family rows are stored dense from k = 0 (recurrences reach k-1 and
-k-2, and dense rows avoid sentinel bugs at the boundaries).
+Family rows are stored dense from k = 0 (recurrences reach k+1, k-1
+and k-2, and dense rows avoid sentinel bugs at the boundaries).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from . import grammar
 from .exactnum import RatPoly
 
 __all__ = [
@@ -40,10 +39,7 @@ __all__ = [
 
 
 class ConsistencyError(RuntimeError):
-    """A generated family contradicts a printed seed row or its own shape."""
-
-
-_X = RatPoly((0, 1))
+    """A generated family contradicts a printed seed row."""
 
 
 @dataclass(frozen=True)
@@ -79,38 +75,49 @@ class Family:
         return RatPoly(self.row(n))
 
 
-#: Triangle recurrences, one (shift, a, b, c) entry per term: row n,
-#: column k of the triangle gets (a*k + b*n + c) * T(n-1, k-shift).
+#: Family recurrences, one (shift, a, b, c) entry per term: row n,
+#: column k of the family gets (a*k + b*n + c) * F(n-1, k-shift).
 _R_STEPS = ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 0))
 _A_STEPS = ((0, 1, 0, 0), (1, 0, 0, 1), (2, -1, 1, 1))
+_W_STEPS = ((0, 2, 0, 2), (1, -2, 1, 0))
+_WT_STEPS = ((0, 2, 0, 1), (1, -2, 1, 1))
+_P_STEPS = ((-1, 1, 0, 1), (1, 1, 0, -1))
+_EULER_STEPS = ((0, 1, 0, 1), (1, -1, 1, 0))
 
 
 def _run_steps(
     name: str,
     start: int,
+    first: "list[int]",
     steps: "tuple[tuple[int, int, int, int], ...]",
     seeds: "dict[int, list[int]]",
     n_max: int,
 ) -> Family:
     """Rows start..n_max of the triangle ``steps`` describes, from the
-    seed row T(start, 0) = 1.  Row n has n - start + 1 entries and only
-    k >= 1 is written; a printed row in ``seeds`` is asserted."""
+    row ``first`` at n = start.  Shifts run from -1 to 2, and each row
+    is trimmed of trailing zeros as a ``RatPoly`` is.  Every printed row
+    in ``seeds`` is asserted, whatever ``n_max`` is."""
     if n_max < start:
         raise ValueError(f"n_max must be >= {start}")
-    pad = max(s for s, *_ in steps)
-    rows = [[1]]
-    for n in range(start + 1, n_max + 1):
-        prev = [0] * pad + rows[-1] + [0]
-        row = [0] * (n - start + 1)
+    lo = min(s for s, *_ in steps)
+    hi = max(s for s, *_ in steps)
+    rows = [first]
+    for n in range(start + 1, max([n_max, *seeds]) + 1):
+        prev = [0] * hi + rows[-1] + [0] * (hi - lo)
+        width = len(rows[-1]) + hi
+        row = [0] * width
         for s, a, b, c in steps:
-            for k in range(1, len(row)):
-                row[k] += (a * k + b * n + c) * prev[k + pad - s]
+            m, off = b * n + c, hi - s
+            for k in range(width):
+                row[k] += (a * k + m) * prev[k + off]
+        while row and not row[-1]:
+            row.pop()
         expected = seeds.get(n)
         if expected is not None and row != expected:
             raise ConsistencyError(f"row {n} of the {name} triangle is {row}, "
                                    f"expected {expected}")
         rows.append(row)
-    return Family(name, start, rows)
+    return Family(name, start, rows[: n_max - start + 1])
 
 
 def triangle_R(n_max: int) -> Family:
@@ -120,7 +127,7 @@ def triangle_R(n_max: int) -> Family:
     R(n,k) = k*R(n-1,k) + 2*R(n-1,k-1) + (n-k)*R(n-1,k-2),
     seeded with R(1,0) = 1.
     """
-    return _run_steps("runs", 1, _R_STEPS, {}, n_max)
+    return _run_steps("runs", 1, [1], _R_STEPS, {}, n_max)
 
 
 def triangle_A(n_max: int) -> Family:
@@ -131,32 +138,7 @@ def triangle_A(n_max: int) -> Family:
     seeded with a_0(0) = 1; the printed row a_1(1) = 1, i.e. T_1 = x, is
     asserted.
     """
-    return _run_steps("altsubseq", 0, _A_STEPS, {1: [0, 1]}, n_max)
-
-
-def _recurrence_family(
-    name: str,
-    start: int,
-    first: RatPoly,
-    step: "Callable[[int, RatPoly], RatPoly]",
-    seeds: "dict[int, RatPoly]",
-    n_max: int,
-) -> Family:
-    """Run ``step`` from the smallest seed, asserting later seeds on the way."""
-    if n_max < start:
-        raise ValueError(f"n_max must be >= {start} for family {name!r}")
-    top = max(n_max, max(seeds) if seeds else start)
-    polys = [first]
-    for n in range(start, top):
-        nxt = step(n, polys[-1])
-        expected = seeds.get(n + 1)
-        if expected is not None and nxt != expected:
-            raise ConsistencyError(
-                f"family {name!r}: recurrence gives {nxt} at index {n + 1}, "
-                f"seed says {expected}"
-            )
-        polys.append(nxt)
-    return Family(name, start, [list(p.coeffs) for p in polys[: n_max - start + 1]])
+    return _run_steps("altsubseq", 0, [1], _A_STEPS, {1: [0, 1]}, n_max)
 
 
 def poly_R(n_max: int) -> Family:
@@ -171,42 +153,26 @@ def poly_T(n_max: int) -> Family:
 
 
 def poly_W(n_max: int) -> Family:
-    """Interior-peak polynomials from
-    W_(n+1) = (nx-x+2)W_n + 2x(1-x)W_n', seeded W_1 = 1; W_2, W_3 asserted."""
-    return _recurrence_family(
-        "W",
-        1,
-        RatPoly((1,)),
-        lambda n, p: RatPoly((2, n - 1)) * p + RatPoly((0, 2, -2)) * p.derivative(),
-        {2: RatPoly((2,)), 3: RatPoly((4, 2))},
-        n_max,
-    )
+    """Interior-peak polynomials, the coefficient form of
+    W_(n+1) = (nx-x+2)W_n + 2x(1-x)W_n':
+    W(n,k) = (2k+2)*W(n-1,k) + (n-2k)*W(n-1,k-1), seeded W_1 = 1; the
+    printed rows W_2 = 2, W_3 = 4+2x are asserted."""
+    return _run_steps("W", 1, [1], _W_STEPS, {2: [2], 3: [4, 2]}, n_max)
 
 
 def poly_Wtilde(n_max: int) -> Family:
-    """Left-peak polynomials from
-    Wt_(n+1) = (nx+1)Wt_n + 2x(1-x)Wt_n', seeded Wt_0 = 1; the printed
-    rows Wt_1 = 1, Wt_2 = 1+x, Wt_3 = 1+5x are asserted."""
-    return _recurrence_family(
-        "Wt",
-        0,
-        RatPoly((1,)),
-        lambda n, p: RatPoly((1, n)) * p + RatPoly((0, 2, -2)) * p.derivative(),
-        {1: RatPoly((1,)), 2: RatPoly((1, 1)), 3: RatPoly((1, 5))},
-        n_max,
-    )
+    """Left-peak polynomials, the coefficient form of
+    Wt_(n+1) = (nx+1)Wt_n + 2x(1-x)Wt_n':
+    Wt(n,k) = (2k+1)*Wt(n-1,k) + (n-2k+1)*Wt(n-1,k-1), seeded Wt_0 = 1;
+    the printed rows Wt_1 = 1, Wt_2 = 1+x, Wt_3 = 1+5x are asserted."""
+    return _run_steps("Wt", 0, [1], _WT_STEPS, {1: [1], 2: [1, 1], 3: [1, 5]}, n_max)
 
 
 def poly_P(n_max: int) -> Family:
-    """Tangent derivative polynomials: P_0 = x, P_(n+1) = (1+x^2)P_n'."""
-    return _recurrence_family(
-        "P",
-        0,
-        _X,
-        lambda n, p: RatPoly((1, 0, 1)) * p.derivative(),
-        {},
-        n_max,
-    )
+    """Tangent derivative polynomials, the coefficient form of
+    P_0 = x, P_(n+1) = (1+x^2)P_n':
+    P(n,k) = (k+1)*P(n-1,k+1) + (k-1)*P(n-1,k-1)."""
+    return _run_steps("P", 0, [0, 1], _P_STEPS, {}, n_max)
 
 
 def triangle_W(n_max: int) -> Family:
@@ -220,27 +186,9 @@ def triangle_Wtilde(n_max: int) -> Family:
 
 
 def triangle_euler(n_max: int) -> Family:
-    """Descent counts, expanded from the two-letter substitution grammar
-    {x -> xy, y -> xy}: the n-th derivative of x is
-    sum_k E(n,k) x^(k+1) y^(n-k), and E(n,k) is the euler row."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    g = grammar.builtin("dumont")
-    rows = []
-    p = grammar.MPoly.letter("x")
-    for n in range(1, n_max + 1):
-        p = grammar.d_apply(g, p)
-        row = [0] * n
-        for mono, c in p.terms():
-            k = mono.degree_of("x") - 1
-            if not (0 <= k < n and mono.degree_of("y") == n - k
-                    and mono.total_degree == n + 1):
-                raise ConsistencyError(
-                    f"unexpected monomial {mono} in derivative {n} of x"
-                )
-            row[k] = c
-        rows.append(row)
-    return Family("euler", 1, rows)
+    """Eulerian numbers, permutations of [n] by number of descents:
+    E(n,k) = (k+1)*E(n-1,k) + (n-k)*E(n-1,k-1), seeded E(1,0) = 1."""
+    return _run_steps("euler", 1, [1], _EULER_STEPS, {}, n_max)
 
 
 def poly_A(n_max: int) -> Family:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from runlab import cli, identities, triangles
+from runlab import cli, triangles
 from tests.test_identities import corrupt_triangle
 
 
@@ -414,30 +414,14 @@ class TestVerifyCommand:
         _, second, _ = run(capsys, "verify", "closed-forms", "--n-max", "4")
         assert first == second
 
-    def test_points_override(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "closed-forms", "--n-max", "4", "--points", "40"
-        )
-        assert code == 0
-        assert "points=40" in out
-
-    def test_under_certified_points_exit_2(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "closed-forms", "--n-max", "12", "--points", "2"
-        )
+    def test_points_option_exits_2(self, capsys, monkeypatch):
+        # each pointwise check takes the count its degree bound needs at
+        # --n-max; a count of the caller's own is a usage error
+        monkeypatch.setattr(cli.identities, "run_suite", lambda *a, **k: pytest.fail("ran"))
+        code, out, err = run(capsys, "verify", "closed-forms", "--points", "40")
         assert code == 2
         assert out == ""
-        assert "certify" in err
-
-    def test_too_few_points_exit_2_before_any_check(self, capsys, monkeypatch):
-        # the grammar and convolution checks would run first in `all`
-        monkeypatch.setattr(identities, "check_grammar_runs",
-                            lambda *a: pytest.fail("a check ran"))
-        code, out, err = run(capsys, "verify", "all", "--n-max", "40", "--points", "5")
-        assert code == 2
-        assert out == ""
-        assert err.endswith("error: 5 sample points cannot certify closed/runs-from-peaks: "
-                            "the degree bound needs at least 42\n")
+        assert err.endswith("error: unrecognized arguments: --points 40\n")
 
     def test_oracle_suite_runs_to_the_requested_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "oracle", "--n-max", "9")
@@ -456,7 +440,6 @@ class TestVerifyCommand:
         assert "error: oracle bound 15" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
-        (("grammar", "--points", "0"), "points must be >= 1, got 0"),
         (("grammar", "--order", "0"), "order must be >= 1"),
         (("oracle", "--order", "-3"), "order must be >= 1"),
         (("grammar", "--x0", "5"), "base point 5 must lie in (-1, 1)"),
@@ -464,7 +447,7 @@ class TestVerifyCommand:
         (("gf", "--n-max", "0"), "n_max must be >= 1, got 0"),
         (("gf", "--n-max", "-5"), "n_max must be >= 1, got -5"),
         (("oracle", "--n-max", "0"), "n_max must be >= 1, got 0"),
-    ], ids=["grammar-points", "grammar-order", "oracle-order", "grammar-x0",
+    ], ids=["grammar-order", "oracle-order", "grammar-x0",
             "convolutions-t0", "gf-n-max-0", "gf-n-max-negative", "oracle-n-max-0"])
     def test_options_the_suite_does_not_read_are_still_validated(self, capsys, argv,
                                                                  message):
@@ -518,15 +501,6 @@ class TestEnvironmentCeiling:
         code, _, err = run(capsys, "verify", "oracle", "--n-max", "9")
         assert code == 2
 
-    def test_ceiling_bounds_points(self, capsys, monkeypatch):
-        monkeypatch.setenv("RUNLAB_MAX_N", "5")
-        code, out, err = run(
-            capsys, "verify", "closed-forms", "--n-max", "3", "--points", "500"
-        )
-        assert code == 2
-        assert out == ""
-        assert "points 500 exceeds RUNLAB_MAX_N=5" in err
-
     def test_bad_ceiling_value(self, capsys, monkeypatch):
         monkeypatch.setenv("RUNLAB_MAX_N", "lots")
         code, _, err = run(capsys, "triangle", "runs", "3")
@@ -560,8 +534,9 @@ class TestConsoleEntry:
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_nonpositive_points_exit_2_at_once(self, points):
-        # an unbounded sample-point search would grow until killed: the
-        # timeout and the address-space cap turn a hang into a failure
+        # the sample-point count follows from --n-max, so there is no
+        # --points option to search with; the timeout and the address-space
+        # cap would turn a hang into a failure
         def cap_memory():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -575,7 +550,7 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert f"error: points must be >= 1, got {points}\n" in proc.stderr
+        assert f"error: unrecognized arguments: --points {points}\n" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, capsys):

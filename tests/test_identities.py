@@ -168,26 +168,6 @@ class TestPointwiseChecks:
         for kind in ("runs-from-peaks", "tangent", "david-barton"):
             with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
                 idn.default_plan(kind, count)
-        for suite in ("all", "grammar"):
-            with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
-                idn.run_suite(suite, points=count)
-
-    @pytest.mark.parametrize("points, n_max, named, needed", [
-        (5, 40, "runs-from-peaks", 42), (20, 12, "tangent", 27),
-    ])
-    def test_too_few_points_refused_before_any_check_runs(self, monkeypatch, points, n_max,
-                                                          named, needed):
-        # each plan is held to its own check's degree bound up front, and
-        # the check that runs first is the one named
-        ran = []
-        for name in idn.__all__:
-            if name.startswith("check_"):
-                monkeypatch.setattr(idn, name, lambda *a, name=name, **k: ran.append(name))
-        message = (f"{points} sample points cannot certify closed/{named}: "
-                   f"the degree bound needs at least {needed}")
-        with pytest.raises(ValueError) as err:
-            idn.run_suite("all", n_max=n_max, points=points)
-        assert str(err.value) == message and ran == []
 
     def test_square_discriminants_still_work(self):
         # non-square d is a preference, not a requirement: x - 1 = 9/4 is square
@@ -415,23 +395,54 @@ class TestFaultInjection:
 
     def test_perturbed_run_table_reaches_every_reader(self, monkeypatch):
         # the shift-2 coefficient n-k+1 of the A table in place of R's n-k:
-        # rows 1..3 survive, R(4,3) reads 12 instead of 10
+        # row 2 grows a third entry, R(2,2) = 1, that no permutation has
         monkeypatch.setattr(triangles, "_R_STEPS",
                             ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1)))
         assert self._failure(idn.check_oracle(6)) == (
-            4, "runs over S_4", "{1:2, 2:12, 3:10}", "{1:2, 2:12, 3:12}",
+            2, "runs over S_2", "{1:2}", "{1:2, 2:1}",
         )
+        # derivative 1 of x^2 reads row 2, whose extra entry needs z^-1
         assert self._failure(idn.check_grammar_runs(6)) == (
-            3, "derivative of x^2",
-            "2*x^2*y*z^2 + 12*x^2*y^2*z + 10*x^2*y^3",
-            "2*x^2*y*z^2 + 12*x^2*y^2*z + 12*x^2*y^3",
+            1, "derivative of x^2", "2*x^2*y", "2*x^2*y + x^2*y^2*z^-1",
         )
         assert self._failure(idn.check_alt_from_runs(6)) == (
-            4, "2 T_n = (1+x) R_n",
-            "2*x + 14*x^2 + 22*x^3 + 10*x^4", "2*x + 14*x^2 + 24*x^3 + 12*x^4",
+            2, "2 T_n = (1+x) R_n", "2*x + 2*x^2", "2*x + 3*x^2 + x^3",
         )
         assert self._failure(idn.check_tangent_forms(4)) == (
-            4, "R-form x=3/2", "141/2", "255/4",
+            2, "R-form x=3/2", "21/4", "3",
+        )
+
+    def test_perturbed_peak_table_reaches_oracle_and_grammar(self, monkeypatch):
+        # the shift-0 coefficient 3k+2 in place of 2k+2: the asserted rows
+        # W_2 and W_3 survive, W(4,1) reads 18 instead of 16
+        monkeypatch.setattr(triangles, "_W_STEPS", ((0, 3, 0, 2), (1, -2, 1, 0)))
+        assert self._failure(idn.check_oracle(6)) == (
+            4, "peaks over S_4", "{0:8, 1:16}", "{0:8, 1:18}",
+        )
+        assert self._failure(idn.check_peaks_grammar(6, 0)) == (
+            4, "derivative of z", "8*y^2*z^3 + 16*y^4*z", "8*y^2*z^3 + 18*y^4*z",
+        )
+
+    def test_perturbed_euler_table_reaches_oracle_and_grammar(self, monkeypatch):
+        # the shift-0 coefficient 2k+1 in place of k+1: E(3,1) reads 5
+        monkeypatch.setattr(triangles, "_EULER_STEPS", ((0, 2, 0, 1), (1, -1, 1, 0)))
+        assert self._failure(idn.check_oracle(6)) == (
+            3, "descents over S_3", "{0:1, 1:4, 2:1}", "{0:1, 1:5, 2:1}",
+        )
+        assert self._failure(idn.check_dumont(6, 0)) == (
+            3, "derivative of x",
+            "x*y^3 + 4*x^2*y^2 + x^3*y", "x*y^3 + 5*x^2*y^2 + x^3*y",
+        )
+
+    def test_swapped_dumont_rule_fails_without_the_oracle(self, monkeypatch):
+        # the euler rows come from their recurrence, not from this grammar,
+        # so y -> 2*x*y fails the triangle half on its own
+        real = grammar.builtin
+        monkeypatch.setattr(grammar, "builtin", lambda name: (
+            grammar.parse_grammar("x -> x*y; y -> 2*x*y") if name == "dumont"
+            else real(name)))
+        assert self._failure(idn.check_dumont(12, oracle_n_max=0)) == (
+            2, "derivative of x", "x*y^2 + 2*x^2*y", "x*y^2 + x^2*y",
         )
 
     def test_moved_descent_class_reaches_every_oracle_reader(self, monkeypatch):

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 from math import factorial
+from typing import Callable
 
 import pytest
 
+from runlab import grammar
 from runlab import triangles as tr
 from runlab.exactnum import RatPoly
+from runlab.triangles import ConsistencyError, Family
 
 F = Fraction
 
@@ -111,6 +114,14 @@ class TestPolyFamilies:
         for n in A.indices():
             assert A[n](F(1)) == factorial(n)
 
+    def test_rows_are_fresh_per_call(self):
+        # callers may edit the rows they get, as the fault tests do; the
+        # next build must not see the edit
+        for build in (tr.poly_P, tr.triangle_euler, tr.triangle_A):
+            family = build(3)
+            family.rows[0][-1] += 7
+            assert build(3).rows[0] != family.rows[0]
+
     def test_index_errors(self):
         with pytest.raises(ValueError):
             tr.poly_T(5)[6]
@@ -144,22 +155,97 @@ class TestPolyFamilies:
                     assert type(c) is int and c >= 0
 
 
-# The differential recurrences of R_n and T_n, stepped on polynomials: an
-# independent reference for the rows of the table runner.
+# Independent references for the rows of the table runner: the
+# differential recurrences of R_n, T_n, W_n, Wt_n and P_n stepped on
+# ``RatPoly``, and the euler rows expanded from the dumont grammar.
+
+
+def _recurrence_family(
+    name: str,
+    start: int,
+    first: RatPoly,
+    step: "Callable[[int, RatPoly], RatPoly]",
+    seeds: "dict[int, RatPoly]",
+    n_max: int,
+) -> Family:
+    """Run ``step`` from the smallest seed, asserting later seeds on the way."""
+    if n_max < start:
+        raise ValueError(f"n_max must be >= {start} for family {name!r}")
+    top = max(n_max, max(seeds) if seeds else start)
+    polys = [first]
+    for n in range(start, top):
+        nxt = step(n, polys[-1])
+        expected = seeds.get(n + 1)
+        if expected is not None and nxt != expected:
+            raise ConsistencyError(
+                f"family {name!r}: recurrence gives {nxt} at index {n + 1}, "
+                f"seed says {expected}"
+            )
+        polys.append(nxt)
+    return Family(name, start, [list(p.coeffs) for p in polys[: n_max - start + 1]])
+
+
 R_STEP = lambda n, p: RatPoly((0, 2, n - 1)) * p + RatPoly((0, 1, 0, -1)) * p.derivative()
 T_STEP = lambda n, p: RatPoly((0, 1, n)) * p + RatPoly((0, 1, 0, -1)) * p.derivative()
+W_STEP = lambda n, p: RatPoly((2, n - 1)) * p + RatPoly((0, 2, -2)) * p.derivative()
+WT_STEP = lambda n, p: RatPoly((1, n)) * p + RatPoly((0, 2, -2)) * p.derivative()
+P_STEP = lambda n, p: RatPoly((1, 0, 1)) * p.derivative()
+
+
+def triangle_euler(n_max: int) -> Family:
+    """Descent counts, expanded from the two-letter substitution grammar
+    {x -> xy, y -> xy}: the n-th derivative of x is
+    sum_k E(n,k) x^(k+1) y^(n-k), and E(n,k) is the euler row."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    g = grammar.builtin("dumont")
+    rows = []
+    p = grammar.MPoly.letter("x")
+    for n in range(1, n_max + 1):
+        p = grammar.d_apply(g, p)
+        row = [0] * n
+        for mono, c in p.terms():
+            k = mono.degree_of("x") - 1
+            if not (0 <= k < n and mono.degree_of("y") == n - k
+                    and mono.total_degree == n + 1):
+                raise ConsistencyError(
+                    f"unexpected monomial {mono} in derivative {n} of x"
+                )
+            row[k] = c
+        rows.append(row)
+    return Family("euler", 1, rows)
 
 
 class TestCrossGeneration:
     def test_triangle_rows_equal_recurrence_polys(self):
-        ref = tr._recurrence_family("R", 1, RatPoly((1,)), R_STEP, {}, 102)
+        ref = _recurrence_family("R", 1, RatPoly((1,)), R_STEP, {}, 102)
         assert tr.triangle_R(102).rows == ref.rows
         assert tr.poly_R(102).rows == ref.rows
 
     def test_alt_triangle_rows_equal_recurrence_polys(self):
-        ref = tr._recurrence_family("T", 0, RatPoly((1,)), T_STEP, {}, 101)
+        ref = _recurrence_family("T", 0, RatPoly((1,)), T_STEP, {}, 101)
         assert tr.triangle_A(101).rows == ref.rows
         assert tr.poly_T(101).rows == ref.rows
+
+    def test_peak_rows_equal_recurrence_polys(self):
+        ref = _recurrence_family("W", 1, RatPoly((1,)), W_STEP,
+                                 {2: RatPoly((2,)), 3: RatPoly((4, 2))}, 60)
+        assert tr.poly_W(60).rows == ref.rows
+
+    def test_left_peak_rows_equal_recurrence_polys(self):
+        ref = _recurrence_family("Wt", 0, RatPoly((1,)), WT_STEP,
+                                 {1: RatPoly((1,)), 2: RatPoly((1, 1)), 3: RatPoly((1, 5))},
+                                 60)
+        assert tr.poly_Wtilde(60).rows == ref.rows
+
+    def test_tangent_rows_equal_recurrence_polys(self):
+        ref = _recurrence_family("P", 0, RatPoly((0, 1)), P_STEP, {}, 60)
+        assert tr.poly_P(60).rows == ref.rows
+
+    def test_euler_rows_equal_dumont_expansion(self):
+        ref = triangle_euler(60)
+        assert tr.triangle_euler(60).rows == ref.rows
+        assert tr.poly_A(60).rows == [[0] + row for row in ref.rows]
 
     def test_alt_polys_are_half_shifted_run_polys(self):
         R = tr.poly_R(25)
@@ -180,20 +266,21 @@ class TestCrossGeneration:
 
 class TestConsistencyGuards:
     def test_table_seed_row_is_asserted(self, monkeypatch):
-        # a_1(1) = 1 is printed; a shift-1 coefficient of 2 gives [0, 2]
+        # a_1(1) = 1 is printed; a shift-1 coefficient of 2 gives [0, 2],
+        # and the printed row is asserted even when n_max stops short of it
         monkeypatch.setattr(tr, "_A_STEPS", ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1)))
-        with pytest.raises(tr.ConsistencyError, match=r"row 1 of the altsubseq"):
-            tr.triangle_A(3)
-        assert tr.triangle_A(0).rows == [[1]]
+        for n_max in (3, 0):
+            with pytest.raises(tr.ConsistencyError,
+                               match=r"^row 1 of the altsubseq triangle is \[0, 2\], "
+                                     r"expected \[0, 1\]$"):
+                tr.triangle_A(n_max)
 
-    def test_seed_mismatch_fails_loudly(self):
-        step = lambda n, p: RatPoly((2, n - 1)) * p + RatPoly((0, 2, -2)) * p.derivative()
-        with pytest.raises(tr.ConsistencyError):
-            tr._recurrence_family(
-                "bad", 1, RatPoly((1,)), step, {3: RatPoly((4, 3))}, 5
-            )
-
-    def test_non_integral_step_fails_loudly(self):
-        halver = lambda n, p: p * F(1, 2)
-        with pytest.raises(TypeError):
-            tr._recurrence_family("halves", 0, RatPoly((1,)), halver, {}, 3)
+    def test_seed_mismatch_fails_loudly(self, monkeypatch):
+        # a shift-1 coefficient 2n-2k-2 in place of n-2k keeps W_2 = 2 but
+        # gives W_3 = 4+4x against the printed 4+2x, caught from poly_W(1) on
+        monkeypatch.setattr(tr, "_W_STEPS", ((0, 2, 0, 2), (1, -2, 2, -2)))
+        for n_max in (5, 1):
+            with pytest.raises(tr.ConsistencyError,
+                               match=r"^row 3 of the W triangle is \[4, 4\], "
+                                     r"expected \[4, 2\]$"):
+                tr.poly_W(n_max)
