@@ -17,6 +17,14 @@ Three kinds of verification appear:
 * coefficient-by-coefficient comparison of truncated series against
   triangle-derived exponential generating function coefficients.
 
+A check states its comparisons as a lazy stream of cases
+``(n, point, lhs, rhs)`` and hands it to :func:`_verdict`, the one place
+where a comparison becomes a report.  Three comparisons report on their
+own: grammar/leibniz, whose verdict comes from
+``grammar.leibniz_check``; poly/convolutions, which decodes its
+Kronecker values only on a mismatch; and grammar/peaks' derivative-0
+seed check, whose right side prints as ``Wt[0]``.
+
 Reports are deterministic: the same inputs produce byte-identical
 serialized output.
 """
@@ -25,8 +33,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, isqrt
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import grammar, permcore, triangles
 from .exactnum import (
@@ -109,6 +118,29 @@ def _failed(identity: str, params: dict, n: int, point: str, lhs, rhs) -> CheckR
     return CheckReport(identity, params, False, CheckFailure(n, point, str(lhs), str(rhs)))
 
 
+def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckReport:
+    """The report on ``cases``, each ``(n, point, lhs, rhs)``, drawn lazily
+    up to the first whose sides differ, which fails the check.
+
+    A ``QuadExt`` right side must first have a zero sqrt component, or
+    it fails at ``"{point}: sqrt component"`` as ``(rhs, 0)``; its
+    rational part is then compared.  A check that draws no case has
+    compared nothing, so it raises ``ValueError`` instead of passing.
+    """
+    drawn = 0
+    for drawn, (n, point, lhs, rhs) in enumerate(cases, 1):
+        if isinstance(rhs, QuadExt):
+            if rhs.b != 0:
+                return _failed(identity, params, n, f"{point}: sqrt component", rhs, 0)
+            rhs = rhs.a
+        if lhs != rhs:
+            return _failed(identity, params, n, point, lhs, rhs)
+    if not drawn:
+        shown = ", ".join(f"{k}={v}" for k, v in params.items())
+        raise ValueError(f"{identity} ({shown}) has no case to compare")
+    return _passed(identity, params)
+
+
 # ----------------------------------------------------------------------
 # Sample plans for the pointwise radical checks.
 
@@ -143,17 +175,20 @@ def _pool() -> Iterator[Fraction]:
         q += 1
 
 
-def _take(count: int, keep: "Callable[[Fraction], bool]",
-          transform: "Callable[[Fraction], Fraction] | None" = None) -> SamplePlan:
-    out = []
-    for x in _pool():
-        if transform is not None:
-            x = transform(x)
-        if keep(x):
-            out.append(x)
-            if len(out) == count:
-                return SamplePlan(tuple(out))
-    raise AssertionError("unreachable: the rational pool is infinite")
+#: Per pointwise check: the sample points that certify it for every
+#: n <= n_max (one more than its degree bound after clearing
+#: denominators), the points where it is singular and what for, and its
+#: stock plan: the pool moved by a shift, then filtered.
+_POINTWISE = {
+    "runs-from-peaks": (lambda n: n + 2, lambda x: x == -1, "W_n(2x/(1+x))",
+                        0, lambda x: x != -1),
+    # x in (1, 2): x-1 positive; skip squares of both discriminants
+    "tangent": (lambda n: 2 * n + 3, lambda x: x in (0, 1, -1), "the tangent closed forms",
+                1, lambda x: x > 1 and not _is_square(x - 1)
+                and not _is_square((x + 1) / (x - 1))),
+    "david-barton": (lambda n: 2 * n + 3, lambda x: x == 0 or abs(x) >= 1,
+                     "the descent closed form", 0, lambda x: not _is_square(1 - x * x)),
+}
 
 
 def default_plan(identity: str, count: int) -> SamplePlan:
@@ -167,38 +202,17 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     """
     if count < 1:
         raise ValueError(f"points must be >= 1, got {count}")
-    if identity == "runs-from-peaks":
-        return _take(count, lambda x: x != -1)
-    if identity == "tangent":
-        # x in (1, 2): x-1 positive; skip squares of both discriminants
-        return _take(
-            count,
-            lambda x: x > 1
-            and not _is_square(x - 1)
-            and not _is_square((x + 1) / (x - 1)),
-            transform=lambda r: 1 + r,
-        )
-    if identity == "david-barton":
-        return _take(count, lambda x: not _is_square(1 - x * x))
-    raise ValueError(f"no default plan for identity {identity!r}")
-
-
-#: Per pointwise check: the sample points that certify it for every
-#: n <= n_max (one more than its degree bound after clearing
-#: denominators), the points where it is singular, and what for.
-_POINTWISE = {
-    "runs-from-peaks": (lambda n: n + 2, lambda x: x == -1, "W_n(2x/(1+x))"),
-    "tangent": (lambda n: 2 * n + 3, lambda x: x in (0, 1, -1), "the tangent closed forms"),
-    "david-barton": (lambda n: 2 * n + 3, lambda x: x == 0 or abs(x) >= 1,
-                     "the descent closed form"),
-}
+    if identity not in _POINTWISE:
+        raise ValueError(f"no default plan for identity {identity!r}")
+    *_, shift, keep = _POINTWISE[identity]
+    return SamplePlan(tuple(islice(filter(keep, (shift + x for x in _pool())), count)))
 
 
 def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
     """``plan``, or the stock plan when it is None, refused if a point is
     singular for ``closed/<kind>`` or if it has fewer points than that
     check needs at ``n_max``."""
-    points_for, singular, what = _POINTWISE[kind]
+    points_for, singular, what, _, _ = _POINTWISE[kind]
     needed = points_for(n_max)
     if plan is None:
         plan = default_plan(kind, needed)
@@ -211,16 +225,25 @@ def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
     return plan
 
 
+def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None",
+               cases: "Callable[[tuple[Fraction, ...]], Iterable[tuple]]") -> CheckReport:
+    """The report of ``closed/<kind>`` on ``cases(points)``, over the
+    points of ``plan`` as :func:`_require` passes it."""
+    plan = _require(plan, kind, n_max)
+    return _verdict(f"closed/{kind}", {"n_max": n_max, "points": len(plan)},
+                    cases(plan.points))
+
+
 # ----------------------------------------------------------------------
 # Grammar expansions vs. triangles and oracle.
 
 
-def _hist_str(counts: "Mapping[int, int]") -> str:
-    return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(counts.items())) + "}"
+class _Hist(dict):
+    """A histogram ``{k: count}``, printed as ``{k:count, ...}`` in k order
+    only when a failed report needs it."""
 
-
-def _row_counts(row: "list[int]") -> "dict[int, int]":
-    return {k: v for k, v in enumerate(row) if v}
+    def __str__(self) -> str:
+        return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(self.items())) + "}"
 
 
 def _term_str(exps: "Mapping[str, int]", c: int) -> str:
@@ -230,20 +253,20 @@ def _term_str(exps: "Mapping[str, int]", c: int) -> str:
     return mono if c == 1 else f"{c}*{mono}"
 
 
-def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
-            streams: "Sequence[tuple]", oracle: "Sequence[tuple]" = (),
-            oracle_n_max: int = 0) -> CheckReport:
-    """The loop behind the four grammar checks.
+def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
+            oracle: "Sequence[tuple]" = (), oracle_n_max: int = 0) -> Iterator[tuple]:
+    """The cases of the four grammar checks and of the oracle check.
 
     Each stream ``(seed, point, row, exponents)`` is derived under ``g``
     once per n = 1..n_max, in the order given, and derivative n must
     equal sum_k row(n)[k] * Monomial(exponents(n, k)) over the nonzero
-    entries of the row (k = 0 included); a mismatch fails at ``point``,
-    as does an entry whose monomial would need a negative exponent.
-    For n <= oracle_n_max each oracle row ``(stat, row, name)`` must then
-    match the brute-force histogram of ``stat`` over S_n, all rows read
-    from one class table of S_n; a mismatch puts the row first and the
-    histogram second.
+    entries of the row (k = 0 included), compared at ``point``; an entry
+    whose monomial would need a negative exponent is printed with it on
+    the right, so that case fails.  For n <= oracle_n_max each oracle row
+    ``(stat, row, name)`` must then match the brute-force histogram of
+    ``stat`` over S_n, all rows read from one class table of S_n; the
+    histogram is the left side and the row the right, as the triangle is
+    the right side of every stream.
     """
     polys = [seed for seed, _, _, _ in streams]
     for n in range(1, n_max + 1):
@@ -256,41 +279,39 @@ def _expand(ident: str, params: dict, g: grammar.Grammar, n_max: int,
                 (grammar.Monomial(e), c) for e, c in terms if min(e.values()) >= 0
             )
             if stray:
-                return _failed(ident, params, n, point, p, " + ".join(
-                    [str(expected), *(_term_str(e, c) for e, c in stray)]))
-            if p != expected:
-                return _failed(ident, params, n, point, p, expected)
+                # str(p) never spells a negative exponent, so this case fails
+                yield n, point, str(p), " + ".join(
+                    [str(expected), *(_term_str(e, c) for e, c in stray)])
+            else:
+                yield n, point, p, expected
         if n <= oracle_n_max:
             classes = permcore.descent_classes(n)
             for stat, row, name in oracle:
-                counts = _row_counts(row(n))
                 dist = permcore.distribution(stat, n, classes)
-                if counts != dist.counts:
-                    return _failed(ident, params, n, f"{name} over S_{n}",
-                                   _hist_str(counts), _hist_str(dist.counts))
-    return _passed(ident, params)
+                yield (n, f"{name} over S_{n}", _Hist(dist.counts),
+                       _Hist((k, c) for k, c in enumerate(row(n)) if c))
 
 
 def check_grammar_runs(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x^2 under the main grammar carry the run
     triangle: the n-th derivative equals x^2 sum_k R(n+1,k) y^k z^(n-k)."""
     tri = triangles.triangle_R(n_max + 1)
-    return _expand(
-        "grammar/runs", {"n_max": n_max}, grammar.builtin("main"), n_max,
+    return _verdict("grammar/runs", {"n_max": n_max}, _expand(
+        grammar.builtin("main"), n_max,
         [(grammar.MPoly.monomial({"x": 2}), "derivative of x^2",
           lambda n: tri.row(n + 1), lambda n, k: {"x": 2, "y": k, "z": n - k})],
-    )
+    ))
 
 
 def check_grammar_alt(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x under the main grammar carry the
     altsubseq triangle: the n-th derivative is x sum_k a_k(n) y^k z^(n-k)."""
     tri = triangles.triangle_A(n_max)
-    return _expand(
-        "grammar/altsubseq", {"n_max": n_max}, grammar.builtin("main"), n_max,
+    return _verdict("grammar/altsubseq", {"n_max": n_max}, _expand(
+        grammar.builtin("main"), n_max,
         [(grammar.MPoly.letter("x"), "derivative of x",
           tri.row, lambda n, k: {"x": 1, "y": k, "z": n - k})],
-    )
+    ))
 
 
 def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
@@ -305,13 +326,13 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     """
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     tri = triangles.triangle_euler(n_max)
-    return _expand(
-        "grammar/eulerian", params, grammar.builtin("dumont"), n_max,
+    return _verdict("grammar/eulerian", params, _expand(
+        grammar.builtin("dumont"), n_max,
         [(grammar.MPoly.letter("x"), "derivative of x",
           tri.row, lambda n, k: {"x": k + 1, "y": n - k})],
         oracle=[(permcore.Stat.DESCENTS, tri.row, "descent histogram")],
         oracle_n_max=oracle_n_max,
-    )
+    ))
 
 
 def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
@@ -327,8 +348,8 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     py = grammar.MPoly.letter("y")
     if py != grammar.MPoly.monomial({"y": 1}, Wt.entry(0, 0)):
         return _failed(ident, params, 0, "derivative 0 of y", py, Wt[0])
-    return _expand(
-        ident, params, grammar.builtin("peaks"), n_max,
+    return _verdict(ident, params, _expand(
+        grammar.builtin("peaks"), n_max,
         [(py, "derivative of y",
           Wt.row, lambda n, k: {"y": 2 * k + 1, "z": n - 2 * k}),
          (grammar.MPoly.letter("z"), "derivative of z",
@@ -336,7 +357,7 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
         oracle=[(permcore.Stat.INTERIOR_PEAKS, W.row, "interior-peak histogram"),
                 (permcore.Stat.LEFT_PEAKS, Wt.row, "left-peak histogram")],
         oracle_n_max=oracle_n_max,
-    )
+    ))
 
 
 def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPoly:
@@ -350,6 +371,8 @@ def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPo
 def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> CheckReport:
     """Iterated product rule: D^n(u*v) = sum_k C(n,k) D^k(u) D^(n-k)(v)
     over seeded random u, v and all four stock grammars."""
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     params = {"n_max": n_max, "cases": cases, "seed": seed}
     rng = random.Random(seed)
     names = sorted(grammar.BUILTIN_GRAMMARS)
@@ -481,37 +504,29 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
     recurrences exactly: the rows of the run triangle obey
     R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)', and the altsubseq rows
     obey T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'."""
-    params = {"n_max": n_max}
-    ident = "poly/recurrences"
     r = triangles.triangle_R(n_max + 2)
     t = triangles.triangle_A(n_max + 1)
-    for n in range(0, n_max + 1):
-        rhs = RatPoly((0, 2, n)) * r[n + 1] + RatPoly((0, 1, 0, -1)) * r[n + 1].derivative()
-        if rhs != r[n + 2]:
-            return _failed(ident, params, n,
-                           "R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'",
-                           r[n + 2], rhs)
-        rhs = RatPoly((0, 1, n)) * t[n] + RatPoly((0, 1, 0, -1)) * t[n].derivative()
-        if rhs != t[n + 1]:
-            return _failed(ident, params, n,
-                           "T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'", t[n + 1], rhs)
-    return _passed(ident, params)
+    x_1_minus_x2 = RatPoly((0, 1, 0, -1))
+
+    def cases():
+        for n in range(0, n_max + 1):
+            yield (n, "R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'", r[n + 2],
+                   RatPoly((0, 2, n)) * r[n + 1] + x_1_minus_x2 * r[n + 1].derivative())
+            yield (n, "T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'", t[n + 1],
+                   RatPoly((0, 1, n)) * t[n] + x_1_minus_x2 * t[n].derivative())
+
+    return _verdict("poly/recurrences", {"n_max": n_max}, cases())
 
 
 def check_alt_from_runs(n_max: int = 25) -> CheckReport:
     """T_n(x) = (1+x)/2 * R_n(x) for n >= 2, checked in integer
     polynomial arithmetic as 2 T_n = (1+x) R_n."""
-    params = {"n_max": n_max}
-    ident = "closed/alt-from-runs"
     one_plus_x = RatPoly((1, 1))
     T = triangles.poly_T(n_max)
     R = triangles.poly_R(n_max)
-    for n in range(2, n_max + 1):
-        lhs = 2 * T[n]
-        rhs = one_plus_x * R[n]
-        if rhs != lhs:
-            return _failed(ident, params, n, "2 T_n = (1+x) R_n", lhs, rhs)
-    return _passed(ident, params)
+    return _verdict("closed/alt-from-runs", {"n_max": n_max}, (
+        (n, "2 T_n = (1+x) R_n", 2 * T[n], one_plus_x * R[n]) for n in range(2, n_max + 1)
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -527,26 +542,23 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     the degree is at most n, so the n_max+2 sample points certify every
     n <= n_max.
     """
-    ident = "closed/runs-from-peaks"
-    plan = _require(plan, "runs-from-peaks", n_max)
-    params = {"n_max": n_max, "points": len(plan)}
-    W = triangles.poly_W(n_max)
-    R = triangles.poly_R(n_max)
-    T = triangles.poly_T(n_max)
-    # what does not depend on n, once per point: 2x/(1+x) and (1+x)/2
-    points = [(x, 2 * x / (1 + x), (1 + x) / 2) for x in plan.points]
-    for n in range(1, n_max + 1):
-        Wn, Rn, Tn = W[n], R[n], T[n]
-        for x, t, h in points:
-            wn = Wn(t)
-            rhs = x * h ** (n - 1) * wn
-            if rhs != Tn(x):
-                return _failed(ident, params, n, f"T-form x={x}", Tn(x), rhs)
-            if n >= 2:
-                rhs = x * h ** (n - 2) * wn
-                if rhs != Rn(x):
-                    return _failed(ident, params, n, f"R-form x={x}", Rn(x), rhs)
-    return _passed(ident, params)
+    def cases(xs):
+        W = triangles.poly_W(n_max)
+        R = triangles.poly_R(n_max)
+        T = triangles.poly_T(n_max)
+        # what does not depend on n, once per point: the two labels,
+        # 2x/(1+x) and (1+x)/2
+        points = [(f"T-form x={x}", f"R-form x={x}", x, 2 * x / (1 + x), (1 + x) / 2)
+                  for x in xs]
+        for n in range(1, n_max + 1):
+            Wn, Rn, Tn = W[n], R[n], T[n]
+            for t_form, r_form, x, t, h in points:
+                wn = Wn(t)
+                yield n, t_form, Tn(x), x * h ** (n - 1) * wn
+                if n >= 2:
+                    yield n, r_form, Rn(x), x * h ** (n - 2) * wn
+
+    return _pointwise("runs-from-peaks", n_max, plan, cases)
 
 
 def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> CheckReport:
@@ -561,35 +573,25 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     rational parts are compared.  After clearing denominators the degree
     is at most 2n+2, so 2*n_max+3 points certify every n <= n_max.
     """
-    ident = "closed/tangent"
-    plan = _require(plan, "tangent", n_max)
-    params = {"n_max": n_max, "points": len(plan)}
-    W = triangles.poly_W(n_max)
-    R = triangles.poly_R(n_max)
-    P = triangles.poly_P(n_max)
-    # what does not depend on n, once per point: sigma, 1/sigma, 1/tau,
-    # tau and (x+1)/2
-    points = []
-    for x in plan.points:
-        sigma = QuadExt.root(x - 1)
-        tau = QuadExt.root((x + 1) / (x - 1))
-        points.append((x, sigma, sigma.inverse(), tau.inverse(), tau, (x + 1) / 2))
-    for n in range(2, n_max + 1):
-        Wn, Rn, Pn = W[n], R[n], P[n]
-        for x, sigma, sigma_inv, tau_inv, tau, h in points:
-            val = sigma ** (n + 1) * Pn(sigma_inv) / x
-            if val.b != 0:
-                return _failed(ident, params, n,
-                               f"W-form x={x}: sqrt component", val, 0)
-            if val.a != Wn(x):
-                return _failed(ident, params, n, f"W-form x={x}", Wn(x), val.a)
-            val = h ** (n - 1) * tau_inv ** (n + 1) * Pn(tau)
-            if val.b != 0:
-                return _failed(ident, params, n,
-                               f"R-form x={x}: sqrt component", val, 0)
-            if val.a != Rn(x):
-                return _failed(ident, params, n, f"R-form x={x}", Rn(x), val.a)
-    return _passed(ident, params)
+    def cases(xs):
+        W = triangles.poly_W(n_max)
+        R = triangles.poly_R(n_max)
+        P = triangles.poly_P(n_max)
+        # what does not depend on n, once per point: the two labels, sigma,
+        # 1/sigma, 1/tau, tau and (x+1)/2
+        points = []
+        for x in xs:
+            sigma = QuadExt.root(x - 1)
+            tau = QuadExt.root((x + 1) / (x - 1))
+            points.append((f"W-form x={x}", f"R-form x={x}", x, sigma, sigma.inverse(),
+                           tau.inverse(), tau, (x + 1) / 2))
+        for n in range(2, n_max + 1):
+            Wn, Rn, Pn = W[n], R[n], P[n]
+            for w_form, r_form, x, sigma, sigma_inv, tau_inv, tau, h in points:
+                yield n, w_form, Wn(x), sigma ** (n + 1) * Pn(sigma_inv) / x
+                yield n, r_form, Rn(x), h ** (n - 1) * tau_inv ** (n + 1) * Pn(tau)
+
+    return _pointwise("tangent", n_max, plan, cases)
 
 
 def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> CheckReport:
@@ -599,25 +601,21 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     rho^2 = 1-x^2.  Points stay in (-1,1) \\ {0}; the sqrt component of
     every evaluation must vanish exactly.
     """
-    ident = "closed/david-barton"
-    plan = _require(plan, "david-barton", n_max)
-    params = {"n_max": n_max, "points": len(plan)}
-    A = triangles.poly_A(n_max)
-    R = triangles.poly_R(n_max)
-    # what does not depend on n, once per point: (1-w)/(1+w), (1+x)/2, 1+w
-    points = []
-    for x in plan.points:
-        w = QuadExt.root(1 - x * x) / (1 + x)
-        points.append((x, (1 - w) / (1 + w), (1 + x) / 2, 1 + w))
-    for n in range(2, n_max + 1):
-        An, Rn = A[n], R[n]
-        for x, u, h, one_plus_w in points:
-            val = h ** (n - 1) * one_plus_w ** (n + 1) * An(u)
-            if val.b != 0:
-                return _failed(ident, params, n, f"x={x}: sqrt component", val, 0)
-            if val.a != Rn(x):
-                return _failed(ident, params, n, f"x={x}", Rn(x), val.a)
-    return _passed(ident, params)
+    def cases(xs):
+        A = triangles.poly_A(n_max)
+        R = triangles.poly_R(n_max)
+        # what does not depend on n, once per point: the label, (1-w)/(1+w),
+        # (1+x)/2 and 1+w
+        points = []
+        for x in xs:
+            w = QuadExt.root(1 - x * x) / (1 + x)
+            points.append((f"x={x}", x, (1 - w) / (1 + w), (1 + x) / 2, 1 + w))
+        for n in range(2, n_max + 1):
+            An, Rn = A[n], R[n]
+            for label, x, u, h, one_plus_w in points:
+                yield n, label, Rn(x), h ** (n - 1) * one_plus_w ** (n + 1) * An(u)
+
+    return _pointwise("david-barton", n_max, plan, cases)
 
 
 # ----------------------------------------------------------------------
@@ -649,13 +647,15 @@ def _series_point(x0: Rational, order: int) -> Fraction:
 
 def _check_series(ident: str, params: dict, rhs: PowerSeries,
                   expected: "list[Fraction]") -> CheckReport:
-    for n, want in enumerate(expected):
-        got = rhs.coefficient(n)
-        if got.b != 0:
-            return _failed(ident, params, n, f"z^{n}: sqrt component", got, 0)
-        if got.a != want:
-            return _failed(ident, params, n, f"z^{n}", want, got.a)
-    return _passed(ident, params)
+    return _verdict(ident, params, (
+        (n, f"z^{n}", want, rhs.coefficient(n)) for n, want in enumerate(expected)
+    ))
+
+
+def _q_series(x0: Fraction, rho: QuadExt, order: int) -> PowerSeries:
+    """q = (rho + sin(z rho)) / (x0 - cos(z rho)) through z^order, the
+    series both closed EGFs in z are built from."""
+    return (rho + sin_series(rho, order)) / (x0 - cos_series(rho, order))
 
 
 def check_carlitz(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) -> CheckReport:
@@ -666,8 +666,7 @@ def check_carlitz(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) -> 
     x0 = _series_point(x0, order)
     params = {"x0": str(x0), "order": order}
     ident = f"gf/carlitz[x0={x0}]"
-    rho = QuadExt.root(1 - x0 * x0)
-    q = (rho + sin_series(rho, order)) / (x0 - cos_series(rho, order))
+    q = _q_series(x0, QuadExt.root(1 - x0 * x0), order)
     rhs = (1 - x0) / (1 + x0) * (q * q)
     tri = triangles.triangle_R(order + 1)
     expected = _egf_coeffs(lambda n: tri.row(n + 1), x0, order)
@@ -704,8 +703,7 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
     params = {"x0": str(x0), "order": order}
     ident = f"gf/altsubseq[x0={x0}]"
     rho = QuadExt.root(1 - x0 * x0)
-    q = (rho + sin_series(rho, order)) / (x0 - cos_series(rho, order))
-    rhs = q * (-(rho / (1 + x0)))
+    rhs = _q_series(x0, rho, order) * (-(rho / (1 + x0)))
     tri = triangles.triangle_A(order)
     expected = _egf_coeffs(tri.row, x0, order)
     return _check_series(ident, params, rhs, expected)
@@ -718,8 +716,6 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 def check_oracle(n_max: int = 8) -> CheckReport:
     """All five triangles match brute-force histograms over S_n, n <= n_max,
     the five read from one class table of each S_n."""
-    params = {"n_max": n_max}
-    ident = "oracle/triangles"
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
         (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),
@@ -727,15 +723,8 @@ def check_oracle(n_max: int = 8) -> CheckReport:
         (permcore.Stat.LEFT_PEAKS, triangles.triangle_Wtilde(n_max)),
         (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
     ]
-    for n in range(1, n_max + 1):
-        classes = permcore.descent_classes(n)
-        for stat, tri in sources:
-            dist = permcore.distribution(stat, n, classes)
-            expected = _row_counts(tri.row(n))
-            if expected != dist.counts:
-                return _failed(ident, params, n, f"{stat.value} over S_{n}",
-                               _hist_str(dist.counts), _hist_str(expected))
-    return _passed(ident, params)
+    return _verdict("oracle/triangles", {"n_max": n_max}, _expand(
+        None, n_max, (), [(stat, tri.row, stat.value) for stat, tri in sources], n_max))
 
 
 # ----------------------------------------------------------------------

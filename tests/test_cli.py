@@ -456,6 +456,22 @@ class TestVerifyCommand:
         assert out == ""
         assert err.endswith(f"error: {message}\n") and "Traceback" not in err
 
+    @pytest.mark.parametrize("suite", ["all", "closed-forms"])
+    def test_range_with_nothing_to_compare_exits_2(self, capsys, suite):
+        # the closed forms in R_n start at n = 2, so --n-max 1 compares
+        # nothing there; no report is printed, not even the passing ones
+        code, out, err = run(capsys, "verify", suite, "--n-max", "1")
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            "error: closed/alt-from-runs (n_max=1) has no case to compare\n")
+        assert "Traceback" not in err
+
+    def test_grammar_suite_at_n_max_1_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "grammar", "--n-max", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "5/5 checks passed"
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
         assert code == 2

@@ -9,7 +9,7 @@ import pytest
 
 from runlab import identities as idn
 from runlab import grammar, permcore as pc, triangles
-from runlab.exactnum import QuadExt, RatPoly
+from runlab.exactnum import PowerSeries, QuadExt, RatPoly
 
 F = Fraction
 
@@ -227,6 +227,75 @@ class TestSeriesChecks:
 class TestOracleCheck:
     def test_passes(self):
         assert idn.check_oracle(6).passed
+
+
+class TestVerdict:
+    """The one path from compared sides to a report."""
+
+    @staticmethod
+    def _cases(log, items):
+        for case in items:
+            log.append(case[:2])
+            yield case
+
+    def test_passes_when_every_side_agrees(self):
+        report = idn._verdict("t/id", {"n_max": 2}, [(1, "a", 1, 1), (2, "b", F(1, 2), F(1, 2))])
+        assert report == idn.CheckReport("t/id", {"n_max": 2}, True, None)
+
+    def test_first_mismatch_fails_and_stops_drawing(self):
+        log = []
+        report = idn._verdict("t/id", {}, self._cases(
+            log, [(1, "a", 1, 1), (2, "b", 3, 4), (3, "c", 5, 6)]))
+        assert report.first_failure == idn.CheckFailure(2, "b", "3", "4")
+        assert log == [(1, "a"), (2, "b")]
+
+    def test_sqrt_component_fails_as_its_own_condition(self):
+        value = QuadExt(F(1, 2), F(1, 3), F(2))
+        report = idn._verdict("t/id", {}, [(4, "x=1/2", F(1, 2), value)])
+        assert report.first_failure == idn.CheckFailure(
+            4, "x=1/2: sqrt component", str(value), "0")
+
+    def test_rational_part_compared_when_the_sqrt_component_vanishes(self):
+        assert idn._verdict("t/id", {}, [(1, "p", F(3), QuadExt(F(3), 0, F(2)))]).passed
+        report = idn._verdict("t/id", {}, [(1, "p", F(3), QuadExt(F(5, 2), 0, F(2)))])
+        assert report.first_failure == idn.CheckFailure(1, "p", "3", "5/2")
+
+    def test_no_case_drawn_raises_with_identity_and_params(self):
+        with pytest.raises(ValueError, match=r"^t/id \(n_max=1, points=5\) has no case"):
+            idn._verdict("t/id", {"n_max": 1, "points": 5}, iter(()))
+
+
+class TestVacuousRanges:
+    """A check whose range holds no case refuses instead of passing."""
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda: idn.check_alt_from_runs(1), "closed/alt-from-runs (n_max=1)"),
+        (lambda: idn.check_tangent_forms(1), "closed/tangent (n_max=1, points=5)"),
+        (lambda: idn.check_david_barton(1), "closed/david-barton (n_max=1, points=5)"),
+        (lambda: idn.check_grammar_runs(0), "grammar/runs (n_max=0)"),
+        (lambda: idn.check_grammar_alt(0), "grammar/altsubseq (n_max=0)"),
+    ], ids=["alt-from-runs", "tangent", "david-barton", "grammar-runs", "grammar-alt"])
+    def test_empty_range_raises(self, check, message):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == f"{message} has no case to compare"
+
+    @pytest.mark.parametrize("cases", [0, -1])
+    def test_leibniz_refuses_too_few_cases(self, cases):
+        with pytest.raises(ValueError, match=f"^cases must be >= 1, got {cases}$"):
+            idn.check_leibniz(4, cases)
+
+    def test_smallest_ranges_that_compare_something_pass(self):
+        assert idn.check_alt_from_runs(2).passed
+        assert idn.check_tangent_forms(2).passed
+        assert idn.check_david_barton(2).passed
+        assert idn.check_runs_from_peaks(1).passed
+        assert idn.check_leibniz(4, 1).passed
+        assert all(r.passed for r in idn.run_suite("grammar", n_max=1))
+
+    def test_suite_over_an_empty_range_raises(self):
+        with pytest.raises(ValueError, match=r"^closed/alt-from-runs \(n_max=1\)"):
+            idn.run_suite("all", n_max=1)
 
 
 class TestFaultInjection:
@@ -461,9 +530,9 @@ class TestFaultInjection:
                     for r in idn.run_suite("all") if not r.passed}
         assert failures == {
             "grammar/eulerian": (4, "descent histogram over S_4",
-                                 "{0:1, 1:11, 2:11, 3:1}", "{1:12, 2:11, 3:1}"),
+                                 "{1:12, 2:11, 3:1}", "{0:1, 1:11, 2:11, 3:1}"),
             "grammar/peaks": (4, "interior-peak histogram over S_4",
-                              "{0:8, 1:16}", "{0:7, 1:17}"),
+                              "{0:7, 1:17}", "{0:8, 1:16}"),
             "oracle/triangles": (4, "runs over S_4",
                                  "{1:1, 2:12, 3:11}", "{1:2, 2:12, 3:10}"),
         }
@@ -552,7 +621,8 @@ class TestFaultInjection:
         )
 
     def test_left_peak_sentinel_flip_breaks_peaks_grammar(self, monkeypatch):
-        # the oracle half of the check: the row comes first, the histogram second
+        # the oracle half of the check: the histogram comes first, the row
+        # second, as in the oracle check
         def flipped(w):
             n = len(w)
             if n < 2:
@@ -561,7 +631,7 @@ class TestFaultInjection:
 
         monkeypatch.setitem(pc._STAT_FUNCS, pc.Stat.LEFT_PEAKS, flipped)
         assert self._failure(idn.check_peaks_grammar(6, 4)) == (
-            3, "left-peak histogram over S_3", "{0:1, 1:5}", "{0:3, 1:1, 2:2}",
+            3, "left-peak histogram over S_3", "{0:3, 1:1, 2:2}", "{0:1, 1:5}",
         )
 
     def test_corrupt_left_peak_seed_breaks_peaks_grammar(self, monkeypatch):
@@ -600,6 +670,52 @@ class TestFaultInjection:
             "6*x*y*z^3 + 6*x*y^3*z + 16*x*y^3*z^5 + 6*x*y^5*z^3 + 6*x^3*y*z"
             " + 16*x^3*y*z^5 + 36*x^3*y^3*z^3 + 6*x^3*y^5*z + 16*x^5*y*z^3"
             " + 16*x^5*y^3*z"
+        )
+
+    def test_odd_descent_entry_breaks_david_barton_sqrt_component(self, monkeypatch):
+        # A_3's x coefficient off by one breaks its palindrome, so the
+        # right-hand side leaves Q
+        monkeypatch.setattr(
+            triangles, "poly_A", corrupt_triangle(triangles.poly_A, 3, 1)
+        )
+        assert self._failure(idn.check_david_barton(4)) == (
+            3, "x=1/2: sqrt component", "5/2 + 1/2*sqrt(3/4)", "0"
+        )
+
+    @pytest.mark.parametrize("check, lhs", [
+        (idn.check_altsubseq_gf, "1 + 4/3*sqrt(3/4)"),
+        (idn.check_carlitz, "2 + 8/3*sqrt(3/4)"),
+    ], ids=["altsubseq", "carlitz"])
+    def test_shifted_sine_breaks_series_sqrt_component(self, monkeypatch, check, lhs):
+        # sin(z rho) + z inside the shared q series: z^1 picks up a
+        # rational term against rho, so its coefficient leaves Q
+        real = idn.sin_series
+
+        def shifted(c, order):
+            return real(c, order) + PowerSeries([0, 1] + [0] * (order - 1))
+
+        monkeypatch.setattr(idn, "sin_series", shifted)
+        assert self._failure(check(F(1, 2), 6)) == (1, "z^1: sqrt component", lhs, "0")
+
+    def test_tangent_fault_fails_before_later_rows_are_read(self, monkeypatch):
+        # the cases are drawn lazily: a fault at n = 2 ends the check
+        # before P_3 is ever read
+        original = triangles.poly_P
+
+        class Guarded(triangles.Family):
+            def row(self, n):
+                if n >= 3:
+                    pytest.fail(f"row {n} of P was read")
+                return super().row(n)
+
+        def skewed(n_max):
+            fam = original(n_max)
+            fam.row(2)[2] += 1  # P_2 + x^2
+            return Guarded(fam.name, fam.start, fam.rows)
+
+        monkeypatch.setattr(triangles, "poly_P", skewed)
+        assert self._failure(idn.check_tangent_forms(4)) == (
+            2, "W-form x=3/2: sqrt component", "2 + 2/3*sqrt(1/2)", "0"
         )
 
     def test_sqrt_component_failure_is_named(self, monkeypatch):
