@@ -2,13 +2,17 @@
 
 Four subcommands: ``triangle`` prints coefficient rows, ``oracle`` prints
 brute-force histograms, ``grammar`` prints iterated derivatives, and
-``verify`` runs the identity suites.  Output formats are plain text, JSON
-(one object per line, big integers as decimal strings) and CSV.
+``verify`` runs the identity suites.  Each writes its output through
+:func:`_emit` in one of three formats: plain text, JSON (one object per
+line, big integers as decimal strings) or CSV (a header row, then one row
+per coefficient, count, term or report).
 
 Exit codes: 0 success / all checks passed, 1 verification failure
 (including a generated family that contradicts its own recurrence) or
 stdout closed by its reader, 2 usage or parse error.  The environment
-variable ``RUNLAB_MAX_N`` sets a hard ceiling on every n-like argument.
+variable ``RUNLAB_MAX_N`` sets a hard ceiling on every n-like argument;
+it is read before any command runs, so a value that is not an integer
+exits 2 whatever the command.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import grammar, identities, permcore, triangles
 
@@ -35,26 +40,20 @@ TRIANGLE_BUILDERS = {
 ORACLE_STATS = tuple(s.value for s in permcore.Stat)
 
 
-class _UsageError(Exception):
-    """Raised by handlers for anything that should exit with code 2."""
-
-
-def _ceiling() -> "int | None":
+def _check_ceiling(args) -> None:
+    """Refuse a malformed ``RUNLAB_MAX_N``, then each n-like argument
+    given that exceeds it."""
     raw = os.environ.get("RUNLAB_MAX_N")
     if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"RUNLAB_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _guard_n(value: "int | None", what: str) -> None:
-    if value is None:
         return
-    cap = _ceiling()
-    if cap is not None and value > cap:
-        raise _UsageError(f"{what} {value} exceeds RUNLAB_MAX_N={cap}")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"RUNLAB_MAX_N must be an integer, got {raw!r}") from None
+    for what in ("n_max", "n", "order"):
+        value = getattr(args, what, None)
+        if value is not None and value > cap:
+            raise ValueError(f"{what} {value} exceeds RUNLAB_MAX_N={cap}")
 
 
 def _fraction(text: str) -> Fraction:
@@ -64,8 +63,21 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _emit(fmt: str, lines, objs, rows) -> None:
+    """Print one command's output in ``fmt``.
+
+    ``lines`` builds the plain-text lines, ``objs`` the JSON objects
+    (one per line) and ``rows`` the CSV rows, header first.  Each is a
+    callable returning an iterable, so only the requested format is built.
+    """
+    if fmt == "plain":
+        for line in lines():
+            print(line)
+    elif fmt == "json":
+        for obj in objs():
+            print(json.dumps(obj, separators=(",", ":")))
+    else:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows())
 
 
 # ----------------------------------------------------------------------
@@ -73,22 +85,18 @@ def _print_json(obj) -> None:
 
 
 def _cmd_triangle(args) -> int:
-    _guard_n(args.n_max, "n_max")
     tri = TRIANGLE_BUILDERS[args.name](args.n_max)
-    if args.format == "plain":
+
+    def lines():
         for n in tri.indices():
             row = tri.row(n)
             first = next((k for k, v in enumerate(row) if v), None)
-            print("0" if first is None else " ".join(str(v) for v in row[first:]))
-    elif args.format == "json":
-        for n in tri.indices():
-            _print_json({"n": n, "coeffs": [str(v) for v in tri.row(n)]})
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "k", "value"])
-        for n in tri.indices():
-            for k, v in enumerate(tri.row(n)):
-                writer.writerow([n, k, v])
+            yield "0" if first is None else " ".join(str(v) for v in row[first:])
+
+    _emit(args.format, lines,
+          lambda: ({"n": n, "coeffs": [str(v) for v in tri.row(n)]} for n in tri.indices()),
+          lambda: chain([["n", "k", "value"]],
+                        ([n, k, v] for n in tri.indices() for k, v in enumerate(tri.row(n)))))
     return 0
 
 
@@ -97,23 +105,12 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _guard_n(args.n, "n")
     dist = permcore.distribution(args.stat, args.n)
-    if args.format == "plain":
-        print("{" + ", ".join(f"{k}:{v}" for k, v in dist.counts.items()) + "}")
-    elif args.format == "json":
-        _print_json(
-            {
-                "stat": dist.stat.value,
-                "n": dist.n,
-                "counts": {str(k): str(v) for k, v in dist.counts.items()},
-            }
-        )
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["k", "count"])
-        for k, v in dist.counts.items():
-            writer.writerow([k, v])
+    _emit(args.format,
+          lambda: [identities._Hist(dist.counts)],
+          lambda: [{"stat": dist.stat.value, "n": dist.n,
+                    "counts": {str(k): str(v) for k, v in dist.counts.items()}}],
+          lambda: [["k", "count"], *dist.counts.items()])
     return 0
 
 
@@ -122,23 +119,20 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_grammar(args) -> int:
-    _guard_n(args.n, "n")
     if args.builtin is not None:
         g = grammar.builtin(args.builtin)
     else:
         g = grammar.parse_grammar(args.spec)
     word = grammar.parse_word(args.word)
     result = grammar.d_power(g, word, args.n)
-    if args.format == "plain":
-        print(result)
-    elif args.format == "json":
-        _print_json(result.to_json_obj())
-    else:
+
+    def rows():
         letters = result.letters()
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["coeff", *letters])
+        yield ["coeff", *letters]
         for mono, c in result.sorted_terms():
-            writer.writerow([c, *(mono.degree_of(l) for l in letters)])
+            yield [c, *(mono.degree_of(l) for l in letters)]
+
+    _emit(args.format, lambda: [result], lambda: [result.to_json_obj()], rows)
     return 0
 
 
@@ -146,13 +140,7 @@ def _cmd_grammar(args) -> int:
 # verify
 
 
-def _render_params(params: "dict[str, object]") -> str:
-    return ", ".join(f"{k}={v}" for k, v in params.items())
-
-
 def _cmd_verify(args) -> int:
-    _guard_n(args.n_max, "n_max")
-    _guard_n(args.order, "order")
     reports = identities.run_suite(
         args.suite,
         n_max=args.n_max,
@@ -161,30 +149,28 @@ def _cmd_verify(args) -> int:
         final_x0s=None if args.x0 is None else (args.x0,),
         stanley_t0s=None if args.t0 is None else (args.t0,),
     )
-    failures = [r for r in reports if not r.passed]
-    if args.format == "plain":
+    passed = sum(r.passed for r in reports)
+
+    def lines():
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
-            print(f"{status} {r.identity} ({_render_params(r.params)})")
-            if r.first_failure is not None:
-                f = r.first_failure
-                print(f"  counterexample: n={f.n}, point={f.point}")
-                print(f"    lhs = {f.lhs}")
-                print(f"    rhs = {f.rhs}")
-        print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
-    elif args.format == "json":
-        for r in reports:
-            _print_json(r.to_json_obj())
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["identity", "passed", "n", "point", "lhs", "rhs"])
+            yield f"{status} {r.identity} ({identities._params_text(r.params)})"
+            f = r.first_failure
+            if f is not None:
+                yield f"  counterexample: n={f.n}, point={f.point}"
+                yield f"    lhs = {f.lhs}"
+                yield f"    rhs = {f.rhs}"
+        yield f"{passed}/{len(reports)} checks passed"
+
+    def rows():
+        yield ["identity", "passed", "n", "point", "lhs", "rhs"]
         for r in reports:
             f = r.first_failure
-            writer.writerow(
-                [r.identity, r.passed]
-                + ([f.n, f.point, f.lhs, f.rhs] if f is not None else ["", "", "", ""])
-            )
-    return 1 if failures else 0
+            yield [r.identity, r.passed] + (
+                [f.n, f.point, f.lhs, f.rhs] if f is not None else ["", "", "", ""])
+
+    _emit(args.format, lines, lambda: (r.to_json_obj() for r in reports), rows)
+    return 0 if passed == len(reports) else 1
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +232,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
+        _check_ceiling(args)
         code = args.handler(args)
         sys.stdout.flush()
         return code
@@ -256,7 +243,7 @@ def main(argv: "list[str] | None" = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (_UsageError, grammar.GrammarError, ValueError) as exc:
+    except ValueError as exc:  # grammar.GrammarError is one
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,11 +152,8 @@ class QuadExt:
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            A, B, D, e, dd = self._s
-            p, q = other.numerator, other.denominator
-            return _quad(p * D - A * q, -B * q, D * q, e, dd)
-        return NotImplemented
+        # __add__'s NotImplemented passes through: 0.5 - q raises TypeError for '-'
+        return (-self).__add__(other)
 
     def __neg__(self):
         A, B, D, e, dd = self._s
@@ -179,17 +176,9 @@ class QuadExt:
     def __truediv__(self, other):
         A, B, D, e, dd = self._s
         if isinstance(other, QuadExt):
-            A2, B2, D2, e2, dd2 = other._s
-            if e != e2 or dd != dd2:
-                e, dd = self._pair(other)
-            # (A + B s)/D * D2 (A2 - B2 s) / (A2^2 - e B2^2)
-            N = A2 * A2 - e * B2 * B2
-            if N == 0:
-                other._no_inverse()
-            if N < 0:
-                N, D2 = -N, -D2
-            return _quad(D2 * (A * A2 - e * B * B2), D2 * (B * A2 - A * B2),
-                         D * N, e, dd)
+            if e != other._s[3] or dd != other._s[4]:
+                self._pair(other)  # two fields are refused before a zero divisor
+            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
@@ -224,19 +213,15 @@ class QuadExt:
         A, B, D, e, dd = self._s
         N = A * A - e * B * B
         if N == 0:
-            self._no_inverse()
+            if not self:
+                raise ZeroDivisionError("division by zero")
+            raise ZeroDivisionError(
+                f"element {self} has zero norm (d = {self.d} is a rational "
+                "square) and no inverse"
+            )
         if N < 0:
             N, D = -N, -D
         return _quad(D * A, -D * B, N, e, dd)
-
-    def _no_inverse(self):
-        """Raise the ``ZeroDivisionError`` of an element of norm zero."""
-        if not self:
-            raise ZeroDivisionError("division by zero")
-        raise ZeroDivisionError(
-            f"element {self} has zero norm (d = {self.d} is a rational "
-            "square) and no inverse"
-        )
 
     # -- structure -----------------------------------------------------
 

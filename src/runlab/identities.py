@@ -32,7 +32,7 @@ serialized output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -88,9 +88,6 @@ class CheckFailure:
     lhs: str
     rhs: str
 
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "point": self.point, "lhs": self.lhs, "rhs": self.rhs}
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -100,14 +97,7 @@ class CheckReport:
     first_failure: "CheckFailure | None" = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "passed": self.passed,
-            "first_failure": None
-            if self.first_failure is None
-            else self.first_failure.to_json_obj(),
-        }
+        return asdict(self)
 
 
 def _passed(identity: str, params: dict) -> CheckReport:
@@ -136,9 +126,13 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
         if lhs != rhs:
             return _failed(identity, params, n, point, lhs, rhs)
     if not drawn:
-        shown = ", ".join(f"{k}={v}" for k, v in params.items())
-        raise ValueError(f"{identity} ({shown}) has no case to compare")
+        raise ValueError(f"{identity} ({_params_text(params)}) has no case to compare")
     return _passed(identity, params)
+
+
+def _params_text(params: "Mapping[str, object]") -> str:
+    """``params`` as a report line shows them: ``k=v, ...`` in their order."""
+    return ", ".join(f"{k}={v}" for k, v in params.items())
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +367,8 @@ def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> Ch
     over seeded random u, v and all four stock grammars."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     params = {"n_max": n_max, "cases": cases, "seed": seed}
     rng = random.Random(seed)
     names = sorted(grammar.BUILTIN_GRAMMARS)
@@ -771,6 +767,15 @@ def run_suite(
     ]
 
     reports: "list[CheckReport]" = []
+    # first, so a range the closed forms cannot compare is refused before
+    # any other check runs
+    if suite in ("all", "closed-forms"):
+        reports += [
+            check_alt_from_runs(bound(25)),
+            check_runs_from_peaks(bound(20)),
+            check_tangent_forms(bound(12)),
+            check_david_barton(bound(12)),
+        ]
     if suite in ("all", "grammar"):
         reports += [
             check_grammar_runs(bound(12)),
@@ -783,13 +788,6 @@ def run_suite(
         reports += [
             check_convolutions(bound(20)),
             check_recurrence_consistency(bound(20)),
-        ]
-    if suite in ("all", "closed-forms"):
-        reports += [
-            check_alt_from_runs(bound(25)),
-            check_runs_from_peaks(bound(20)),
-            check_tangent_forms(bound(12)),
-            check_david_barton(bound(12)),
         ]
     if suite in ("all", "gf"):
         for check, x0s in gf_checks:

@@ -12,8 +12,8 @@ from runlab import cli, triangles
 from tests.test_identities import corrupt_triangle
 
 
-#: stdout of ``grammar --builtin NAME --word SEED --n 8``, plain then JSON;
-#: any change to term order, exponents or coefficient types shows here.
+#: stdout of ``grammar --builtin NAME --word SEED --n 8`` in plain, JSON and
+#: CSV; any change to term order, exponents or coefficient types shows here.
 GRAMMAR_N8 = {
     ("main", "x^2"): (
         '2*x^2*y*z^7 + 508*x^2*y^2*z^6 + 8814*x^2*y^3*z^5 + '
@@ -27,6 +27,9 @@ GRAMMAR_N8 = {
         '{"coeff":"119964","mono":{"x":2,"y":6,"z":2}},'
         '{"coeff":"69298","mono":{"x":2,"y":7,"z":1}},'
         '{"coeff":"15872","mono":{"x":2,"y":8}}]\n',
+        "coeff,x,y,z\n"
+        "2,2,1,7\n508,2,2,6\n8814,2,3,5\n45096,2,4,4\n"
+        "103326,2,5,3\n119964,2,6,2\n69298,2,7,1\n15872,2,8,0\n",
     ),
     ("dumont", "x"): (
         'x*y^8 + 247*x^2*y^7 + 4293*x^3*y^6 + 15619*x^4*y^5 + '
@@ -39,6 +42,9 @@ GRAMMAR_N8 = {
         '{"coeff":"4293","mono":{"x":6,"y":3}},'
         '{"coeff":"247","mono":{"x":7,"y":2}},'
         '{"coeff":"1","mono":{"x":8,"y":1}}]\n',
+        "coeff,x,y\n"
+        "1,1,8\n247,2,7\n4293,3,6\n15619,4,5\n"
+        "15619,5,4\n4293,6,3\n247,7,2\n1,8,1\n",
     ),
     ("peaks", "y"): (
         'y*z^8 + 1636*y^3*z^6 + 18270*y^5*z^4 + 19028*y^7*z^2 + 1385*y^9\n',
@@ -47,6 +53,8 @@ GRAMMAR_N8 = {
         '{"coeff":"18270","mono":{"y":5,"z":4}},'
         '{"coeff":"19028","mono":{"y":7,"z":2}},'
         '{"coeff":"1385","mono":{"y":9}}]\n',
+        "coeff,y,z\n"
+        "1,1,8\n1636,3,6\n18270,5,4\n19028,7,2\n1385,9,0\n",
     ),
     ("schett", "x"): (
         'x*z^8 + 1228*x*y^2*z^6 + 5478*x*y^4*z^4 + 1228*x*y^6*z^2 + '
@@ -67,6 +75,10 @@ GRAMMAR_N8 = {
         '{"coeff":"912","mono":{"x":5,"y":4}},'
         '{"coeff":"64","mono":{"x":7,"z":2}},'
         '{"coeff":"64","mono":{"x":7,"y":2}}]\n',
+        "coeff,x,y,z\n"
+        "1,1,0,8\n1228,1,2,6\n5478,1,4,4\n1228,1,6,2\n1,1,8,0\n"
+        "408,3,0,6\n11880,3,2,4\n11880,3,4,2\n408,3,6,0\n"
+        "912,5,0,4\n5856,5,2,2\n912,5,4,0\n64,7,0,2\n64,7,2,0\n",
     ),
 }
 
@@ -204,6 +216,129 @@ GRAMMAR_WIDE = {
 }
 
 
+#: stdout of ``triangle NAME 4`` in plain, JSON and CSV: plain drops each
+#: row's leading zeros, JSON and CSV keep them.
+TRIANGLE_4 = {
+    "runs": (
+        "1\n2\n2 4\n2 12 10\n",
+        '{"n":1,"coeffs":["1"]}\n'
+        '{"n":2,"coeffs":["0","2"]}\n'
+        '{"n":3,"coeffs":["0","2","4"]}\n'
+        '{"n":4,"coeffs":["0","2","12","10"]}\n',
+        "n,k,value\n1,0,1\n2,0,0\n2,1,2\n3,0,0\n3,1,2\n3,2,4\n"
+        "4,0,0\n4,1,2\n4,2,12\n4,3,10\n",
+    ),
+    "altsubseq": (
+        "1\n1\n1 1\n1 3 2\n1 7 11 5\n",
+        '{"n":0,"coeffs":["1"]}\n'
+        '{"n":1,"coeffs":["0","1"]}\n'
+        '{"n":2,"coeffs":["0","1","1"]}\n'
+        '{"n":3,"coeffs":["0","1","3","2"]}\n'
+        '{"n":4,"coeffs":["0","1","7","11","5"]}\n',
+        "n,k,value\n0,0,1\n1,0,0\n1,1,1\n2,0,0\n2,1,1\n2,2,1\n"
+        "3,0,0\n3,1,1\n3,2,3\n3,3,2\n4,0,0\n4,1,1\n4,2,7\n4,3,11\n4,4,5\n",
+    ),
+    "peaks": (
+        "1\n2\n4 2\n8 16\n",
+        '{"n":1,"coeffs":["1"]}\n'
+        '{"n":2,"coeffs":["2"]}\n'
+        '{"n":3,"coeffs":["4","2"]}\n'
+        '{"n":4,"coeffs":["8","16"]}\n',
+        "n,k,value\n1,0,1\n2,0,2\n3,0,4\n3,1,2\n4,0,8\n4,1,16\n",
+    ),
+    "leftpeaks": (
+        "1\n1\n1 1\n1 5\n1 18 5\n",
+        '{"n":0,"coeffs":["1"]}\n'
+        '{"n":1,"coeffs":["1"]}\n'
+        '{"n":2,"coeffs":["1","1"]}\n'
+        '{"n":3,"coeffs":["1","5"]}\n'
+        '{"n":4,"coeffs":["1","18","5"]}\n',
+        "n,k,value\n0,0,1\n1,0,1\n2,0,1\n2,1,1\n3,0,1\n3,1,5\n"
+        "4,0,1\n4,1,18\n4,2,5\n",
+    ),
+    "euler": (
+        "1\n1 1\n1 4 1\n1 11 11 1\n",
+        '{"n":1,"coeffs":["1"]}\n'
+        '{"n":2,"coeffs":["1","1"]}\n'
+        '{"n":3,"coeffs":["1","4","1"]}\n'
+        '{"n":4,"coeffs":["1","11","11","1"]}\n',
+        "n,k,value\n1,0,1\n2,0,1\n2,1,1\n3,0,1\n3,1,4\n3,2,1\n"
+        "4,0,1\n4,1,11\n4,2,11\n4,3,1\n",
+    ),
+}
+
+
+#: stdout of ``oracle STAT 4`` in plain, JSON and CSV.
+ORACLE_4 = {
+    "runs": (
+        "{1:2, 2:12, 3:10}\n",
+        '{"stat":"runs","n":4,"counts":{"1":"2","2":"12","3":"10"}}\n',
+        "k,count\n1,2\n2,12\n3,10\n",
+    ),
+    "peaks": (
+        "{0:8, 1:16}\n",
+        '{"stat":"peaks","n":4,"counts":{"0":"8","1":"16"}}\n',
+        "k,count\n0,8\n1,16\n",
+    ),
+    "leftpeaks": (
+        "{0:1, 1:18, 2:5}\n",
+        '{"stat":"leftpeaks","n":4,"counts":{"0":"1","1":"18","2":"5"}}\n',
+        "k,count\n0,1\n1,18\n2,5\n",
+    ),
+    "altsubseq": (
+        "{1:1, 2:7, 3:11, 4:5}\n",
+        '{"stat":"altsubseq","n":4,"counts":{"1":"1","2":"7","3":"11","4":"5"}}\n',
+        "k,count\n1,1\n2,7\n3,11\n4,5\n",
+    ),
+    "descents": (
+        "{0:1, 1:11, 2:11, 3:1}\n",
+        '{"stat":"descents","n":4,"counts":{"0":"1","1":"11","2":"11","3":"1"}}\n',
+        "k,count\n0,1\n1,11\n2,11\n3,1\n",
+    ),
+}
+
+
+#: stdout of ``verify grammar --n-max 6`` in plain, JSON and CSV with R(5,2)
+#: one too large: one failing report among passing ones, each format
+#: carrying its counterexample.
+_R4_TRUE = "2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4"
+_R4_CORRUPT = "2*x^2*y*z^3 + 29*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4"
+VERIFY_GRAMMAR_FAULT = {
+    "plain": (
+        "PASS grammar/altsubseq (n_max=6)\n"
+        "PASS grammar/eulerian (n_max=6, oracle_n_max=6)\n"
+        "PASS grammar/leibniz (n_max=6, cases=100, seed=20240801)\n"
+        "PASS grammar/peaks (n_max=6, oracle_n_max=6)\n"
+        "FAIL grammar/runs (n_max=6)\n"
+        "  counterexample: n=4, point=derivative of x^2\n"
+        f"    lhs = {_R4_TRUE}\n"
+        f"    rhs = {_R4_CORRUPT}\n"
+        "4/5 checks passed\n"
+    ),
+    "json": (
+        '{"identity":"grammar/altsubseq","params":{"n_max":6}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/eulerian","params":{"n_max":6,"oracle_n_max":6}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/leibniz","params":{"n_max":6,"cases":100,"seed":20240801}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/peaks","params":{"n_max":6,"oracle_n_max":6}'
+        ',"passed":true,"first_failure":null}\n'
+        '{"identity":"grammar/runs","params":{"n_max":6},"passed":false,'
+        '"first_failure":{"n":4,"point":"derivative of x^2",'
+        f'"lhs":"{_R4_TRUE}","rhs":"{_R4_CORRUPT}"}}}}\n'
+    ),
+    "csv": (
+        "identity,passed,n,point,lhs,rhs\n"
+        "grammar/altsubseq,True,,,,\n"
+        "grammar/eulerian,True,,,,\n"
+        "grammar/leibniz,True,,,,\n"
+        "grammar/peaks,True,,,,\n"
+        f"grammar/runs,False,4,derivative of x^2,{_R4_TRUE},{_R4_CORRUPT}\n"
+    ),
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -237,6 +372,13 @@ class TestTriangleCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["n", "k", "value"]
         assert ["3", "0", "4"] in rows and ["3", "1", "2"] in rows
+
+    @pytest.mark.parametrize("name", sorted(TRIANGLE_4))
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_rows_are_pinned(self, capsys, name, fmt):
+        code, out, err = run(capsys, "triangle", name, "4", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == TRIANGLE_4[name][cli.FORMATS.index(fmt)]
 
     def test_bad_name_exits_2(self, capsys):
         code, _, _ = run(capsys, "triangle", "nope", "3")
@@ -282,6 +424,13 @@ class TestOracleCommand:
             "6:162512286, 7:66318474, 8:10187685, 9:478271, 10:4083, 11:1}\n"
         )
 
+    @pytest.mark.parametrize("stat", sorted(ORACLE_4))
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_histograms_are_pinned(self, capsys, stat, fmt):
+        code, out, err = run(capsys, "oracle", stat, "4", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == ORACLE_4[stat][cli.FORMATS.index(fmt)]
+
     def test_range_guard_exits_2(self, capsys):
         code, _, err = run(capsys, "oracle", "runs", "15")
         assert code == 2 and "between 1 and 14" in err
@@ -289,20 +438,20 @@ class TestOracleCommand:
 
 class TestGrammarCommand:
     @pytest.mark.parametrize("name, seed", sorted(GRAMMAR_N8))
-    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_builtin_expansions_are_pinned(self, capsys, name, seed, fmt):
         code, out, _ = run(capsys, "grammar", "--builtin", name, "--word", seed,
                            "--n", "8", "--format", fmt)
         assert code == 0
-        assert out == GRAMMAR_N8[name, seed][fmt == "json"]
+        assert out == GRAMMAR_N8[name, seed][cli.FORMATS.index(fmt)]
 
     @pytest.mark.parametrize("name, word", sorted(GRAMMAR_WIDE))
-    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_wide_exponents_are_pinned(self, capsys, name, word, fmt):
         code, out, err = run(capsys, "grammar", "--builtin", name, "--word", word,
                              "--n", "2", "--format", fmt)
         assert (code, err) == (0, "")
-        assert out == GRAMMAR_WIDE[name, word][("plain", "json", "csv").index(fmt)]
+        assert out == GRAMMAR_WIDE[name, word][cli.FORMATS.index(fmt)]
 
     def test_main_expansion(self, capsys):
         code, out, _ = run(
@@ -480,11 +629,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             triangles, "triangle_R", corrupt_triangle(triangles.triangle_R, 5, 2)
         )
-        code, out, _ = run(capsys, "verify", "grammar", "--n-max", "6")
-        assert code == 1
-        assert "FAIL grammar/runs" in out
-        assert "counterexample: n=4" in out
-        assert "lhs = " in out and "rhs = " in out
+        for fmt in cli.FORMATS:
+            code, out, err = run(capsys, "verify", "grammar", "--n-max", "6",
+                                 "--format", fmt)
+            assert (code, err) == (1, "")
+            assert out == VERIFY_GRAMMAR_FAULT[fmt]
 
     def test_consistency_error_exits_1_without_traceback(self, capsys, monkeypatch):
         def broken(n_max):
@@ -521,6 +670,34 @@ class TestEnvironmentCeiling:
         monkeypatch.setenv("RUNLAB_MAX_N", "lots")
         code, _, err = run(capsys, "triangle", "runs", "3")
         assert code == 2 and "RUNLAB_MAX_N" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("triangle", "runs", "5"), "n_max 5 exceeds RUNLAB_MAX_N=4"),
+        (("oracle", "runs", "5"), "n 5 exceeds RUNLAB_MAX_N=4"),
+        (("grammar", "--builtin", "main", "--word", "x", "--n", "5"),
+         "n 5 exceeds RUNLAB_MAX_N=4"),
+        (("verify", "gf", "--order", "5"), "order 5 exceeds RUNLAB_MAX_N=4"),
+        # n_max is checked before order, and before the suite validates it
+        (("verify", "gf", "--n-max", "0", "--order", "5"), "order 5 exceeds RUNLAB_MAX_N=4"),
+        (("verify", "gf", "--n-max", "5", "--order", "6"), "n_max 5 exceeds RUNLAB_MAX_N=4"),
+    ], ids=["triangle", "oracle", "grammar", "verify-order", "verify-before-suite-checks",
+            "verify-n-max-before-order"])
+    def test_ceiling_names_the_argument(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("RUNLAB_MAX_N", "4")
+        monkeypatch.setattr(cli.identities, "run_suite", lambda *a, **k: pytest.fail("ran"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
+    def test_bad_ceiling_value_refuses_verify_without_n_arguments(self, capsys,
+                                                                   monkeypatch):
+        # the ceiling is read before any command runs, not only when an
+        # n-like argument is there to compare with it
+        monkeypatch.setenv("RUNLAB_MAX_N", "lots")
+        monkeypatch.setattr(cli.identities, "run_suite", lambda *a, **k: pytest.fail("ran"))
+        code, out, err = run(capsys, "verify", "all")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: RUNLAB_MAX_N must be an integer, got 'lots'\n")
 
 
 class TestConsoleEntry:

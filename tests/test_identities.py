@@ -285,6 +285,11 @@ class TestVacuousRanges:
         with pytest.raises(ValueError, match=f"^cases must be >= 1, got {cases}$"):
             idn.check_leibniz(4, cases)
 
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_leibniz_refuses_a_negative_range(self, n_max):
+        with pytest.raises(ValueError, match=f"^n_max must be >= 0, got {n_max}$"):
+            idn.check_leibniz(n_max)
+
     def test_smallest_ranges_that_compare_something_pass(self):
         assert idn.check_alt_from_runs(2).passed
         assert idn.check_tangent_forms(2).passed
@@ -295,6 +300,14 @@ class TestVacuousRanges:
 
     def test_suite_over_an_empty_range_raises(self):
         with pytest.raises(ValueError, match=r"^closed/alt-from-runs \(n_max=1\)"):
+            idn.run_suite("all", n_max=1)
+
+    def test_suite_over_an_empty_range_runs_no_other_check_first(self, monkeypatch):
+        for name in ("check_grammar_runs", "check_grammar_alt", "check_dumont",
+                     "check_peaks_grammar", "check_leibniz", "check_convolutions",
+                     "check_recurrence_consistency"):
+            monkeypatch.setattr(idn, name, lambda *a, _name=name, **k: pytest.fail(_name))
+        with pytest.raises(ValueError, match=r"^closed/alt-from-runs \(n_max=1\) has no case"):
             idn.run_suite("all", n_max=1)
 
 

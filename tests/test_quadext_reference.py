@@ -375,6 +375,9 @@ class TestAgainstReference:
     def test_mismatched_discriminants_text(self):
         got = agree(operator.mul, both((1, 1, F(3, 4))), both((0, 2, -5)))
         assert got == ("raises", ValueError, "mismatched discriminants: sqrt(3/4) vs sqrt(-5)")
+        # a divisor of norm zero is refused for its field before its norm
+        got = agree(operator.truediv, both((1, 1, 2)), both((0, 1, 0)))
+        assert got == ("raises", ValueError, "mismatched discriminants: sqrt(2) vs sqrt(0)")
 
 
 class TestOneFormPerValue:
