@@ -17,9 +17,12 @@ Arithmetic runs over integers and normalises once per result.  A
 integer formula followed by one three-argument ``gcd``; its ``a``,
 ``b`` and ``d`` are ``Fraction``s built only when read.  ``int`` and
 ``Fraction`` operands enter those formulas as ``p/q`` directly.  A
-polynomial is evaluated at ``p/q`` or at ``(A + B*sigma)/D`` by
-homogenised Horner on its integer coefficients, and the result is
-normalised once over its single shared denominator.
+polynomial is evaluated at ``p/q`` by :func:`horner`, or at
+``(A + B*sigma)/D`` by :func:`horner_quad`, homogenised Horner on its
+integer coefficients, and the result is normalised once over its single
+shared denominator.  A series product or quotient writes each operand
+over one common denominator and sums each coefficient over integers, so
+it reduces once per coefficient, not once per partial product.
 
 Every value is immutable and every operation is a pure function.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -41,6 +45,8 @@ __all__ = [
     "Rational",
     "cos_series",
     "exp_series",
+    "horner",
+    "horner_quad",
     "sin_series",
 ]
 
@@ -270,6 +276,39 @@ def _quad(A: int, B: int, D: int, e: int, dd: int) -> QuadExt:
     return q
 
 
+def horner(coeffs: "Sequence[int]", p: int, q: int) -> "tuple[int, int]":
+    """The integer polynomial ``coeffs`` at ``p/q`` as ``(num, q**deg)``.
+
+    ``num = sum_k c_k p^k q^(deg-k)`` is the polynomial homogenised to
+    its own degree ``deg = len(coeffs) - 1``, by Horner over integers;
+    nothing is reduced.  No coefficients give ``(0, 1)``.
+    """
+    if not coeffs:
+        return 0, 1
+    acc, qk = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc, qk
+
+
+def horner_quad(coeffs: "Sequence[int]", A: int, B: int, D: int, e: int) -> "tuple[int, int, int]":
+    """The integer polynomial ``coeffs`` at ``(A + B*s)/D``, ``s**2 = e``,
+    as ``(X, Y, D**deg)`` with value ``(X + Y*s)/D**deg``.
+
+    :func:`horner` over Z[s]: ``X + Y*s`` is the polynomial homogenised
+    to its own degree, nothing is reduced, and no coefficients give
+    ``(0, 0, 1)``.
+    """
+    if not coeffs:
+        return 0, 0, 1
+    X, Y, Dk = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        Dk *= D
+        X, Y = X * A + e * Y * B + c * Dk, X * B + Y * A
+    return X, Y, Dk
+
+
 class RatPoly:
     """Dense univariate polynomial with ``int`` coefficients; index = degree.
 
@@ -343,11 +382,11 @@ class RatPoly:
     def __call__(self, point):
         """Horner evaluation at an int, Fraction or QuadExt point.
 
-        The loop runs on integers: the point is written over one
-        denominator, ``p/q`` or the stored ``(A + B*sigma)/D`` of a
-        ``QuadExt``, and the result is normalised once at the end.  The
-        value is an ``int`` exactly when the point is an ``int``.  Any
-        other point raises ``TypeError``.
+        The point is written over one denominator, ``p/q`` or the stored
+        ``(A + B*sigma)/D`` of a ``QuadExt``; :func:`horner` or
+        :func:`horner_quad` runs on integers, and the result is
+        normalised once at the end.  The value is an ``int`` exactly when
+        the point is an ``int``.  Any other point raises ``TypeError``.
         """
         if not isinstance(point, (int, Fraction, QuadExt)):
             raise TypeError(f"cannot evaluate a RatPoly at a {type(point).__name__}")
@@ -356,17 +395,9 @@ class RatPoly:
             return 0
         if isinstance(point, QuadExt):
             A, B, D, e, dd = point._s
-            X, Y, Dk = cs[-1], 0, 1
-            for c in reversed(cs[:-1]):
-                Dk *= D
-                X, Y = X * A + e * Y * B + c * Dk, X * B + Y * A
-            return _quad(X, Y, Dk, e, dd)
-        p, q = point.numerator, point.denominator
-        acc, qk = cs[-1], 1
-        for c in reversed(cs[:-1]):
-            qk *= q
-            acc = acc * p + c * qk
-        return acc if isinstance(point, int) else Fraction(acc, qk)
+            return _quad(*horner_quad(cs, A, B, D, e), e, dd)
+        num, den = horner(cs, point.numerator, point.denominator)
+        return num if isinstance(point, int) else Fraction(num, den)
 
     # -- structure -----------------------------------------------------
 
@@ -415,6 +446,12 @@ class PowerSeries:
     differ raises ``ValueError`` (see ``QuadExt._pair``).  Binary
     operations truncate to the shorter operand, so a result never
     pretends to more precision than its inputs carried.
+
+    ``*`` and ``/`` between series whose irrational coefficients share
+    one field (a rational coefficient embeds) sum each result coefficient
+    over integers and reduce it once.  Operands with irrational
+    coefficients in two fields are combined term by term in ``QuadExt``
+    arithmetic, which raises at the first two that meet.
     """
 
     __slots__ = ("_coeffs",)
@@ -466,13 +503,19 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
+            a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
+            field = _one_field(a + b)
+            if field is None:
+                return PowerSeries(_termwise_product(a, b))
+            e, dd = field
+            A, A2, Da = _common(a)
+            B, B2, Db = _common(b)
             out = []
             for k in range(n + 1):
-                acc = a[0] * b[k]
-                for i in range(1, k + 1):
-                    acc = acc + a[i] * b[k - i]
-                out.append(acc)
+                x, x2, y, y2 = A[: k + 1], A2[: k + 1], B[k::-1], B2[k::-1]
+                out.append(_quad(sum(map(mul, x, y)) + e * sum(map(mul, x2, y2)),
+                                 sum(map(mul, x, y2)) + sum(map(mul, x2, y)),
+                                 Da * Db, e, dd))
             return PowerSeries(out)
         if isinstance(other, (int, Fraction, QuadExt)):
             return PowerSeries([c * other for c in self._coeffs])
@@ -489,12 +532,35 @@ class PowerSeries:
                     f"series constant term {g0} is not invertible"
                 )
             inv = g0.inverse()
-            out: "list[QuadExt]" = []
+            a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
+            field = _one_field(a + b)
+            if field is None:
+                return PowerSeries(_termwise_quotient(a, b, inv))
+            e, dd = field
+            A, A2, Da = _common(a)
+            B, B2, Db = _common(b)
+            C, C2, Dc, _, _ = inv._s
+            out = []
+            # the quotient so far, written over its common denominator L
+            X, Y, L = [], [], 1
             for k in range(n + 1):
-                acc = self._coeffs[k]
-                for j in range(1, k + 1):
-                    acc = acc - other._coeffs[j] * out[k - j]
-                out.append(acc * inv)
+                y, y2, x, x2 = B[1 : k + 1], B2[1 : k + 1], X[::-1], Y[::-1]
+                # sum_j b[j] out[k-j] is (S + T*s)/(Db*L), so a[k] minus it
+                # is (P + Q*s)/(Da*Db*L)
+                S = sum(map(mul, y, x)) + e * sum(map(mul, y2, x2))
+                T = sum(map(mul, y, x2)) + sum(map(mul, y2, x))
+                P = A[k] * Db * L - Da * S
+                Q = A2[k] * Db * L - Da * T
+                q = _quad(P * C + e * Q * C2, P * C2 + Q * C, Da * Db * L * Dc, e, dd)
+                out.append(q)
+                Xq, Yq, Dq, _, _ = q._s
+                grown = lcm(L, Dq)
+                if grown != L:
+                    X = [v * (grown // L) for v in X]
+                    Y = [v * (grown // L) for v in Y]
+                    L = grown
+                X.append(Xq * (L // Dq))
+                Y.append(Yq * (L // Dq))
             return PowerSeries(out)
         if isinstance(other, (int, Fraction, QuadExt)):
             if isinstance(other, QuadExt):
@@ -520,6 +586,55 @@ class PowerSeries:
         return self.order == other.order and all(
             a == b for a, b in zip(self._coeffs, other._coeffs)
         )
+
+
+def _one_field(coeffs: "Sequence[QuadExt]") -> "tuple[int, int] | None":
+    """The field ``(e, dd)`` that every irrational one of ``coeffs`` lies
+    in, the first coefficient's when all are rational, or None when the
+    irrational ones lie in two fields."""
+    fields = {c._s[3:] for c in coeffs if c._s[1]}
+    if len(fields) > 1:
+        return None
+    return fields.pop() if fields else coeffs[0]._s[3:]
+
+
+def _common(coeffs: "Sequence[QuadExt]") -> "tuple[list[int], list[int], int]":
+    """``(As, Bs, D)``: the ``QuadExt``s ``coeffs``, all in one field or
+    rational, as ``(As[i] + Bs[i]*sigma)/D`` over their least common
+    denominator ``D``."""
+    D = lcm(*(c._s[2] for c in coeffs))
+    As, Bs = [], []
+    for c in coeffs:
+        A, B, Dc, _, _ = c._s
+        As.append(A * (D // Dc))
+        Bs.append(B * (D // Dc))
+    return As, Bs, D
+
+
+def _termwise_product(a: "Sequence[QuadExt]", b: "Sequence[QuadExt]") -> "list[QuadExt]":
+    """The coefficients of ``a * b`` by ``QuadExt`` arithmetic, term by
+    term: for operands in two fields, where the first irrational pair that
+    meets raises ``ValueError``."""
+    out = []
+    for k in range(len(a)):
+        acc = a[0] * b[k]
+        for i in range(1, k + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _termwise_quotient(a: "Sequence[QuadExt]", b: "Sequence[QuadExt]",
+                       inv: QuadExt) -> "list[QuadExt]":
+    """The coefficients of ``a / b``, ``inv`` the inverse of ``b[0]``,
+    term by term as :func:`_termwise_product` computes a product."""
+    out: "list[QuadExt]" = []
+    for k in range(len(a)):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc = acc - b[j] * out[k - j]
+        out.append(acc * inv)
+    return out
 
 
 def _taylor(c: "QuadExt | Rational", order: int, signs: "tuple[int, ...]") -> PowerSeries:

@@ -12,8 +12,11 @@ Three kinds of verification appear:
 * pointwise evaluation of radical identities in Q(sqrt(d)) at enough
   rational points to certify the underlying polynomial identity (the
   degree bound, <= 2n+2 after clearing denominators, is noted per
-  check), with the sqrt-component of every evaluation required to vanish
-  exactly as its own named condition,
+  check).  At a point p/q each side is an integer ratio, found by
+  homogeneous Horner on the family rows, and the two sides are compared
+  by cross-multiplication; the sqrt-component of every evaluation is an
+  integer, required to vanish exactly as its own named condition.  Only
+  a failed case builds the ``Fraction`` or ``QuadExt`` it prints,
 * coefficient-by-coefficient comparison of truncated series against
   triangle-derived exponential generating function coefficients.
 
@@ -35,7 +38,7 @@ import random
 from dataclasses import asdict, dataclass
 from itertools import islice
 from math import comb, isqrt
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import grammar, permcore, triangles
 from .exactnum import (
@@ -46,6 +49,8 @@ from .exactnum import (
     Rational,
     cos_series,
     exp_series,
+    horner,
+    horner_quad,
     sin_series,
 )
 
@@ -112,10 +117,14 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
     """The report on ``cases``, each ``(n, point, lhs, rhs)``, drawn lazily
     up to the first whose sides differ, which fails the check.
 
-    A ``QuadExt`` right side must first have a zero sqrt component, or
-    it fails at ``"{point}: sqrt component"`` as ``(rhs, 0)``; its
-    rational part is then compared.  A check that draws no case has
-    compared nothing, so it raises ``ValueError`` instead of passing.
+    A side is a value compared by ``!=``, or an integer ratio ``(num,
+    den)``, ``den != 0``, compared with the other ratio by
+    cross-multiplication and printed as the ``Fraction`` it denotes.  A
+    right side with a sqrt component, a ``QuadExt`` or a :class:`_Surd`,
+    must first have that component zero, or it fails at ``"{point}: sqrt
+    component"`` as ``(rhs, 0)``; its rational part is then compared.  A
+    check that draws no case has compared nothing, so it raises
+    ``ValueError`` instead of passing.
     """
     drawn = 0
     for drawn, (n, point, lhs, rhs) in enumerate(cases, 1):
@@ -123,11 +132,35 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
             if rhs.b != 0:
                 return _failed(identity, params, n, f"{point}: sqrt component", rhs, 0)
             rhs = rhs.a
-        if lhs != rhs:
+        elif isinstance(rhs, _Surd):
+            if rhs.b_num:
+                return _failed(identity, params, n, f"{point}: sqrt component",
+                               rhs.value(), 0)
+            rhs = rhs.a_num, rhs.a_den
+        if type(lhs) is tuple:
+            if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
+                return _failed(identity, params, n, point, Fraction(*lhs), Fraction(*rhs))
+        elif lhs != rhs:
             return _failed(identity, params, n, point, lhs, rhs)
     if not drawn:
         raise ValueError(f"{identity} ({_params_text(params)}) has no case to compare")
     return _passed(identity, params)
+
+
+class _Surd(NamedTuple):
+    """``a_num/a_den + (b_num/b_den)*sqrt(d)`` over integers: a right side
+    of :func:`_verdict` whose sqrt component is zero exactly when
+    ``b_num`` is.  Both denominators are nonzero."""
+
+    a_num: int
+    a_den: int
+    b_num: int
+    b_den: int
+    d: Fraction
+
+    def value(self) -> QuadExt:
+        return QuadExt(Fraction(self.a_num, self.a_den),
+                       Fraction(self.b_num, self.b_den), self.d)
 
 
 def _params_text(params: "Mapping[str, object]") -> str:
@@ -202,19 +235,30 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     return SamplePlan(tuple(islice(filter(keep, (shift + x for x in _pool())), count)))
 
 
+def _rational(value: object, what: str) -> Rational:
+    """``value``, refused with ``TypeError`` unless it is an ``int`` (not
+    a ``bool``) or a ``Fraction``."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} {value!r} is a {type(value).__name__}, "
+                        "not an int or Fraction")
+    return value
+
+
 def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
     """``plan``, or the stock plan when it is None, refused if a point is
-    singular for ``closed/<kind>`` or if it has fewer points than that
-    check needs at ``n_max``."""
+    not an ``int`` or ``Fraction``, if a point is singular for
+    ``closed/<kind>``, or if it has fewer distinct points than that check
+    needs at ``n_max``."""
     points_for, singular, what, _, _ = _POINTWISE[kind]
     needed = points_for(n_max)
     if plan is None:
         plan = default_plan(kind, needed)
     for x in plan.points:
-        if singular(x):
+        if singular(_rational(x, "sample point")):
             raise ValueError(f"sample point {x} is singular for {what}")
-    if len(plan) < needed:
-        raise ValueError(f"{len(plan)} sample points cannot certify closed/{kind}: "
+    distinct = len(set(plan.points))
+    if distinct < needed:
+        raise ValueError(f"{distinct} distinct sample points cannot certify closed/{kind}: "
                          f"the degree bound needs at least {needed}")
     return plan
 
@@ -536,25 +580,42 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
 
     Both sides are rational at rational x; after clearing (1+x) powers
     the degree is at most n, so the n_max+2 sample points certify every
-    n <= n_max.
+    n <= n_max.  At x = p/q each side is an integer ratio: a row F
+    homogenised to its own degree is F(a, b), so the T-form compares
+    T_n(p, q)/q^(deg T_n) with p (p+q)^(n-1) W_n(2p, p+q) over
+    q (2q)^(n-1) (p+q)^(deg W_n), and the R-form is the same with n-2.
     """
     def cases(xs):
         W = triangles.poly_W(n_max)
         R = triangles.poly_R(n_max)
         T = triangles.poly_T(n_max)
-        # what does not depend on n, once per point: the two labels,
-        # 2x/(1+x) and (1+x)/2
-        points = [(f"T-form x={x}", f"R-form x={x}", x, 2 * x / (1 + x), (1 + x) / 2)
+        # what does not depend on n, once per point: the two labels, p, q
+        points = [(f"T-form x={x}", f"R-form x={x}", x.numerator, x.denominator)
                   for x in xs]
         for n in range(1, n_max + 1):
-            Wn, Rn, Tn = W[n], R[n], T[n]
-            for t_form, r_form, x, t, h in points:
-                wn = Wn(t)
-                yield n, t_form, Tn(x), x * h ** (n - 1) * wn
+            Wn, Rn, Tn = W.row(n), R.row(n), T.row(n)
+            for t_form, r_form, p, q in points:
+                w, w_den = horner(Wn, 2 * p, p + q)
+                yield (n, t_form, horner(Tn, p, q),
+                       (p * (p + q) ** (n - 1) * w, q * (2 * q) ** (n - 1) * w_den))
                 if n >= 2:
-                    yield n, r_form, Rn(x), x * h ** (n - 2) * wn
+                    yield (n, r_form, horner(Rn, p, q),
+                           (p * (p + q) ** (n - 2) * w, q * (2 * q) ** (n - 2) * w_den))
 
     return _pointwise("runs-from-peaks", n_max, plan, cases)
+
+
+def _parity_split(row: "Sequence[int]", top: int) -> "tuple[list[int], list[int], int]":
+    """``(E, O, low)`` with sum_j row[j] r^(top-j) = y^low (E(y) + r O(y))
+    for y = r^2: each term goes to E or O by the parity of top-j, and
+    ``low`` <= 0 is below 0 only for a row longer than top+1 entries."""
+    low = min(0, (top + 1 - len(row)) // 2)
+    E = [0] * (top // 2 - low + 1)
+    O = list(E)
+    for j, c in enumerate(row):
+        m = top - j
+        (O if m % 2 else E)[m // 2 - low] += c
+    return E, O, low
 
 
 def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> CheckReport:
@@ -563,29 +624,45 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     R_n(x) = ((x+1)/2)^(n-1) ((x-1)/(x+1))^((n+1)/2) P_n(sqrt((x+1)/(x-1))),
     both for n >= 2.
 
-    Half-integer powers are evaluated in Q(sigma), sigma^2 = x-1 (resp.
-    Q(tau), tau^2 = (x+1)/(x-1)); the parity of P_n makes each right-hand
-    side land in Q, and the sqrt component is asserted zero before the
-    rational parts are compared.  After clearing denominators the degree
-    is at most 2n+2, so 2*n_max+3 points certify every n <= n_max.
+    With sigma^2 = y = x-1, sigma^(n+1) P_n(1/sigma) splits by the parity
+    of n+1-j into E(y) + sigma O(y); the R-form is the same split in
+    w = (x-1)/(x+1), since ((x-1)/(x+1))^((n+1)/2) P_n(1/sqrt(w)) is
+    E(w) + sqrt(w) O(w).  At x = p/q each part is an integer ratio: E
+    and O are evaluated homogenised at (p-q, q), resp. (p-q, p+q).  The
+    parity of P_n makes O vanish, and the sqrt component, the integer
+    O(p-q, q) resp. O(p-q, p+q), must be zero before the rational parts
+    are compared.  After clearing denominators the degree is at most
+    2n+2, so 2*n_max+3 points certify every n <= n_max.
     """
     def cases(xs):
         W = triangles.poly_W(n_max)
         R = triangles.poly_R(n_max)
         P = triangles.poly_P(n_max)
-        # what does not depend on n, once per point: the two labels, sigma,
-        # 1/sigma, 1/tau, tau and (x+1)/2
-        points = []
-        for x in xs:
-            sigma = QuadExt.root(x - 1)
-            tau = QuadExt.root((x + 1) / (x - 1))
-            points.append((f"W-form x={x}", f"R-form x={x}", x, sigma, sigma.inverse(),
-                           tau.inverse(), tau, (x + 1) / 2))
+        # what does not depend on n, once per point: the two labels, p, q
+        # and the discriminants x-1 and (x+1)/(x-1)
+        points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator,
+                   Fraction(x.numerator - x.denominator, x.denominator),
+                   Fraction(x.numerator + x.denominator, x.numerator - x.denominator))
+                  for x in xs]
         for n in range(2, n_max + 1):
-            Wn, Rn, Pn = W[n], R[n], P[n]
-            for w_form, r_form, x, sigma, sigma_inv, tau_inv, tau, h in points:
-                yield n, w_form, Wn(x), sigma ** (n + 1) * Pn(sigma_inv) / x
-                yield n, r_form, Rn(x), h ** (n - 1) * tau_inv ** (n + 1) * Pn(tau)
+            Wn, Rn = W.row(n), R.row(n)
+            E, O, low = _parity_split(P.row(n), n + 1)
+            odd = any(O)
+            for w_form, r_form, p, q, d_w, d_r in points:
+                # W-form: (q/p) y^low (E(y) + sigma O(y)), y = (p-q)/q
+                e, e_den = horner(E, p - q, q)
+                o, o_den = horner(O, p - q, q) if odd else (0, 1)
+                num, den = q * q ** -low, p * (p - q) ** -low
+                yield (n, w_form, horner(Wn, p, q),
+                       _Surd(num * e, den * e_den, num * o, den * o_den, d_w))
+                # R-form: h^(n-1) w^low (E(w) + tau w O(w)), h = (p+q)/(2q),
+                # w = (p-q)/(p+q), tau^2 = 1/w
+                e, e_den = horner(E, p - q, p + q)
+                o, o_den = horner(O, p - q, p + q) if odd else (0, 1)
+                num = (p + q) ** (n - 1) * (p + q) ** -low
+                den = (2 * q) ** (n - 1) * (p - q) ** -low
+                yield (n, r_form, horner(Rn, p, q),
+                       _Surd(num * e, den * e_den, num * o * (p - q), den * o_den * (p + q), d_r))
 
     return _pointwise("tangent", n_max, plan, cases)
 
@@ -593,23 +670,36 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
 def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> CheckReport:
     """The run polynomials from the descent polynomials:
     R_n(x) = ((1+x)/2)^(n-1) (1+w)^(n+1) A_n((1-w)/(1+w))  for n >= 2,
-    with w = sqrt((1-x)/(1+x)), realized as rho/(1+x) in Q(rho),
-    rho^2 = 1-x^2.  Points stay in (-1,1) \\ {0}; the sqrt component of
-    every evaluation must vanish exactly.
+    with w = sqrt((1-x)/(1+x)).  Points stay in (-1,1) \\ {0}.
+
+    At x = p/q it is compared in Z[s], s^2 = q^2 - p^2: there w = s/(q+p),
+    (1-w)/(1+w) = (q-s)/p and (q+p)(1+w) = q+p+s, so the right side is
+    (q+p+s)^(n+1) A_n(q-s, p) over (2q)^(n-1) (q+p)^2 p^(deg A_n), with
+    A_n homogenised to its own degree by Horner over Z[s].  Its s part,
+    the sqrt component, must be exactly zero before its rational part is
+    compared with R_n(p, q)/q^(deg R_n).
     """
     def cases(xs):
         A = triangles.poly_A(n_max)
         R = triangles.poly_R(n_max)
-        # what does not depend on n, once per point: the label, (1-w)/(1+w),
-        # (1+x)/2 and 1+w
+        # what does not depend on n, once per point: the label, p, q, q+p,
+        # s^2 and the discriminant 1-x^2
         points = []
         for x in xs:
-            w = QuadExt.root(1 - x * x) / (1 + x)
-            points.append((f"x={x}", x, (1 - w) / (1 + w), (1 + x) / 2, 1 + w))
+            p, q = x.numerator, x.denominator
+            points.append((f"x={x}", p, q, q + p, q * q - p * p, 1 - x * x))
+        # (q+p+s)^(n+1) per point as (v, v2), value v + v2*s, stepped with n
+        powers = [(c * c + ss, 2 * c) for _, _, _, c, ss, _ in points]
         for n in range(2, n_max + 1):
-            An, Rn = A[n], R[n]
-            for label, x, u, h, one_plus_w in points:
-                yield n, label, Rn(x), h ** (n - 1) * one_plus_w ** (n + 1) * An(u)
+            An, Rn = A.row(n), R.row(n)
+            for i, (label, p, q, c, ss, d) in enumerate(points):
+                v, v2 = powers[i]
+                v, v2 = powers[i] = v * c + ss * v2, v + v2 * c
+                X, Y, p_den = horner_quad(An, q, -1, p, ss)
+                den = (2 * q) ** (n - 1) * c * c * p_den
+                # s = q sqrt(1-x^2), so the s part times q is the sqrt component
+                yield (n, label, horner(Rn, p, q),
+                       _Surd(v * X + ss * v2 * Y, den, (v * Y + v2 * X) * q, den, d))
 
     return _pointwise("david-barton", n_max, plan, cases)
 
@@ -631,9 +721,9 @@ def _egf_coeffs(rows: "Callable[[int], list[int]]", x0: Fraction, order: int) ->
 
 
 def _series_point(x0: Rational, order: int) -> Fraction:
-    """``x0`` as a ``Fraction``, refused unless it lies in (-1, 1) and the
-    series order is at least 1."""
-    x0 = Fraction(x0)
+    """``x0`` as a ``Fraction``, refused unless it is an ``int`` or
+    ``Fraction`` in (-1, 1) and the series order is at least 1."""
+    x0 = Fraction(_rational(x0, "base point"))
     if not -1 < x0 < 1:
         raise ValueError(f"base point {x0} must lie in (-1, 1)")
     if order < 1:

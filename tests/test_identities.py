@@ -174,6 +174,38 @@ class TestPointwiseChecks:
         report = idn.check_tangent_forms(3, idn.SamplePlan((F(13, 4), F(7, 3), F(9, 5), F(12, 5), F(3), F(5, 2), F(4), F(5), F(6), F(7))))
         assert report.passed
 
+    @pytest.mark.parametrize("check, x, needed", [
+        (idn.check_tangent_forms, F(3, 2), 27),
+        (idn.check_david_barton, F(1, 2), 27),
+        (idn.check_runs_from_peaks, F(1, 2), 14),
+    ], ids=["tangent", "david-barton", "runs-from-peaks"])
+    def test_repeated_points_count_once(self, check, x, needed):
+        # one point given as many times as the bound needs certifies nothing
+        with pytest.raises(ValueError, match=f"^1 distinct sample points cannot certify "
+                                             f".*needs at least {needed}$"):
+            check(12, idn.SamplePlan((x,) * needed))
+        # equal values count once whatever their type
+        plan = idn.default_plan("runs-from-peaks", 13).points + (F(6, 4), 3, F(3))
+        with pytest.raises(ValueError, match="^15 distinct sample points .* at least 16$"):
+            idn.check_runs_from_peaks(14, idn.SamplePlan(plan))
+
+    @pytest.mark.parametrize("bad", [1.5, True, "3/2", None])
+    def test_sample_points_must_be_int_or_fraction(self, bad):
+        for check in (idn.check_tangent_forms, idn.check_david_barton,
+                      idn.check_runs_from_peaks):
+            plan = idn.SamplePlan((bad,) + idn.default_plan("tangent", 27).points)
+            with pytest.raises(TypeError, match=f"^sample point {bad!r} is a "
+                                                f"{type(bad).__name__}, not an int or Fraction$"):
+                check(12, plan)
+
+    def test_int_points_compare_as_their_fractions(self):
+        # an int point is p/1: the same report as the Fraction plan
+        for check, points in ((idn.check_runs_from_peaks, (1, 2, 3, 4, 5, 6)),
+                              (idn.check_tangent_forms, tuple(range(2, 13)))):
+            report = check(4, idn.SamplePlan(points))
+            assert report.passed
+            assert report == check(4, idn.SamplePlan(tuple(map(F, points))))
+
 
 class TestSeriesChecks:
     def test_carlitz_all_default_points(self):
@@ -222,6 +254,17 @@ class TestSeriesChecks:
                 fn(F(5, 3), order=4)
             with pytest.raises(ValueError, match="order must be >= 1"):
                 fn(F(1, 2), order=0)
+
+    @pytest.mark.parametrize("bad", [0.1, False, "1/2"])
+    def test_base_points_must_be_int_or_fraction(self, bad):
+        # a float was read as its binary expansion, a string parsed
+        message = f"^base point {bad!r} is a {type(bad).__name__}, not an int or Fraction$"
+        for fn in (idn.check_carlitz, idn.check_stanley_gf, idn.check_altsubseq_gf):
+            with pytest.raises(TypeError, match=message):
+                fn(bad, 2)
+        with pytest.raises(TypeError, match=message):
+            idn.run_suite("gf", stanley_t0s=[bad])
+        assert idn.check_carlitz(0, 2).passed
 
 
 class TestOracleCheck:

@@ -266,10 +266,17 @@ def components(draw, d=None):
 @st.composite
 def component_pairs(draw):
     """Two elements in one field, or in two fields (where a rational one
-    embeds into the other's field, or the pair refuses to combine)."""
+    embeds into the other's field, or the pair refuses to combine), or an
+    irrational element and one of norm zero, r*b + b*sqrt(r^2), in another
+    field: a divisor that is refused for its field before its norm."""
     u = draw(components())
-    same_field = draw(st.booleans())
-    return u, draw(components(u[2] if same_field else None))
+    kind = draw(st.sampled_from(["same field", "any field", "zero norm elsewhere"]))
+    if kind == "zero norm elsewhere":
+        u = (u[0], draw(rationals.filter(bool)), u[2])
+        r = draw(small_fractions.filter(lambda r: r * r != u[2]))
+        b = draw(rationals.filter(bool))
+        return u, (draw(st.sampled_from([1, -1])) * r * b, b, r * r)
+    return u, draw(components(u[2] if kind == "same field" else None))
 
 
 def both(args):
