@@ -63,6 +63,27 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _attach_negative_values(argv: "list[str]") -> "list[str]":
+    """``--x0 -1/2`` as ``--x0=-1/2``, and the same for ``--t0``.
+
+    argparse takes a token that starts with ``-`` for an option unless it
+    reads as a negative decimal, so a negative fraction after a space
+    would never reach :func:`_fraction`.
+    """
+    out: "list[str]" = []
+    for token in argv:
+        if out and out[-1] in ("--x0", "--t0") and token.startswith("-"):
+            try:
+                Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def _emit(fmt: str, lines, objs, rows) -> None:
     """Print one command's output in ``fmt``.
 
@@ -228,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:

@@ -22,7 +22,9 @@ polynomial is evaluated at ``p/q`` by :func:`horner`, or at
 integer coefficients, and the result is normalised once over its single
 shared denominator.  A series product or quotient writes each operand
 over one common denominator and sums each coefficient over integers, so
-it reduces once per coefficient, not once per partial product.
+it reduces once per coefficient, not once per partial product; operands
+whose irrational coefficients lie in two fields are refused before any
+arithmetic.
 
 Every value is immutable and every operation is a pure function.
 """
@@ -55,8 +57,9 @@ NEG_INF = float("-inf")
 
 
 def _parts(value: Rational) -> "tuple[int, int]":
-    """Numerator and denominator of an ``int`` or ``Fraction``."""
-    if isinstance(value, (int, Fraction)):
+    """Numerator and denominator of an ``int`` or ``Fraction``; a ``bool``
+    is refused."""
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
         return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
@@ -442,16 +445,16 @@ class PowerSeries:
     """Coefficients ``c_0 .. c_N`` of a series truncated at order ``N``.
 
     Rational coefficients are stored as rational ``QuadExt``s.  The field
-    lives only in the coefficients: combining two whose discriminants
-    differ raises ``ValueError`` (see ``QuadExt._pair``).  Binary
-    operations truncate to the shorter operand, so a result never
-    pretends to more precision than its inputs carried.
+    lives only in the coefficients, and a rational coefficient embeds into
+    any.  Binary operations truncate to the shorter operand, so a result
+    never pretends to more precision than its inputs carried.
 
-    ``*`` and ``/`` between series whose irrational coefficients share
-    one field (a rational coefficient embeds) sum each result coefficient
-    over integers and reduce it once.  Operands with irrational
-    coefficients in two fields are combined term by term in ``QuadExt``
-    arithmetic, which raises at the first two that meet.
+    ``*`` and ``/`` between series sum each result coefficient over
+    integers and reduce it once.  When the irrational coefficients of the
+    truncated operands lie in two fields, both raise ``QuadExt._pair``'s
+    ``ValueError`` before any arithmetic (``/`` refuses a constant term of
+    norm zero first).  ``+``, and ``*`` by a ``QuadExt``, raise it only
+    where an irrational coefficient meets one from another field.
     """
 
     __slots__ = ("_coeffs",)
@@ -504,10 +507,7 @@ class PowerSeries:
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
             a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
-            field = _one_field(a + b)
-            if field is None:
-                return PowerSeries(_termwise_product(a, b))
-            e, dd = field
+            e, dd = _one_field(a + b)
             A, A2, Da = _common(a)
             B, B2, Db = _common(b)
             out = []
@@ -533,10 +533,7 @@ class PowerSeries:
                 )
             inv = g0.inverse()
             a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
-            field = _one_field(a + b)
-            if field is None:
-                return PowerSeries(_termwise_quotient(a, b, inv))
-            e, dd = field
+            e, dd = _one_field(a + b)
             A, A2, Da = _common(a)
             B, B2, Db = _common(b)
             C, C2, Dc, _, _ = inv._s
@@ -562,14 +559,6 @@ class PowerSeries:
                 X.append(Xq * (L // Dq))
                 Y.append(Yq * (L // Dq))
             return PowerSeries(out)
-        if isinstance(other, (int, Fraction, QuadExt)):
-            if isinstance(other, QuadExt):
-                inv = other.inverse()
-            else:
-                if other == 0:
-                    raise ZeroDivisionError("division by zero")
-                inv = Fraction(1) / other
-            return PowerSeries([c * inv for c in self._coeffs])
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -588,14 +577,16 @@ class PowerSeries:
         )
 
 
-def _one_field(coeffs: "Sequence[QuadExt]") -> "tuple[int, int] | None":
+def _one_field(coeffs: "Sequence[QuadExt]") -> "tuple[int, int]":
     """The field ``(e, dd)`` that every irrational one of ``coeffs`` lies
-    in, the first coefficient's when all are rational, or None when the
-    irrational ones lie in two fields."""
-    fields = {c._s[3:] for c in coeffs if c._s[1]}
-    if len(fields) > 1:
-        return None
-    return fields.pop() if fields else coeffs[0]._s[3:]
+    in, or the first coefficient's when all are rational.  Irrational
+    coefficients in two fields raise ``QuadExt._pair``'s ``ValueError``,
+    which names the first two fields in ``coeffs`` order."""
+    irrational = [c for c in coeffs if c._s[1]]
+    for c in irrational:
+        if c._s[3:] != irrational[0]._s[3:]:
+            irrational[0]._pair(c)
+    return (irrational[0] if irrational else coeffs[0])._s[3:]
 
 
 def _common(coeffs: "Sequence[QuadExt]") -> "tuple[list[int], list[int], int]":
@@ -609,32 +600,6 @@ def _common(coeffs: "Sequence[QuadExt]") -> "tuple[list[int], list[int], int]":
         As.append(A * (D // Dc))
         Bs.append(B * (D // Dc))
     return As, Bs, D
-
-
-def _termwise_product(a: "Sequence[QuadExt]", b: "Sequence[QuadExt]") -> "list[QuadExt]":
-    """The coefficients of ``a * b`` by ``QuadExt`` arithmetic, term by
-    term: for operands in two fields, where the first irrational pair that
-    meets raises ``ValueError``."""
-    out = []
-    for k in range(len(a)):
-        acc = a[0] * b[k]
-        for i in range(1, k + 1):
-            acc = acc + a[i] * b[k - i]
-        out.append(acc)
-    return out
-
-
-def _termwise_quotient(a: "Sequence[QuadExt]", b: "Sequence[QuadExt]",
-                       inv: QuadExt) -> "list[QuadExt]":
-    """The coefficients of ``a / b``, ``inv`` the inverse of ``b[0]``,
-    term by term as :func:`_termwise_product` computes a product."""
-    out: "list[QuadExt]" = []
-    for k in range(len(a)):
-        acc = a[k]
-        for j in range(1, k + 1):
-            acc = acc - b[j] * out[k - j]
-        out.append(acc * inv)
-    return out
 
 
 def _taylor(c: "QuadExt | Rational", order: int, signs: "tuple[int, ...]") -> PowerSeries:

@@ -541,6 +541,18 @@ class TestVerifyCommand:
         assert "gf/stanley[t0=1/4]" in out
         assert out.splitlines()[-1] == "3/3 checks passed"
 
+    def test_negative_fraction_after_a_space(self, capsys):
+        # argparse reads "-1/2" as an option unless it is joined with "="
+        spaced = run(capsys, "verify", "gf", "--x0", "-1/2", "--t0", "-1/3",
+                     "--order", "6")
+        joined = run(capsys, "verify", "gf", "--x0=-1/2", "--t0=-1/3",
+                     "--order", "6")
+        assert spaced == joined
+        code, out, _ = spaced
+        assert code == 0
+        assert "gf/carlitz[x0=-1/2]" in out
+        assert "gf/stanley[t0=-1/3]" in out
+
     def test_json_reports(self, capsys):
         code, out, _ = run(
             capsys, "verify", "oracle", "--n-max", "4", "--format=json"

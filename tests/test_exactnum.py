@@ -306,6 +306,14 @@ class TestPowerSeries:
         with pytest.raises(IndexError):
             PowerSeries([1, 2]).coefficient(5)
 
+    def test_bool_refused(self):
+        # True is an int to isinstance, but not a rational to exactnum
+        for build in (lambda: QuadExt(True, 0, 2), lambda: QuadExt(1, False, 2),
+                      lambda: QuadExt.root(True), lambda: PowerSeries([True]),
+                      lambda: exp_series(True, 3)):
+            with pytest.raises(TypeError, match="got bool"):
+                build()
+
     def test_discriminant_mismatch_rejected(self):
         # a series in sqrt(2) times one in sqrt(3): the field lives in the
         # coefficients, which refuse to combine

@@ -2,12 +2,16 @@
 
 ``ref_mul`` and ``ref_div`` are the term-by-term ``QuadExt`` loops that
 one-reduction-per-coefficient arithmetic replaced, kept verbatim: every
-partial product and partial sum is a reduced ``QuadExt``.  Both
-operations must give the same coefficients, with the same ``str`` and,
-for every coefficient with a sqrt component, the same field, and must
-raise the same errors, messages included.  A rational coefficient
-carries a field that nothing reads (it embeds into any), so its field
-is not compared.
+partial product and partial sum is a reduced ``QuadExt``.  For operands
+whose irrational coefficients share one field, both operations must give
+the same coefficients, with the same ``str`` and, for every coefficient
+with a sqrt component, the same field, and must raise the same errors,
+messages included.  A rational coefficient carries a field that nothing
+reads (it embeds into any), so its field is not compared.
+
+Operands whose irrational coefficients lie in two fields are refused
+before any arithmetic, also where the reference never meets two of
+them and returns a value.
 """
 
 from __future__ import annotations
@@ -124,6 +128,20 @@ def outcome(fn, *args):
     return [(c.a, c.b, str(c), c.d if c.b else None) for c in value.coeffs]
 
 
+def expected(op, f, g):
+    """What ``op(f, g)`` must give: the reference's outcome, or, when the
+    irrational coefficients of the truncated operands lie in two fields,
+    the refusal naming the first two in operand order.  A quotient refuses
+    a constant term of norm zero first, as the reference does."""
+    ref = ref_mul if op is operator.mul else ref_div
+    n = min(f.order, g.order)
+    ds = [c.d for c in f.coeffs[: n + 1] + g.coeffs[: n + 1] if c.b]
+    other = next((d for d in ds if d != ds[0]), None)
+    if other is None or ref is ref_div and g.coeffs[0].norm() == 0:
+        return outcome(ref, f, g)
+    return ("raises", ValueError, f"mismatched discriminants: sqrt({ds[0]}) vs sqrt({other})")
+
+
 # -- differential tests --------------------------------------------------
 
 
@@ -131,14 +149,14 @@ class TestAgainstReference:
     @given(series_pairs())
     def test_products(self, pair):
         f, g = pair
-        assert outcome(operator.mul, f, g) == outcome(ref_mul, f, g)
-        assert outcome(operator.mul, g, f) == outcome(ref_mul, g, f)
+        assert outcome(operator.mul, f, g) == expected(operator.mul, f, g)
+        assert outcome(operator.mul, g, f) == expected(operator.mul, g, f)
 
     @given(series_pairs())
     def test_quotients(self, pair):
         f, g = pair
-        assert outcome(operator.truediv, f, g) == outcome(ref_div, f, g)
-        assert outcome(operator.truediv, g, f) == outcome(ref_div, g, f)
+        assert outcome(operator.truediv, f, g) == expected(operator.truediv, f, g)
+        assert outcome(operator.truediv, g, f) == expected(operator.truediv, g, f)
 
     def test_two_fields_refuse_with_the_reference_text(self):
         f = PowerSeries([QuadExt(1, 1, 2), 1, 0])
@@ -156,6 +174,29 @@ class TestAgainstReference:
         assert got == outcome(ref_div, f, g)
         assert got == ("raises", ZeroDivisionError,
                        "series constant term 2 + sqrt(4) is not invertible")
+
+    def test_two_fields_refused_where_no_two_irrationals_meet(self):
+        # every partial product pairs a sqrt with a 0, so the reference
+        # returns a value; the operands still lie in two fields
+        f = PowerSeries([0, QuadExt.root(2)])
+        g = PowerSeries([0, QuadExt.root(3)])
+        assert [str(c) for c in ref_mul(f, g).coeffs] == ["0", "0"]
+        assert outcome(operator.mul, f, g) == (
+            "raises", ValueError, "mismatched discriminants: sqrt(2) vs sqrt(3)")
+        assert outcome(operator.mul, g, f) == (
+            "raises", ValueError, "mismatched discriminants: sqrt(3) vs sqrt(2)")
+        h = PowerSeries([1, QuadExt.root(3)])
+        assert [str(c) for c in ref_div(f, h).coeffs] == ["0", "sqrt(2)"]
+        assert outcome(operator.truediv, f, h) == (
+            "raises", ValueError, "mismatched discriminants: sqrt(2) vs sqrt(3)")
+
+    @pytest.mark.parametrize("scalar", [2, F(1, 2), QuadExt.root(2)],
+                             ids=["int", "Fraction", "QuadExt"])
+    def test_no_division_by_a_scalar(self, scalar):
+        f = PowerSeries([1, QuadExt.root(2)])
+        with pytest.raises(TypeError):
+            f / scalar
+        assert scalar / PowerSeries([1, 0]) == PowerSeries([scalar, 0])
 
 
 class TestOneReductionPerCoefficient:
