@@ -72,8 +72,8 @@ class QuadExt:
     Elements with different discriminants refuse to combine, except that a
     purely rational element (``b == 0``) embeds into any Q(sqrt(d)).
     Plain ``int``/``Fraction`` operands combine with the rational
-    component directly.  ``d`` may be a rational square; the arithmetic
-    does not care.
+    component directly; ``+ - * /`` refuse a ``bool``, ``==`` does not.
+    ``d`` may be a rational square; the arithmetic does not care.
 
     A value is stored over integers as ``(A + B*sigma)/D``: with ``d =
     dn/dd`` in lowest terms, ``sigma = dd*rho`` has the integer square
@@ -141,7 +141,7 @@ class QuadExt:
             if e != e2 or dd != dd2:
                 e, dd = self._pair(other)
             return _quad(A * D2 + A2 * D, B * D2 + B2 * D, D * D2, e, dd)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             p, q = other.numerator, other.denominator
             return _quad(A * q + p * D, B * q, D * q, e, dd)
         return NotImplemented
@@ -155,7 +155,7 @@ class QuadExt:
             if e != e2 or dd != dd2:
                 e, dd = self._pair(other)
             return _quad(A * D2 - A2 * D, B * D2 - B2 * D, D * D2, e, dd)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             p, q = other.numerator, other.denominator
             return _quad(A * q - p * D, B * q, D * q, e, dd)
         return NotImplemented
@@ -175,7 +175,7 @@ class QuadExt:
             if e != e2 or dd != dd2:
                 e, dd = self._pair(other)
             return _quad(A * A2 + e * B * B2, A * B2 + B * A2, D * D2, e, dd)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             p, q = other.numerator, other.denominator
             return _quad(A * p, B * p, D * q, e, dd)
         return NotImplemented
@@ -188,7 +188,7 @@ class QuadExt:
             if e != other._s[3] or dd != other._s[4]:
                 self._pair(other)  # two fields are refused before a zero divisor
             return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             p, q = other.numerator, other.denominator
@@ -389,9 +389,10 @@ class RatPoly:
         ``(A + B*sigma)/D`` of a ``QuadExt``; :func:`horner` or
         :func:`horner_quad` runs on integers, and the result is
         normalised once at the end.  The value is an ``int`` exactly when
-        the point is an ``int``.  Any other point raises ``TypeError``.
+        the point is an ``int``.  Any other point, ``bool`` included,
+        raises ``TypeError``.
         """
-        if not isinstance(point, (int, Fraction, QuadExt)):
+        if not isinstance(point, (int, Fraction, QuadExt)) or type(point) is bool:
             raise TypeError(f"cannot evaluate a RatPoly at a {type(point).__name__}")
         cs = self._coeffs
         if not cs:
@@ -447,7 +448,8 @@ class PowerSeries:
     Rational coefficients are stored as rational ``QuadExt``s.  The field
     lives only in the coefficients, and a rational coefficient embeds into
     any.  Binary operations truncate to the shorter operand, so a result
-    never pretends to more precision than its inputs carried.
+    never pretends to more precision than its inputs carried.  A scalar
+    operand is an ``int``, ``Fraction`` or ``QuadExt``, never a ``bool``.
 
     ``*`` and ``/`` between series sum each result coefficient over
     integers and reduce it once.  When the irrational coefficients of the
@@ -489,7 +491,7 @@ class PowerSeries:
             return PowerSeries(
                 [self._coeffs[k] + other._coeffs[k] for k in range(n + 1)]
             )
-        if isinstance(other, (int, Fraction, QuadExt)):
+        if isinstance(other, (int, Fraction, QuadExt)) and type(other) is not bool:
             out = list(self._coeffs)
             out[0] = out[0] + other
             return PowerSeries(out)
@@ -498,7 +500,8 @@ class PowerSeries:
     __radd__ = __add__
 
     def __rsub__(self, other):
-        return (-self) + other
+        # __add__'s NotImplemented passes through: True - s raises TypeError for '-'
+        return (-self).__add__(other)
 
     def __neg__(self):
         return PowerSeries([-c for c in self._coeffs])
@@ -517,7 +520,7 @@ class PowerSeries:
                                  sum(map(mul, x, y2)) + sum(map(mul, x2, y)),
                                  Da * Db, e, dd))
             return PowerSeries(out)
-        if isinstance(other, (int, Fraction, QuadExt)):
+        if isinstance(other, (int, Fraction, QuadExt)) and type(other) is not bool:
             return PowerSeries([c * other for c in self._coeffs])
         return NotImplemented
 
@@ -562,7 +565,7 @@ class PowerSeries:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
+        if isinstance(other, (int, Fraction, QuadExt)) and type(other) is not bool:
             const = [other] + [0] * self.order
             return PowerSeries(const) / self
         return NotImplemented

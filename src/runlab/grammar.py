@@ -21,7 +21,6 @@ the width first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -361,7 +360,6 @@ class MPoly:
         ]
 
 
-@dataclass(frozen=True)
 class Grammar:
     """Substitution rules letter -> polynomial, closed over the alphabet.
 
@@ -375,17 +373,11 @@ class Grammar:
     ``rules`` must not be changed after construction.
     """
 
-    rules: "Mapping[str, MPoly]"
-    _letters: "tuple[str, ...]" = field(init=False, repr=False, compare=False)
-    _deltas: "tuple[tuple[tuple[tuple[int, ...], int], ...], ...]" = field(
-        init=False, repr=False, compare=False
-    )
-    _grow: int = field(init=False, repr=False, compare=False)
-    _packed: "dict[int, tuple]" = field(init=False, repr=False, compare=False)
+    __slots__ = ("rules", "_letters", "_deltas", "_grow", "_packed")
 
-    def __post_init__(self):
-        declared = set(self.rules)
-        for letter, rhs in self.rules.items():
+    def __init__(self, rules: "Mapping[str, MPoly]"):
+        declared = set(rules)
+        for letter, rhs in rules.items():
             _check_letter(letter)
             if not isinstance(rhs, MPoly):
                 raise TypeError("rule right-hand sides must be MPoly")
@@ -398,7 +390,7 @@ class Grammar:
         letters = tuple(sorted(declared))
         deltas = []
         for i, letter in enumerate(letters):
-            rule = self.rules[letter]
+            rule = rules[letter]
             compiled = []
             for v, c in zip(_unpack(rule._terms, len(rule._letters), _fit(rule._top)),
                             rule._terms.values()):
@@ -408,11 +400,18 @@ class Grammar:
                 compiled.append((delta, c))
             deltas.append(tuple(compiled))
         deltas = tuple(deltas)
+        _set(self, "rules", rules)
         _set(self, "_letters", letters)
         _set(self, "_deltas", deltas)
         _set(self, "_grow", max((e for rule in deltas for delta, _ in rule for e in delta
                                  if e > 0), default=0))
         _set(self, "_packed", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Grammar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Grammar is immutable")
 
     @property
     def alphabet(self) -> "frozenset[str]":

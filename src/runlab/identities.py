@@ -35,7 +35,6 @@ serialized output.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from itertools import islice
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -84,8 +83,7 @@ DEFAULT_STANLEY_T0S = (Fraction(1, 3), Fraction(1, 2))
 DEFAULT_FINAL_X0S = (Fraction(1, 3), Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     """First counterexample of a failed check, rendered exactly."""
 
     n: int
@@ -94,15 +92,17 @@ class CheckFailure:
     rhs: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     identity: str
     params: "dict[str, object]"
     passed: bool
     first_failure: "CheckFailure | None" = None
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        """The report as a dict in field order, in containers of its own."""
+        f = self.first_failure
+        return {"identity": self.identity, "params": dict(self.params), "passed": self.passed,
+                "first_failure": None if f is None else f._asdict()}
 
 
 def _passed(identity: str, params: dict) -> CheckReport:
@@ -172,11 +172,19 @@ def _params_text(params: "Mapping[str, object]") -> str:
 # Sample plans for the pointwise radical checks.
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """Rational sample points, already filtered for the target identity."""
 
-    points: "tuple[Fraction, ...]"
+    __slots__ = ("points",)
+
+    def __init__(self, points: "tuple[Fraction, ...]"):
+        object.__setattr__(self, "points", points)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SamplePlan is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SamplePlan is immutable")
 
     def __len__(self):
         return len(self.points)

@@ -21,11 +21,10 @@ Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "MAX_ENUM_N",
@@ -158,8 +157,7 @@ _STAT_FUNCS = {
 }
 
 
-@dataclass(frozen=True)
-class StatDistribution:
+class StatDistribution(NamedTuple):
     """Exact histogram of a statistic over S_n; counts sum to n!."""
 
     stat: Stat

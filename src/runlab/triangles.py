@@ -17,8 +17,6 @@ and k-2, and dense rows avoid sentinel bugs at the boundaries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import RatPoly
 
 __all__ = [
@@ -42,7 +40,6 @@ class ConsistencyError(RuntimeError):
     """A generated family contradicts a printed seed row."""
 
 
-@dataclass(frozen=True)
 class Family:
     """Integer coefficient rows indexed n = start.., dense from k = 0.
 
@@ -50,9 +47,18 @@ class Family:
     ``F[n]`` is that polynomial, built from the stored row on each call.
     """
 
-    name: str
-    start: int
-    rows: "list[list[int]]"
+    __slots__ = ("name", "start", "rows")
+
+    def __init__(self, name: str, start: int, rows: "list[list[int]]"):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Family is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Family is immutable")
 
     @property
     def max_n(self) -> int:

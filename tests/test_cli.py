@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -721,6 +723,20 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "{1:2, 2:4}\n"
+
+    def test_cold_import_skips_dataclasses_and_format_modules(self):
+        # dataclasses pulls in inspect and copy, and the default plain
+        # format needs neither json nor csv: a fresh import loads none
+        code = ("import sys; before = set(sys.modules); import runlab.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert "runlab.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "copy", "json", "csv"})
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            assert not re.search(r"^\s*(from|import)\s+dataclasses\b",
+                                 path.read_text(), re.M), path.name
 
     def test_closed_stdout_exits_1_without_traceback(self):
         # the rows run far past the pipe's buffer, so writing them must

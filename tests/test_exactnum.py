@@ -314,6 +314,17 @@ class TestPowerSeries:
             with pytest.raises(TypeError, match="got bool"):
                 build()
 
+    def test_bool_operand_refused(self):
+        # arithmetic refuses True where it would compute with 1; == does not
+        q, s = QuadExt.root(2), PowerSeries([1, QuadExt.root(2)])
+        for op in (lambda: q + True, lambda: True + q, lambda: q - True, lambda: True - q,
+                   lambda: q * True, lambda: True * q, lambda: q / True, lambda: True / q,
+                   lambda: s + True, lambda: True + s, lambda: s * True, lambda: True * s,
+                   lambda: True - s, lambda: True / s, lambda: RatPoly((1, 1))(True)):
+            with pytest.raises(TypeError, match="bool"):
+                op()
+        assert QuadExt(1, 0, 2) == True and QuadExt(0) == False
+
     def test_discriminant_mismatch_rejected(self):
         # a series in sqrt(2) times one in sqrt(3): the field lives in the
         # coefficients, which refuse to combine

@@ -308,6 +308,38 @@ class TestVerdict:
             idn._verdict("t/id", {"n_max": 1, "points": 5}, iter(()))
 
 
+#: A failing report and its exact serialized form: field order, types, values.
+FAILING = idn._verdict("t/id", {"n_max": 2}, [(1, "a", 1, 1), (2, "b", 3, 4)])
+FAILING_JSON = {"identity": "t/id", "params": {"n_max": 2}, "passed": False,
+                "first_failure": {"n": 2, "point": "b", "lhs": "3", "rhs": "4"}}
+
+
+@pytest.mark.parametrize("build, fields", [
+    (lambda: FAILING.first_failure, ("n", "point", "lhs", "rhs")),
+    (lambda: FAILING, ("identity", "params", "passed", "first_failure")),
+    (lambda: idn.SamplePlan((F(1, 2), F(1, 3))), ("points",)),
+    (lambda: pc.distribution(pc.Stat.RUNS, 3), ("stat", "n", "counts")),
+    (lambda: triangles.triangle_R(3), ("name", "start", "rows")),
+    (lambda: grammar.parse_grammar("x -> x*y; y -> x*y"), ("rules",)),
+], ids=["CheckFailure", "CheckReport", "SamplePlan", "StatDistribution", "Family", "Grammar"])
+def test_record_contract(build, fields):
+    record = build()
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    if isinstance(record, idn.CheckReport):
+        obj = record.to_json_obj()
+        assert repr(obj) == repr(FAILING_JSON)
+        obj["params"]["n_max"] = 0
+        obj["first_failure"]["n"] = 0
+        assert repr(record.to_json_obj()) == repr(FAILING_JSON)
+        assert record.params == {"n_max": 2}
+
+
 class TestVacuousRanges:
     """A check whose range holds no case refuses instead of passing."""
 
