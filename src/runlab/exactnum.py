@@ -26,7 +26,9 @@ it reduces once per coefficient, not once per partial product; operands
 whose irrational coefficients lie in two fields are refused before any
 arithmetic.
 
-Every value is immutable and every operation is a pure function.
+Every operation is a pure function.  Every runlab value type, here and
+in ``grammar``, ``triangles`` and ``identities``, refuses attribute
+assignment and deletion through one base, :class:`_Frozen`.
 """
 
 from __future__ import annotations
@@ -56,15 +58,58 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
+class _Frozen:
+    """Base of every runlab value type: an instance refuses attribute
+    assignment and deletion, so a shared value cannot change under its
+    other holders.  Constructors set their slots with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+def _is_rational(value: object) -> bool:
+    """Whether ``value`` is an ``int`` or ``Fraction``; a ``bool`` is not."""
+    return isinstance(value, (int, Fraction)) and type(value) is not bool
+
+
 def _parts(value: Rational) -> "tuple[int, int]":
     """Numerator and denominator of an ``int`` or ``Fraction``; a ``bool``
     is refused."""
-    if isinstance(value, (int, Fraction)) and type(value) is not bool:
+    if _is_rational(value):
         return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class QuadExt:
+def _sum_text(terms: "Iterable[tuple[int, str]]") -> str:
+    """The text of a polynomial from its nonzero terms ``(c, m)`` in order,
+    ``m`` the monomial's text (``"1"`` for the constant): ``c*m``, a unit
+    ``c`` left out, joined by `` + `` or by `` - `` before a negative
+    term; ``"0"`` for no terms."""
+    text = ""
+    for c, m in terms:
+        if m == "1":
+            term = str(c)
+        elif c == 1:
+            term = m
+        elif c == -1:
+            term = f"-{m}"
+        else:
+            term = f"{c}*{m}"
+        if not text:
+            text = term
+        elif term.startswith("-"):
+            text += " - " + term[1:]
+        else:
+            text += " + " + term
+    return text or "0"
+
+
+class QuadExt(_Frozen):
     """``a + b*rho`` with ``rho**2 = d``, all components rational.
 
     The discriminant is data, not a type parameter: one class serves
@@ -93,9 +138,6 @@ class QuadExt:
         bden = bd * dd
         D = lcm(ad, bden)
         return _quad(an * (D // ad), bn * (D // bden), D, dn * dd, dd)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
 
     @staticmethod
     def root(d: Rational) -> "QuadExt":
@@ -141,7 +183,7 @@ class QuadExt:
             if e != e2 or dd != dd2:
                 e, dd = self._pair(other)
             return _quad(A * D2 + A2 * D, B * D2 + B2 * D, D * D2, e, dd)
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
+        if _is_rational(other):
             p, q = other.numerator, other.denominator
             return _quad(A * q + p * D, B * q, D * q, e, dd)
         return NotImplemented
@@ -149,15 +191,8 @@ class QuadExt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        A, B, D, e, dd = self._s
-        if isinstance(other, QuadExt):
-            A2, B2, D2, e2, dd2 = other._s
-            if e != e2 or dd != dd2:
-                e, dd = self._pair(other)
-            return _quad(A * D2 - A2 * D, B * D2 - B2 * D, D * D2, e, dd)
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            p, q = other.numerator, other.denominator
-            return _quad(A * q - p * D, B * q, D * q, e, dd)
+        if isinstance(other, QuadExt) or _is_rational(other):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
@@ -175,7 +210,7 @@ class QuadExt:
             if e != e2 or dd != dd2:
                 e, dd = self._pair(other)
             return _quad(A * A2 + e * B * B2, A * B2 + B * A2, D * D2, e, dd)
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
+        if _is_rational(other):
             p, q = other.numerator, other.denominator
             return _quad(A * p, B * p, D * q, e, dd)
         return NotImplemented
@@ -188,7 +223,7 @@ class QuadExt:
             if e != other._s[3] or dd != other._s[4]:
                 self._pair(other)  # two fields are refused before a zero divisor
             return self * other.inverse()
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
+        if _is_rational(other):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             p, q = other.numerator, other.denominator
@@ -312,7 +347,7 @@ def horner_quad(coeffs: "Sequence[int]", A: int, B: int, D: int, e: int) -> "tup
     return X, Y, Dk
 
 
-class RatPoly:
+class RatPoly(_Frozen):
     """Dense univariate polynomial with ``int`` coefficients; index = degree.
 
     Every polynomial the checks build lies in Z[x], so the constructor
@@ -333,9 +368,6 @@ class RatPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
 
     @property
     def coeffs(self) -> "tuple[int, ...]":
@@ -392,7 +424,7 @@ class RatPoly:
         the point is an ``int``.  Any other point, ``bool`` included,
         raises ``TypeError``.
         """
-        if not isinstance(point, (int, Fraction, QuadExt)) or type(point) is bool:
+        if not (isinstance(point, QuadExt) or _is_rational(point)):
             raise TypeError(f"cannot evaluate a RatPoly at a {type(point).__name__}")
         cs = self._coeffs
         if not cs:
@@ -416,33 +448,11 @@ class RatPoly:
         return f"RatPoly({list(self._coeffs)!r})"
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(c)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    term = xs
-                elif c == -1:
-                    term = f"-{xs}"
-                else:
-                    term = f"{c}*{xs}"
-            parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                text += " - " + term[1:]
-            else:
-                text += " + " + term
-        return text
+        return _sum_text((c, "1" if k == 0 else "x" if k == 1 else f"x^{k}")
+                         for k, c in enumerate(self._coeffs) if c)
 
 
-class PowerSeries:
+class PowerSeries(_Frozen):
     """Coefficients ``c_0 .. c_N`` of a series truncated at order ``N``.
 
     Rational coefficients are stored as rational ``QuadExt``s.  The field
@@ -467,9 +477,6 @@ class PowerSeries:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "_coeffs", items)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -491,7 +498,7 @@ class PowerSeries:
             return PowerSeries(
                 [self._coeffs[k] + other._coeffs[k] for k in range(n + 1)]
             )
-        if isinstance(other, (int, Fraction, QuadExt)) and type(other) is not bool:
+        if isinstance(other, QuadExt) or _is_rational(other):
             out = list(self._coeffs)
             out[0] = out[0] + other
             return PowerSeries(out)
@@ -520,7 +527,7 @@ class PowerSeries:
                                  sum(map(mul, x, y2)) + sum(map(mul, x2, y)),
                                  Da * Db, e, dd))
             return PowerSeries(out)
-        if isinstance(other, (int, Fraction, QuadExt)) and type(other) is not bool:
+        if isinstance(other, QuadExt) or _is_rational(other):
             return PowerSeries([c * other for c in self._coeffs])
         return NotImplemented
 
@@ -565,7 +572,7 @@ class PowerSeries:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)) and type(other) is not bool:
+        if isinstance(other, QuadExt) or _is_rational(other):
             const = [other] + [0] * self.order
             return PowerSeries(const) / self
         return NotImplemented

@@ -8,7 +8,9 @@ coefficients are the triangles generated elsewhere in this package --
 that cross-check is the point of the whole module.
 
 Coefficients are plain ``int`` (iterated derivatives reach
-tangent-number growth, far past 64 bits), and all values are immutable.
+tangent-number growth, far past 64 bits).  Every value refuses attribute
+assignment and deletion through ``exactnum``'s one immutable base, and
+``Grammar.rules`` is read-only, so a cached :func:`builtin` cannot drift.
 Monomials inside an :class:`MPoly` are packed exponent vectors (Monagan
 and Pearce, CASC 2007): one int per monomial, one fixed-width bit field
 per letter, the first letter of the sorted alphabet in the most
@@ -23,7 +25,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+from .exactnum import _Frozen, _set, _sum_text
 
 __all__ = [
     "BUILTIN_GRAMMARS",
@@ -46,7 +51,7 @@ def _check_letter(letter: str) -> str:
     return letter
 
 
-class Monomial:
+class Monomial(_Frozen):
     """A commutative power product, stored as sorted (letter, exponent) pairs."""
 
     __slots__ = ("_exps",)
@@ -61,9 +66,6 @@ class Monomial:
             if e:
                 clean[letter] = e
         object.__setattr__(self, "_exps", tuple(sorted(clean.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
 
     def items(self) -> "tuple[tuple[str, int], ...]":
         return self._exps
@@ -109,8 +111,6 @@ class Monomial:
             return "1"
         return "*".join(l if e == 1 else f"{l}^{e}" for l, e in self._exps)
 
-
-_set = object.__setattr__
 
 #: Field width, in bits, that a new polynomial's exponents start in.
 _WIDTH = 16
@@ -197,7 +197,7 @@ def _mul_into(acc: "dict[int, int]", a: "dict[int, int]", b: "dict[int, int]",
             acc[m] = acc.get(m, 0) + c1 * c2
 
 
-class MPoly:
+class MPoly(_Frozen):
     """Sparse multivariate polynomial with int coefficients.
 
     Terms are stored as ``{packed exponent vector: coefficient}`` over a
@@ -251,9 +251,6 @@ class MPoly:
         _set(self, "_letters", letters)
         _set(self, "_top", top)
         _set(self, "_terms", {k: c for k, c in agg.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -332,25 +329,7 @@ class MPoly:
         return f"MPoly({self})"
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            if mono == Monomial():
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(str(mono))
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        text = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                text += " - " + term[1:]
-            else:
-                text += " + " + term
-        return text
+        return _sum_text((c, str(mono)) for mono, c in self.sorted_terms())
 
     def to_json_obj(self) -> "list[dict]":
         """Sorted term list, coefficients as decimal strings."""
@@ -360,7 +339,7 @@ class MPoly:
         ]
 
 
-class Grammar:
+class Grammar(_Frozen):
     """Substitution rules letter -> polynomial, closed over the alphabet.
 
     The rules are compiled once, at construction, over the sorted
@@ -370,12 +349,14 @@ class Grammar:
     largest amount by which a delta raises any exponent.  For each field
     width it is used at, a delta is packed once more into an int offset
     (fields of -1 included), which :func:`d_apply` adds to a key.
-    ``rules`` must not be changed after construction.
+    ``rules`` is a read-only copy of the mapping passed in, so a grammar
+    shared by :func:`builtin` cannot drift from its compiled form.
     """
 
     __slots__ = ("rules", "_letters", "_deltas", "_grow", "_packed")
 
     def __init__(self, rules: "Mapping[str, MPoly]"):
+        rules = MappingProxyType(dict(rules))
         declared = set(rules)
         for letter, rhs in rules.items():
             _check_letter(letter)
@@ -406,12 +387,6 @@ class Grammar:
         _set(self, "_grow", max((e for rule in deltas for delta, _ in rule for e in delta
                                  if e > 0), default=0))
         _set(self, "_packed", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grammar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Grammar is immutable")
 
     @property
     def alphabet(self) -> "frozenset[str]":

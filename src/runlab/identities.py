@@ -46,6 +46,8 @@ from .exactnum import (
     QuadExt,
     RatPoly,
     Rational,
+    _Frozen,
+    _is_rational,
     cos_series,
     exp_series,
     horner,
@@ -172,19 +174,13 @@ def _params_text(params: "Mapping[str, object]") -> str:
 # Sample plans for the pointwise radical checks.
 
 
-class SamplePlan:
+class SamplePlan(_Frozen):
     """Rational sample points, already filtered for the target identity."""
 
     __slots__ = ("points",)
 
     def __init__(self, points: "tuple[Fraction, ...]"):
         object.__setattr__(self, "points", points)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SamplePlan is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SamplePlan is immutable")
 
     def __len__(self):
         return len(self.points)
@@ -246,7 +242,7 @@ def default_plan(identity: str, count: int) -> SamplePlan:
 def _rational(value: object, what: str) -> Rational:
     """``value``, refused with ``TypeError`` unless it is an ``int`` (not
     a ``bool``) or a ``Fraction``."""
-    if type(value) is bool or not isinstance(value, (int, Fraction)):
+    if not _is_rational(value):
         raise TypeError(f"{what} {value!r} is a {type(value).__name__}, "
                         "not an int or Fraction")
     return value

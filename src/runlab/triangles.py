@@ -17,7 +17,7 @@ and k-2, and dense rows avoid sentinel bugs at the boundaries).
 
 from __future__ import annotations
 
-from .exactnum import RatPoly
+from .exactnum import RatPoly, _Frozen
 
 __all__ = [
     "ConsistencyError",
@@ -40,7 +40,7 @@ class ConsistencyError(RuntimeError):
     """A generated family contradicts a printed seed row."""
 
 
-class Family:
+class Family(_Frozen):
     """Integer coefficient rows indexed n = start.., dense from k = 0.
 
     Row n holds the coefficients of the family's n-th polynomial, and
@@ -53,12 +53,6 @@ class Family:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Family is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Family is immutable")
 
     @property
     def max_n(self) -> int:

@@ -86,6 +86,19 @@ class TestParser:
         with pytest.raises(gr.GrammarError, match="no rule"):
             gr.parse_grammar("x -> x*w")
 
+    def test_rules_are_read_only(self):
+        # parsed afresh: a writable builtin("main") would be shared by later tests
+        g = gr.parse_grammar(gr.BUILTIN_GRAMMARS["main"])
+        with pytest.raises(TypeError):
+            g.rules["w"] = gr.MPoly.letter("w")
+        assert g.alphabet == {"x", "y", "z"}
+        rules = {"x": gr.MPoly.letter("x")}
+        g = gr.Grammar(rules)
+        rules["y"] = gr.MPoly.letter("y")
+        del rules["x"]
+        assert g.alphabet == {"x"}
+        assert g.rules["x"] == gr.MPoly.letter("x")
+
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown builtin"):
             gr.builtin("nope")
@@ -196,6 +209,10 @@ class TestSerialization:
         p = gr.d_power(g, gr.MPoly.monomial({"x": 2}), 2)
         assert str(p) == "2*x^2*y*z + 4*x^2*y^2"
         assert str(gr.MPoly.zero()) == "0"
+        p = gr.MPoly([(gr.Monomial(), 5), (gr.Monomial({"x": 1}), -1),
+                      (gr.Monomial({"y": 2}), -3), (gr.Monomial({"x": 1, "y": 1}), 1)])
+        assert str(p) == "5 - 3*y^2 - x + x*y"
+        assert str(gr.MPoly([(gr.Monomial(), -1), (gr.Monomial({"z": 1}), 2)])) == "-1 + 2*z"
 
     def test_json_term_list(self):
         g = gr.builtin("main")
