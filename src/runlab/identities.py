@@ -9,14 +9,14 @@ first counterexample rendered exactly.
 Three kinds of verification appear:
 
 * structural equality of polynomials / multivariate expansions,
-* pointwise evaluation of radical identities in Q(sqrt(d)) at enough
-  rational points to certify the underlying polynomial identity (the
-  degree bound, <= 2n+2 after clearing denominators, is noted per
-  check).  At a point p/q each side is an integer ratio, found by
-  homogeneous Horner on the family rows, and the two sides are compared
-  by cross-multiplication; the sqrt-component of every evaluation is an
-  integer, required to vanish exactly as its own named condition.  Only
-  a failed case builds the ``Fraction`` or ``QuadExt`` it prints,
+* pointwise evaluation of the closed forms at enough rational points
+  to certify the underlying polynomial identity (the degree bound is
+  noted per check).  The radical in the tangent and David-Barton forms
+  cancels by a symmetry of P_n or A_n, checked once per n as its own
+  named integer condition; at a point p/q each side is then an integer
+  ratio, found by homogeneous Horner and compared by
+  cross-multiplication.  Only a failed case builds the ``Fraction`` it
+  prints,
 * coefficient-by-coefficient comparison of truncated series against
   triangle-derived exponential generating function coefficients.
 
@@ -51,7 +51,6 @@ from .exactnum import (
     cos_series,
     exp_series,
     horner,
-    horner_quad,
     sin_series,
 )
 
@@ -122,8 +121,8 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
     A side is a value compared by ``!=``, or an integer ratio ``(num,
     den)``, ``den != 0``, compared with the other ratio by
     cross-multiplication and printed as the ``Fraction`` it denotes.  A
-    right side with a sqrt component, a ``QuadExt`` or a :class:`_Surd`,
-    must first have that component zero, or it fails at ``"{point}: sqrt
+    ``QuadExt`` right side, which only the GF checks give, must first
+    have a zero sqrt component, or it fails at ``"{point}: sqrt
     component"`` as ``(rhs, 0)``; its rational part is then compared.  A
     check that draws no case has compared nothing, so it raises
     ``ValueError`` instead of passing.
@@ -134,11 +133,6 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
             if rhs.b != 0:
                 return _failed(identity, params, n, f"{point}: sqrt component", rhs, 0)
             rhs = rhs.a
-        elif isinstance(rhs, _Surd):
-            if rhs.b_num:
-                return _failed(identity, params, n, f"{point}: sqrt component",
-                               rhs.value(), 0)
-            rhs = rhs.a_num, rhs.a_den
         if type(lhs) is tuple:
             if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
                 return _failed(identity, params, n, point, Fraction(*lhs), Fraction(*rhs))
@@ -149,29 +143,13 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
     return _passed(identity, params)
 
 
-class _Surd(NamedTuple):
-    """``a_num/a_den + (b_num/b_den)*sqrt(d)`` over integers: a right side
-    of :func:`_verdict` whose sqrt component is zero exactly when
-    ``b_num`` is.  Both denominators are nonzero."""
-
-    a_num: int
-    a_den: int
-    b_num: int
-    b_den: int
-    d: Fraction
-
-    def value(self) -> QuadExt:
-        return QuadExt(Fraction(self.a_num, self.a_den),
-                       Fraction(self.b_num, self.b_den), self.d)
-
-
 def _params_text(params: "Mapping[str, object]") -> str:
     """``params`` as a report line shows them: ``k=v, ...`` in their order."""
     return ", ".join(f"{k}={v}" for k, v in params.items())
 
 
 # ----------------------------------------------------------------------
-# Sample plans for the pointwise radical checks.
+# Sample plans for the pointwise closed forms.
 
 
 class SamplePlan(_Frozen):
@@ -227,9 +205,10 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     pointwise checks.
 
     ``identity`` is one of ``runs-from-peaks``, ``tangent``,
-    ``david-barton``.  Points avoid each identity's singular values and
-    prefer non-square discriminants so the quadratic extension is a
-    genuine field.
+    ``david-barton``.  Points avoid each identity's singular values; the
+    two radical forms' pools still skip square discriminants and take
+    2*n_max+3 points, more than their degree bound n+2 needs, because
+    reports print the count and the benchmark draws from these pools.
     """
     if count < 1:
         raise ValueError(f"points must be >= 1, got {count}")
@@ -356,6 +335,14 @@ def check_grammar_alt(n_max: int = 12) -> CheckReport:
     ))
 
 
+def _oracle_bound(name: str, value: int, n_max: int) -> None:
+    """Refuse the oracle bound ``value`` of parameter ``name`` outside
+    0..min(n_max, permcore.MAX_ENUM_N), before any row is built."""
+    top = min(n_max, permcore.MAX_ENUM_N)
+    if not 0 <= value <= top:
+        raise ValueError(f"{name} must be between 0 and {top}, got {value}")
+
+
 def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     """The two-letter grammar {x -> xy, y -> xy} expands descent counts:
     the n-th derivative of x is sum_k E(n,k) x^(k+1) y^(n-k).
@@ -366,6 +353,7 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     E(n,k) = (k+1)E(n-1,k) + (n-k)E(n-1,k-1) and never reads a grammar,
     so each half is an independent comparison.
     """
+    _oracle_bound("oracle_n_max", oracle_n_max, n_max)
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     tri = triangles.triangle_euler(n_max)
     return _verdict("grammar/eulerian", params, _expand(
@@ -383,6 +371,7 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     derivatives of z carry interior-peak counts on y^(2k+2) z^(n-2k-1).
     Both are also compared against the brute-force histograms for
     n <= oracle_n_max, read from one class table of each S_n."""
+    _oracle_bound("oracle_n_max", oracle_n_max, n_max)
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     ident = "grammar/peaks"
     W = triangles.poly_W(n_max)
@@ -574,7 +563,7 @@ def check_alt_from_runs(n_max: int = 25) -> CheckReport:
 
 
 # ----------------------------------------------------------------------
-# Closed forms verified pointwise in Q(sqrt(d)).
+# Closed forms verified pointwise over integers.
 
 
 def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> CheckReport:
@@ -631,44 +620,50 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     With sigma^2 = y = x-1, sigma^(n+1) P_n(1/sigma) splits by the parity
     of n+1-j into E(y) + sigma O(y); the R-form is the same split in
     w = (x-1)/(x+1), since ((x-1)/(x+1))^((n+1)/2) P_n(1/sqrt(w)) is
-    E(w) + sqrt(w) O(w).  At x = p/q each part is an integer ratio: E
-    and O are evaluated homogenised at (p-q, q), resp. (p-q, p+q).  The
-    parity of P_n makes O vanish, and the sqrt component, the integer
-    O(p-q, q) resp. O(p-q, p+q), must be zero before the rational parts
-    are compared.  After clearing denominators the degree is at most
-    2n+2, so 2*n_max+3 points certify every n <= n_max.
+    E(w) + sqrt(w) O(w).  P_n has the parity of n+1, so O vanishes:
+    that is checked once per n as ``odd part of P_n``, which prints O's
+    coefficients on failure.  Each form is then compared at x = p/q as
+    two integer ratios, E homogenised at (p-q, q), resp. (p-q, p+q).
+    After clearing denominators the degree is at most n+2, below the
+    2*n_max+3 points a plan must hold.
     """
     def cases(xs):
         W = triangles.poly_W(n_max)
         R = triangles.poly_R(n_max)
         P = triangles.poly_P(n_max)
         # what does not depend on n, once per point: the two labels, p, q
-        # and the discriminants x-1 and (x+1)/(x-1)
-        points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator,
-                   Fraction(x.numerator - x.denominator, x.denominator),
-                   Fraction(x.numerator + x.denominator, x.numerator - x.denominator))
-                  for x in xs]
+        points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator) for x in xs]
         for n in range(2, n_max + 1):
             Wn, Rn = W.row(n), R.row(n)
             E, O, low = _parity_split(P.row(n), n + 1)
-            odd = any(O)
-            for w_form, r_form, p, q, d_w, d_r in points:
-                # W-form: (q/p) y^low (E(y) + sigma O(y)), y = (p-q)/q
+            yield n, "odd part of P_n", O, [0] * len(O)
+            for w_form, r_form, p, q in points:
+                # W-form: (q/p) y^low E(y), y = (p-q)/q
                 e, e_den = horner(E, p - q, q)
-                o, o_den = horner(O, p - q, q) if odd else (0, 1)
-                num, den = q * q ** -low, p * (p - q) ** -low
                 yield (n, w_form, horner(Wn, p, q),
-                       _Surd(num * e, den * e_den, num * o, den * o_den, d_w))
-                # R-form: h^(n-1) w^low (E(w) + tau w O(w)), h = (p+q)/(2q),
-                # w = (p-q)/(p+q), tau^2 = 1/w
+                       (q * q ** -low * e, p * (p - q) ** -low * e_den))
+                # R-form: h^(n-1) w^low E(w), h = (p+q)/(2q), w = (p-q)/(p+q)
                 e, e_den = horner(E, p - q, p + q)
-                o, o_den = horner(O, p - q, p + q) if odd else (0, 1)
-                num = (p + q) ** (n - 1) * (p + q) ** -low
-                den = (2 * q) ** (n - 1) * (p - q) ** -low
                 yield (n, r_form, horner(Rn, p, q),
-                       _Surd(num * e, den * e_den, num * o * (p - q), den * o_den * (p + q), d_r))
+                       ((p + q) ** (n - 1) * (p + q) ** -low * e,
+                        (2 * q) ** (n - 1) * (p - q) ** -low * e_den))
 
     return _pointwise("tangent", n_max, plan, cases)
+
+
+def _w_expansion(row: "Sequence[int]", top: int) -> "list[int]":
+    """The coefficients c_0..c_top of sum_k row[k] (1-w)^k (1+w)^(top-k)
+    = sum_m c_m w^m, for ``top`` >= len(row) - 1, by homogeneous Horner
+    over coefficient lists."""
+    def times(poly, sign):  # poly * (1 + sign*w)
+        return [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+
+    acc, power = [], [1]  # at step k, power = (1+w)^(top-k), as long as acc * (1-w)
+    for k in range(top, -1, -1):
+        a = row[k] if k < len(row) else 0
+        acc = [s + a * t for s, t in zip(times(acc, -1), power)]
+        power = times(power, 1)
+    return acc
 
 
 def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> CheckReport:
@@ -676,34 +671,35 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     R_n(x) = ((1+x)/2)^(n-1) (1+w)^(n+1) A_n((1-w)/(1+w))  for n >= 2,
     with w = sqrt((1-x)/(1+x)).  Points stay in (-1,1) \\ {0}.
 
-    At x = p/q it is compared in Z[s], s^2 = q^2 - p^2: there w = s/(q+p),
-    (1-w)/(1+w) = (q-s)/p and (q+p)(1+w) = q+p+s, so the right side is
-    (q+p+s)^(n+1) A_n(q-s, p) over (2q)^(n-1) (q+p)^2 p^(deg A_n), with
-    A_n homogenised to its own degree by Horner over Z[s].  Its s part,
-    the sqrt component, must be exactly zero before its rational part is
-    compared with R_n(p, q)/q^(deg R_n).
+    (1+w)^(n+1) A_n((1-w)/(1+w)) = sum_k A(n,k) (1-w)^k (1+w)^(n+1-k)
+    = sum_m c_m w^m is expanded over integers once per n.  A_n is
+    palindromic, so every odd c_m vanishes: that is checked once per n,
+    printing the odd c_m on failure.  Then 2^(n-1) R_n(x) =
+    sum_m c_(2m) (1-x)^m (1+x)^(n-1-m), compared at x = p/q as
+    R_n(p, q)/q^(deg R_n) against sum_m c_(2m) (q-p)^m (q+p)^(n-1-m) over
+    (2q)^(n-1).  A row e entries longer than n+2 is expanded after e
+    zeros to top n+1+2e, which multiplies the sum by
+    (1-w^2)^e = (2p/(q+p))^e, divided out again.  After clearing
+    denominators the degree is at most n+2, below the 2*n_max+3 points a
+    plan must hold.
     """
     def cases(xs):
         A = triangles.poly_A(n_max)
         R = triangles.poly_R(n_max)
-        # what does not depend on n, once per point: the label, p, q, q+p,
-        # s^2 and the discriminant 1-x^2
-        points = []
-        for x in xs:
-            p, q = x.numerator, x.denominator
-            points.append((f"x={x}", p, q, q + p, q * q - p * p, 1 - x * x))
-        # (q+p+s)^(n+1) per point as (v, v2), value v + v2*s, stepped with n
-        powers = [(c * c + ss, 2 * c) for _, _, _, c, ss, _ in points]
+        # what does not depend on n, once per point: the label, p, q
+        points = [(f"x={x}", x.numerator, x.denominator) for x in xs]
         for n in range(2, n_max + 1):
             An, Rn = A.row(n), R.row(n)
-            for i, (label, p, q, c, ss, d) in enumerate(points):
-                v, v2 = powers[i]
-                v, v2 = powers[i] = v * c + ss * v2, v + v2 * c
-                X, Y, p_den = horner_quad(An, q, -1, p, ss)
-                den = (2 * q) ** (n - 1) * c * c * p_den
-                # s = q sqrt(1-x^2), so the s part times q is the sqrt component
+            e = max(0, len(An) - n - 2)
+            c = _w_expansion([0] * e + An, n + 1 + 2 * e)
+            odd, even = c[1::2], c[::2]
+            yield n, "odd part of (1+w)^(n+1) A_n((1-w)/(1+w))", odd, [0] * len(odd)
+            # (q+p)^(n-1+e-m) is (q+p)^(len(even)-1-m) times this power
+            extra = n + e - len(even)
+            for label, p, q in points:
+                v, _ = horner(even, q - p, q + p)
                 yield (n, label, horner(Rn, p, q),
-                       _Surd(v * X + ss * v2 * Y, den, (v * Y + v2 * X) * q, den, d))
+                       (v * (q + p) ** extra, (2 * q) ** (n - 1) * (2 * p) ** e))
 
     return _pointwise("david-barton", n_max, plan, cases)
 
@@ -806,6 +802,7 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 def check_oracle(n_max: int = 8) -> CheckReport:
     """All five triangles match brute-force histograms over S_n, n <= n_max,
     the five read from one class table of each S_n."""
+    _oracle_bound("n_max", n_max, permcore.MAX_ENUM_N)
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
         (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),

@@ -7,7 +7,10 @@ and the ``_verdict`` that turned their first mismatch into a report.
 ``closed/runs-from-peaks``, ``closed/tangent`` and
 ``closed/david-barton`` must return the same ``CheckReport`` as the
 reference, ``first_failure`` text included, on stock and seeded plans
-and under single-entry faults in every family they read.
+and under single-entry faults in every family they read.  The one
+deliberate difference: where the reference fails a sqrt component, the
+two radical forms fail their odd-part condition at the same n, since
+they check once per n the symmetry that clears the radical.
 """
 
 from __future__ import annotations
@@ -200,6 +203,30 @@ def faulted(monkeypatch, letter, n, change):
     monkeypatch.setattr(triangles, name, build)
 
 
+#: kind -> the point text of the condition that replaced the reference's
+#: sqrt component: the odd part that must vanish for the form to be rational
+ODD_PART = {
+    "tangent": "odd part of P_n",
+    "david-barton": "odd part of (1+w)^(n+1) A_n((1-w)/(1+w))",
+}
+
+
+def assert_reports_as_the_reference(got, want, kind, where=None):
+    """``got`` has ``want``'s verdict and failing n; it is ``want`` byte
+    for byte unless ``want`` names a sqrt component, which ``got`` reports
+    as the odd-part condition of ``kind`` at the same n: a nonzero
+    coefficient list against as many zeros."""
+    assert (got.identity, got.params, got.passed) == (
+        want.identity, want.params, want.passed), where
+    if want.passed or "sqrt component" not in want.first_failure.point:
+        assert got == want, where
+        return
+    f = got.first_failure
+    assert (f.n, f.point) == (want.first_failure.n, ODD_PART[kind]), where
+    coeffs = [int(c) for c in f.lhs.strip("[]").split(", ")]
+    assert any(coeffs) and f.rhs == str([0] * len(coeffs)), where
+
+
 class TestFaultSweep:
     N_MAX = 6
 
@@ -218,17 +245,19 @@ class TestFaultSweep:
                 with monkeypatch.context() as m:
                     faulted(m, letter, n, change)
                     got, want = both_reports(kind, self.N_MAX, plan)
-                assert got == want, (letter, n)
+                assert_reports_as_the_reference(got, want, kind, (letter, n))
                 if not got.passed:
-                    seen.add("sqrt component" in got.first_failure.point)
+                    seen.add(got.first_failure.point == ODD_PART.get(kind))
         # the sweep reaches a rational-part failure, and for the two radical
-        # forms a sqrt-component failure too
+        # forms an odd-part failure too
         assert seen == ({False} if kind == "runs-from-peaks" else {False, True})
 
     def test_a_lengthened_row_fails_past_the_degree_bound(self, monkeypatch):
         # P_2 + x^4: the top term has exponent n+1-4 = -1, a negative power
-        # of sigma, and both sides still compare
+        # of sigma, and both sides still compare; the reference names the
+        # W-form's sqrt component at its first point
         faulted(monkeypatch, "P", 2, lambda row: row.append(1))
         got, want = both_reports("tangent", 3, idn.default_plan("tangent", 9))
-        assert got == want
-        assert got.first_failure.point == "W-form x=3/2: sqrt component"
+        assert want.first_failure.point == "W-form x=3/2: sqrt component"
+        assert_reports_as_the_reference(got, want, "tangent")
+        assert got.first_failure == idn.CheckFailure(2, "odd part of P_n", "[1, 0, 0]", "[0, 0, 0]")

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from runlab import identities as idn
-from runlab import grammar, permcore as pc, triangles
+from runlab import exactnum, grammar, permcore as pc, triangles
 from runlab.exactnum import PowerSeries, QuadExt, RatPoly
 
 F = Fraction
@@ -189,6 +189,23 @@ class TestPointwiseChecks:
         with pytest.raises(ValueError, match="^15 distinct sample points .* at least 16$"):
             idn.check_runs_from_peaks(14, idn.SamplePlan(plan))
 
+    def test_closed_forms_evaluate_no_radical(self, monkeypatch):
+        # the odd-part conditions clear every radical, so a passing
+        # closed-forms suite builds no QuadExt and runs no Horner over Z[s]
+        class Refused(QuadExt):
+            def __new__(cls, *args, **kwargs):
+                pytest.fail("a QuadExt was built")
+
+        def refused(*args):
+            pytest.fail("horner_quad was called")
+
+        monkeypatch.setattr(idn, "QuadExt", Refused)
+        # wherever runlab binds the name, not only where it is defined
+        for module in (exactnum, idn):
+            monkeypatch.setattr(module, "horner_quad", refused, raising=False)
+        reports = idn.run_suite("closed-forms", n_max=12)
+        assert len(reports) == 4 and all(r.passed for r in reports)
+
     @pytest.mark.parametrize("bad", [1.5, True, "3/2", None])
     def test_sample_points_must_be_int_or_fraction(self, bad):
         for check in (idn.check_tangent_forms, idn.check_david_barton,
@@ -270,6 +287,33 @@ class TestSeriesChecks:
 class TestOracleCheck:
     def test_passes(self):
         assert idn.check_oracle(6).passed
+
+
+class TestOracleBounds:
+    """An oracle bound out of range is refused by name before any family
+    is built or any S_n is walked, never clamped or failed late."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        for name in ("triangle_R", "triangle_A", "triangle_W", "triangle_Wtilde",
+                     "triangle_euler", "poly_W", "poly_Wtilde"):
+            monkeypatch.setattr(triangles, name, lambda *a, _name=name: pytest.fail(_name))
+        monkeypatch.setattr(pc, "descent_classes", lambda n: pytest.fail(f"S_{n} walked"))
+
+    @pytest.mark.parametrize("check", [idn.check_dumont, idn.check_peaks_grammar],
+                             ids=["dumont", "peaks"])
+    @pytest.mark.parametrize("n_max, oracle_n_max, top", [
+        (3, 5, 3), (3, -4, 3), (20, 15, 14),
+    ])
+    def test_grammar_oracle_bound_outside_its_range(self, check, n_max, oracle_n_max, top):
+        with pytest.raises(ValueError, match=f"^oracle_n_max must be between 0 and {top}, "
+                                             f"got {oracle_n_max}$"):
+            check(n_max, oracle_n_max)
+
+    def test_oracle_past_the_brute_force_limit(self):
+        with pytest.raises(ValueError, match=f"^n_max must be between 0 and {pc.MAX_ENUM_N}, "
+                                             f"got {pc.MAX_ENUM_N + 1}$"):
+            idn.check_oracle(pc.MAX_ENUM_N + 1)
 
 
 class TestVerdict:
@@ -771,12 +815,13 @@ class TestFaultInjection:
 
     def test_odd_descent_entry_breaks_david_barton_sqrt_component(self, monkeypatch):
         # A_3's x coefficient off by one breaks its palindrome, so the
-        # right-hand side leaves Q
+        # right-hand side leaves Q: the extra (1-w)(1+w)^3 has odd part
+        # 2w - 2w^3, reported before any point is compared
         monkeypatch.setattr(
             triangles, "poly_A", corrupt_triangle(triangles.poly_A, 3, 1)
         )
         assert self._failure(idn.check_david_barton(4)) == (
-            3, "x=1/2: sqrt component", "5/2 + 1/2*sqrt(3/4)", "0"
+            3, "odd part of (1+w)^(n+1) A_n((1-w)/(1+w))", "[2, -2]", "[0, 0]"
         )
 
     @pytest.mark.parametrize("check, lhs", [
@@ -812,12 +857,13 @@ class TestFaultInjection:
 
         monkeypatch.setattr(triangles, "poly_P", skewed)
         assert self._failure(idn.check_tangent_forms(4)) == (
-            2, "W-form x=3/2: sqrt component", "2 + 2/3*sqrt(1/2)", "0"
+            2, "odd part of P_n", "[1, 0]", "[0, 0]"
         )
 
     def test_sqrt_component_failure_is_named(self, monkeypatch):
-        # breaking the parity of a tangent polynomial leaves a nonzero
-        # sqrt component, which must be reported as its own condition
+        # breaking the parity of a tangent polynomial leaves a nonzero odd
+        # part, the sqrt component of every point, which must be reported
+        # as its own condition
         original = triangles.poly_P
 
         def skewed(n_max):
@@ -828,8 +874,8 @@ class TestFaultInjection:
         monkeypatch.setattr(triangles, "poly_P", skewed)
         report = idn.check_tangent_forms(3)
         assert not report.passed
-        assert "sqrt component" in report.first_failure.point
-        assert report.first_failure.rhs == "0"
+        assert report.first_failure.point == "odd part of P_n"
+        assert report.first_failure.rhs == "[0, 0]"
 
 
 class TestDescentWalks:
