@@ -16,15 +16,17 @@ Arithmetic runs over integers and normalises once per result.  A
 ``D`` and ``sigma**2`` an integer, so each of its operations is an
 integer formula followed by one three-argument ``gcd``; its ``a``,
 ``b`` and ``d`` are ``Fraction``s built only when read.  ``int`` and
-``Fraction`` operands enter those formulas as ``p/q`` directly.  A
-polynomial is evaluated at ``p/q`` by :func:`horner`, or at
-``(A + B*sigma)/D`` by :func:`horner_quad`, homogenised Horner on its
-integer coefficients, and the result is normalised once over its single
-shared denominator.  A series product or quotient writes each operand
-over one common denominator and sums each coefficient over integers, so
-it reduces once per coefficient, not once per partial product; operands
-whose irrational coefficients lie in two fields are refused before any
-arithmetic.
+``Fraction`` operands enter those formulas as ``p/q`` directly.
+Outside the series convolutions the element product is written once, in
+``QuadExt.__mul__``: ``**`` squares and multiplies through it, and a
+polynomial at a ``QuadExt`` point runs Horner on ``QuadExt`` values.  A
+polynomial is evaluated at ``p/q`` by
+:func:`horner`, homogenised Horner on its integer coefficients, and the
+result is normalised once over its single shared denominator.  A series
+product or quotient writes each operand over one common denominator and
+sums each coefficient over integers, so it reduces once per coefficient,
+not once per partial product; operands whose irrational coefficients lie
+in two fields are refused before any arithmetic.
 
 Every operation is a pure function.  Every runlab value type, here and
 in ``grammar``, ``triangles`` and ``identities``, refuses attribute
@@ -50,7 +52,6 @@ __all__ = [
     "cos_series",
     "exp_series",
     "horner",
-    "horner_quad",
     "sin_series",
 ]
 
@@ -117,7 +118,8 @@ class QuadExt(_Frozen):
     Elements with different discriminants refuse to combine, except that a
     purely rational element (``b == 0``) embeds into any Q(sqrt(d)).
     Plain ``int``/``Fraction`` operands combine with the rational
-    component directly; ``+ - * /`` refuse a ``bool``, ``==`` does not.
+    component directly; ``+ - * /`` refuse a ``bool`` operand and ``**``
+    a ``bool`` exponent, ``==`` does not.
     ``d`` may be a rational square; the arithmetic does not care.
 
     A value is stored over integers as ``(A + B*sigma)/D``: with ``d =
@@ -233,20 +235,18 @@ class QuadExt(_Frozen):
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or type(n) is bool:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        A, B, D, e, dd = self._s
-        den = D ** n
-        X, Y = 1, 0
+        power, base = _quad(1, 0, 1, *self._s[3:]), self
         while n:
             if n & 1:
-                X, Y = X * A + e * Y * B, X * B + Y * A
+                power = power * base
             n >>= 1
             if n:
-                A, B = A * A + e * B * B, 2 * A * B
-        return _quad(X, Y, den, e, dd)
+                base = base * base
+        return power
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 (multiplicative)."""
@@ -330,23 +330,6 @@ def horner(coeffs: "Sequence[int]", p: int, q: int) -> "tuple[int, int]":
     return acc, qk
 
 
-def horner_quad(coeffs: "Sequence[int]", A: int, B: int, D: int, e: int) -> "tuple[int, int, int]":
-    """The integer polynomial ``coeffs`` at ``(A + B*s)/D``, ``s**2 = e``,
-    as ``(X, Y, D**deg)`` with value ``(X + Y*s)/D**deg``.
-
-    :func:`horner` over Z[s]: ``X + Y*s`` is the polynomial homogenised
-    to its own degree, nothing is reduced, and no coefficients give
-    ``(0, 0, 1)``.
-    """
-    if not coeffs:
-        return 0, 0, 1
-    X, Y, Dk = coeffs[-1], 0, 1
-    for c in reversed(coeffs[:-1]):
-        Dk *= D
-        X, Y = X * A + e * Y * B + c * Dk, X * B + Y * A
-    return X, Y, Dk
-
-
 class RatPoly(_Frozen):
     """Dense univariate polynomial with ``int`` coefficients; index = degree.
 
@@ -417,12 +400,13 @@ class RatPoly(_Frozen):
     def __call__(self, point):
         """Horner evaluation at an int, Fraction or QuadExt point.
 
-        The point is written over one denominator, ``p/q`` or the stored
-        ``(A + B*sigma)/D`` of a ``QuadExt``; :func:`horner` or
-        :func:`horner_quad` runs on integers, and the result is
-        normalised once at the end.  The value is an ``int`` exactly when
-        the point is an ``int``.  Any other point, ``bool`` included,
-        raises ``TypeError``.
+        At ``p/q`` :func:`horner` runs on integers and the result is
+        normalised once at the end; the value is an ``int`` exactly when
+        the point is an ``int``.  At a ``QuadExt`` point Horner runs with
+        ``QuadExt`` ``*`` and ``+``, from the top coefficient as an
+        element of the point's field, so a nonzero constant still gives a
+        ``QuadExt``; the zero polynomial gives ``0`` at every point.  Any
+        other point, ``bool`` included, raises ``TypeError``.
         """
         if not (isinstance(point, QuadExt) or _is_rational(point)):
             raise TypeError(f"cannot evaluate a RatPoly at a {type(point).__name__}")
@@ -430,8 +414,10 @@ class RatPoly(_Frozen):
         if not cs:
             return 0
         if isinstance(point, QuadExt):
-            A, B, D, e, dd = point._s
-            return _quad(*horner_quad(cs, A, B, D, e), e, dd)
+            acc = _quad(cs[-1], 0, 1, *point._s[3:])
+            for c in reversed(cs[:-1]):
+                acc = acc * point + c
+            return acc
         num, den = horner(cs, point.numerator, point.denominator)
         return num if isinstance(point, int) else Fraction(num, den)
 

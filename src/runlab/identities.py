@@ -18,15 +18,16 @@ Three kinds of verification appear:
   cross-multiplication.  Only a failed case builds the ``Fraction`` it
   prints,
 * coefficient-by-coefficient comparison of truncated series against
-  triangle-derived exponential generating function coefficients.
+  triangle-derived exponential generating function coefficients.  The
+  series carry sqrt(1-x0^2); each coefficient's sqrt component must
+  vanish, checked as its own case before its rational part is compared.
 
 A check states its comparisons as a lazy stream of cases
 ``(n, point, lhs, rhs)`` and hands it to :func:`_verdict`, the one place
-where a comparison becomes a report.  Three comparisons report on their
-own: grammar/leibniz, whose verdict comes from
-``grammar.leibniz_check``; poly/convolutions, which decodes its
-Kronecker values only on a mismatch; and grammar/peaks' derivative-0
-seed check, whose right side prints as ``Wt[0]``.
+where a comparison becomes a report.  Two comparisons report on their
+own: grammar/leibniz, whose verdict comes from ``grammar.leibniz_check``,
+and grammar/peaks' derivative-0 seed check, whose right side prints as
+``Wt[0]``.
 
 Reports are deterministic: the same inputs produce byte-identical
 serialized output.
@@ -121,18 +122,11 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
     A side is a value compared by ``!=``, or an integer ratio ``(num,
     den)``, ``den != 0``, compared with the other ratio by
     cross-multiplication and printed as the ``Fraction`` it denotes.  A
-    ``QuadExt`` right side, which only the GF checks give, must first
-    have a zero sqrt component, or it fails at ``"{point}: sqrt
-    component"`` as ``(rhs, 0)``; its rational part is then compared.  A
     check that draws no case has compared nothing, so it raises
     ``ValueError`` instead of passing.
     """
     drawn = 0
     for drawn, (n, point, lhs, rhs) in enumerate(cases, 1):
-        if isinstance(rhs, QuadExt):
-            if rhs.b != 0:
-                return _failed(identity, params, n, f"{point}: sqrt component", rhs, 0)
-            rhs = rhs.a
         if type(lhs) is tuple:
             if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
                 return _failed(identity, params, n, point, Fraction(*lhs), Fraction(*rhs))
@@ -513,23 +507,24 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     mean equal polynomials: if the two sides differed, their difference
     D would be nonzero with every coefficient below X in absolute value,
     and D(X) = 0 would force X to divide its lowest nonzero coefficient.
-    On a mismatch both values are decoded into their balanced base-X
-    digits, which are exactly the coefficients of the left-hand row and
-    of the term-by-term sum, since each lies in (-X/2, X/2).
+    Where the two values differ, both are decoded into their balanced
+    base-X digits, which are exactly the coefficients of the left-hand row
+    and of the term-by-term sum, since each lies in (-X/2, X/2).
     """
-    params = {"n_max": n_max}
-    ident = "poly/convolutions"
     T = triangles.poly_T(n_max + 1)
     R = triangles.poly_R(n_max + 2)
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
-    for n in range(1, n_max + 1):
-        b, sides = _convolution_sides(n, T, R, W, Wt)
-        for formula, lhs_value, rhs_value in sides:
-            if lhs_value != rhs_value:
-                return _failed(ident, params, n, formula,
-                               _unkron(lhs_value, b), _unkron(rhs_value, b))
-    return _passed(ident, params)
+
+    def cases():
+        for n in range(1, n_max + 1):
+            b, sides = _convolution_sides(n, T, R, W, Wt)
+            for formula, lhs, rhs in sides:
+                if lhs != rhs:
+                    lhs, rhs = _unkron(lhs, b), _unkron(rhs, b)
+                yield n, formula, lhs, rhs
+
+    return _verdict("poly/convolutions", {"n_max": n_max}, cases())
 
 
 def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
@@ -733,9 +728,19 @@ def _series_point(x0: Rational, order: int) -> Fraction:
 
 def _check_series(ident: str, params: dict, rhs: PowerSeries,
                   expected: "list[Fraction]") -> CheckReport:
-    return _verdict(ident, params, (
-        (n, f"z^{n}", want, rhs.coefficient(n)) for n, want in enumerate(expected)
-    ))
+    """The report comparing ``expected[n]`` with the coefficient of z^n of
+    ``rhs``, which lies in Q(sqrt(d)).  A coefficient must first have a
+    zero sqrt component, or it fails at ``"z^n: sqrt component"`` as
+    ``(c, 0)``; its rational part is then compared at ``"z^n"``."""
+    def cases():
+        for n, want in enumerate(expected):
+            c = rhs.coefficient(n)
+            if c.b:
+                yield n, f"z^{n}: sqrt component", c, 0
+            else:
+                yield n, f"z^{n}", want, c.a
+
+    return _verdict(ident, params, cases())
 
 
 def _q_series(x0: Fraction, rho: QuadExt, order: int) -> PowerSeries:
@@ -845,9 +850,8 @@ def run_suite(
         raise ValueError(f"oracle bound {oracle_cap} exceeds the brute-force "
                          f"limit S_{permcore.MAX_ENUM_N}")
 
-    def bound(default: int) -> int:
-        return n_max if n_max is not None else default
-
+    # each check's own signature default is its range unless one is given
+    span = {} if n_max is None else {"n_max": n_max}
     gf_checks = [
         (check, [_series_point(x, order) for x in (stock if given is None else given)])
         for check, given, stock in (
@@ -862,23 +866,23 @@ def run_suite(
     # any other check runs
     if suite in ("all", "closed-forms"):
         reports += [
-            check_alt_from_runs(bound(25)),
-            check_runs_from_peaks(bound(20)),
-            check_tangent_forms(bound(12)),
-            check_david_barton(bound(12)),
+            check_alt_from_runs(**span),
+            check_runs_from_peaks(**span),
+            check_tangent_forms(**span),
+            check_david_barton(**span),
         ]
     if suite in ("all", "grammar"):
         reports += [
-            check_grammar_runs(bound(12)),
-            check_grammar_alt(bound(12)),
-            check_dumont(bound(12), oracle_cap),
-            check_peaks_grammar(bound(12), oracle_cap),
-            check_leibniz(bound(10)),
+            check_grammar_runs(**span),
+            check_grammar_alt(**span),
+            check_dumont(**span, oracle_n_max=oracle_cap),
+            check_peaks_grammar(**span, oracle_n_max=oracle_cap),
+            check_leibniz(**span),
         ]
     if suite in ("all", "convolutions"):
         reports += [
-            check_convolutions(bound(20)),
-            check_recurrence_consistency(bound(20)),
+            check_convolutions(**span),
+            check_recurrence_consistency(**span),
         ]
     if suite in ("all", "gf"):
         for check, x0s in gf_checks:

@@ -320,7 +320,8 @@ class TestPowerSeries:
         for op in (lambda: q + True, lambda: True + q, lambda: q - True, lambda: True - q,
                    lambda: q * True, lambda: True * q, lambda: q / True, lambda: True / q,
                    lambda: s + True, lambda: True + s, lambda: s * True, lambda: True * s,
-                   lambda: True - s, lambda: True / s, lambda: RatPoly((1, 1))(True)):
+                   lambda: True - s, lambda: True / s, lambda: RatPoly((1, 1))(True),
+                   lambda: q ** True):
             with pytest.raises(TypeError, match="bool"):
                 op()
         assert QuadExt(1, 0, 2) == True and QuadExt(0) == False

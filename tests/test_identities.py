@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from runlab import identities as idn
-from runlab import exactnum, grammar, permcore as pc, triangles
+from runlab import grammar, permcore as pc, triangles
 from runlab.exactnum import PowerSeries, QuadExt, RatPoly
 
 F = Fraction
@@ -191,18 +191,12 @@ class TestPointwiseChecks:
 
     def test_closed_forms_evaluate_no_radical(self, monkeypatch):
         # the odd-part conditions clear every radical, so a passing
-        # closed-forms suite builds no QuadExt and runs no Horner over Z[s]
+        # closed-forms suite builds no QuadExt
         class Refused(QuadExt):
             def __new__(cls, *args, **kwargs):
                 pytest.fail("a QuadExt was built")
 
-        def refused(*args):
-            pytest.fail("horner_quad was called")
-
         monkeypatch.setattr(idn, "QuadExt", Refused)
-        # wherever runlab binds the name, not only where it is defined
-        for module in (exactnum, idn):
-            monkeypatch.setattr(module, "horner_quad", refused, raising=False)
         reports = idn.run_suite("closed-forms", n_max=12)
         assert len(reports) == 4 and all(r.passed for r in reports)
 
@@ -260,6 +254,16 @@ class TestSeriesChecks:
     def test_final_gf(self):
         for x0 in idn.DEFAULT_FINAL_X0S:
             assert idn.check_altsubseq_gf(x0, order=8).passed
+
+    @pytest.mark.parametrize("check, point", [
+        (idn.check_carlitz, F(3, 5)), (idn.check_carlitz, F(-4, 5)),
+        (idn.check_altsubseq_gf, F(3, 5)), (idn.check_altsubseq_gf, F(-4, 5)),
+        (idn.check_stanley_gf, F(12, 13)),
+    ], ids=["carlitz-3/5", "carlitz--4/5", "altsubseq-3/5", "altsubseq--4/5", "stanley-12/13"])
+    def test_square_discriminant_points(self, check, point):
+        # 1 - point^2 is 16/25, 9/25 or 25/169: sqrt(1 - point^2) is
+        # rational, and the series still compute with it as a formal root
+        assert check(point, 12).passed
 
     def test_bad_base_points_rejected(self):
         for fn in (idn.check_carlitz, idn.check_stanley_gf, idn.check_altsubseq_gf):
@@ -337,10 +341,13 @@ class TestVerdict:
         assert log == [(1, "a"), (2, "b")]
 
     def test_sqrt_component_fails_as_its_own_condition(self):
+        # the GF checks state the rule as a case of their own: a series
+        # coefficient with a nonzero sqrt component fails there
         value = QuadExt(F(1, 2), F(1, 3), F(2))
-        report = idn._verdict("t/id", {}, [(4, "x=1/2", F(1, 2), value)])
+        rhs = PowerSeries([F(1), F(1, 2), F(1, 3), F(1, 4), value])
+        report = idn._check_series("t/id", {}, rhs, [F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 2)])
         assert report.first_failure == idn.CheckFailure(
-            4, "x=1/2: sqrt component", str(value), "0")
+            4, "z^4: sqrt component", str(value), "0")
 
     def test_rational_part_compared_when_the_sqrt_component_vanishes(self):
         assert idn._verdict("t/id", {}, [(1, "p", F(3), QuadExt(F(3), 0, F(2)))]).passed
