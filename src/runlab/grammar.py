@@ -19,6 +19,15 @@ derivation step adds a precompiled int offset per rule term, and int
 order is the canonical term order.  Exponents stay unbounded: a result
 whose exponents could reach the top bit of a field is repacked at twice
 the width first.
+
+Derivatives are taken in towers: D^1(p), ..., D^n(p) from one private
+kernel, all at the one width that holds the exponents of D^n(p), chosen
+once from p's bound plus n times the most any rule raises an exponent.
+No step repacks or builds an :class:`MPoly`; zero coefficients are
+dropped once, from the level a caller keeps.  :func:`d_power` keeps the
+last level, :func:`d_apply` is ``d_power(g, p, 1)``, and the Leibniz
+check derives u, v and u*v in three towers at the single width of its
+whole case.
 """
 
 from __future__ import annotations
@@ -348,7 +357,7 @@ class Grammar(_Frozen):
     replaced occurrence adds to a monomial), and ``_grow`` is the
     largest amount by which a delta raises any exponent.  For each field
     width it is used at, a delta is packed once more into an int offset
-    (fields of -1 included), which :func:`d_apply` adds to a key.
+    (fields of -1 included), which a derivation step adds to a key.
     ``rules`` is a read-only copy of the mapping passed in, so a grammar
     shared by :func:`builtin` cannot drift from its compiled form.
     """
@@ -406,69 +415,95 @@ class Grammar(_Frozen):
         return fields
 
 
-def d_apply(g: Grammar, p: MPoly) -> MPoly:
-    """One application of the derivation induced by ``g``.
-
-    Acts linearly on terms and by the product rule inside each monomial:
-    every letter occurrence is replaced, once, by its rule.  On packed
-    keys over the grammar's alphabet, a term ``c * v`` whose field ``i``
-    reads ``e`` contributes ``c * e * rc`` at ``v + delta`` for each
-    compiled rule term ``(delta, rc)`` of letter ``i``.  A delta field of
-    -1 is only added where that exponent is >= 1, so no field borrows,
-    and the result's fields are widened first if ``g`` could raise an
-    exponent to their top bit.
-    """
-    letters = g._letters
-    if p._letters != letters:
+def _check_rules(g: Grammar, p: MPoly) -> None:
+    """Refuse ``p`` if a letter it uses has no rule in ``g``."""
+    if p._letters != g._letters:
         for v in _unpack(p._terms, len(p._letters), _fit(p._top)):
             for letter, e in zip(p._letters, v):
                 if e and letter not in g.rules:
                     raise ValueError(f"letter {letter!r} has no rule in this grammar")
-    top = p._top + g._grow
-    width = _fit(top)
+
+
+def _tower(g: Grammar, terms: "dict[int, int]", width: int, n: int):
+    """Yield D^1(p), ..., D^n(p) for the packed terms of ``p``, keyed over
+    the grammar's alphabet in fields of ``width`` bits.
+
+    ``width`` must hold every exponent of D^n(p) below its top bit; each
+    level is a new dict and may hold zero coefficients.  D acts linearly
+    on terms and by the product rule inside each monomial: a term ``c *
+    v`` whose field ``i`` reads ``e`` contributes ``c * e * rc`` at ``v +
+    delta`` for each compiled rule term ``(delta, rc)`` of letter ``i``.
+    A delta field of -1 is only added where that exponent is >= 1, so no
+    field borrows.  Each step makes one pass over the terms per (letter,
+    rule term) pair.
+    """
     fields = g._fields(width)
     mask = (1 << width) - 1
-    acc: "dict[int, int]" = {}
-    for k, c in _repack(p, letters, width).items():
+    for _ in range(n):
+        items = terms.items()
+        terms = {}
+        get = terms.get
         for s, rule in fields:
-            e = k >> s & mask
-            if e:
-                ce = c * e
-                for delta, rc in rule:
-                    m = k + delta
-                    acc[m] = acc.get(m, 0) + ce * rc
-    return _mpoly(letters, top, acc)
+            for delta, rc in rule:
+                for k, c in items:
+                    e = k >> s & mask
+                    if e:
+                        m = k + delta
+                        terms[m] = get(m, 0) + c * e * rc
+        yield terms
+
+
+def d_apply(g: Grammar, p: MPoly) -> MPoly:
+    """One application of the derivation induced by ``g``: every letter
+    occurrence replaced, once, by its rule."""
+    return d_power(g, p, 1)
 
 
 def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
-    """n-fold application of :func:`d_apply`."""
+    """n-fold application of :func:`d_apply`, all n steps at the one field
+    width that holds the exponents of the last."""
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-    for _ in range(n):
-        p = d_apply(g, p)
-    return p
+    if not n:
+        return p
+    _check_rules(g, p)
+    top = p._top + n * g._grow
+    width = _fit(top)
+    for terms in _tower(g, _repack(p, g._letters, width), width, n):
+        pass
+    return _mpoly(g._letters, top, terms)
 
 
 def _leibniz_sides(g: Grammar, u: MPoly, v: MPoly, n: int) -> "tuple[MPoly, MPoly]":
     """D^n(u*v) and sum_k C(n,k) D^k(u) D^(n-k)(v).
 
-    The sum is accumulated in one dict of packed keys, every derivative
-    aligned first to one alphabet and to the width that holds the
-    exponents of each product.
+    Every derivative and product is taken at one width, that of ``top``,
+    which bounds the exponents of both sides; the sum is accumulated in
+    one dict of packed keys.
     """
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-    du = [u]
-    dv = [v]
-    for _ in range(n):
-        du.append(d_apply(g, du[-1]))
-        dv.append(d_apply(g, dv[-1]))
-    top = max(du[k]._top + dv[n - k]._top for k in range(n + 1))
-    letters, terms = _align(du + dv, top)
+    if n:
+        _check_rules(g, u)
+        _check_rules(g, v)
+        letters = g._letters
+    else:
+        # no rule is applied, so u and v may use letters g has no rule for
+        letters = tuple(sorted({*u._letters, *v._letters}))
+    top = u._top + v._top + n * g._grow
+    width = _fit(top)
+    a = _repack(u, letters, width)
+    b = _repack(v, letters, width)
+    du = [a, *_tower(g, a, width, n)]
+    dv = [b, *_tower(g, b, width, n)]
+    uv: "dict[int, int]" = {}
+    _mul_into(uv, a, b)
+    for uv in _tower(g, uv, width, n):
+        pass
     acc: "dict[int, int]" = {}
     for k in range(n + 1):
-        _mul_into(acc, terms[k], terms[2 * n + 1 - k], comb(n, k))
-    return d_power(g, u * v, n), _mpoly(letters, top, acc)
+        _mul_into(acc, du[k], dv[n - k], comb(n, k))
+    return _mpoly(letters, top, uv), _mpoly(letters, top, acc)
 
 
 def leibniz_check(g: Grammar, u: MPoly, v: MPoly, n: int) -> bool:

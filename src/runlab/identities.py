@@ -133,8 +133,15 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
         elif lhs != rhs:
             return _failed(identity, params, n, point, lhs, rhs)
     if not drawn:
-        raise ValueError(f"{identity} ({_params_text(params)}) has no case to compare")
+        raise _no_case(identity, params)
     return _passed(identity, params)
+
+
+def _no_case(identity: str, params: "Mapping[str, object]") -> ValueError:
+    """The refusal of a check that compares nothing.  A check whose range
+    of n is empty raises it itself, before it builds a family that range
+    would need none of."""
+    return ValueError(f"{identity} ({_params_text(params)}) has no case to compare")
 
 
 def _params_text(params: "Mapping[str, object]") -> str:
@@ -240,13 +247,16 @@ def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
     return plan
 
 
-def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None",
+def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None", first: int,
                cases: "Callable[[tuple[Fraction, ...]], Iterable[tuple]]") -> CheckReport:
-    """The report of ``closed/<kind>`` on ``cases(points)``, over the
-    points of ``plan`` as :func:`_require` passes it."""
+    """The report of ``closed/<kind>`` on ``cases(points)`` for n =
+    first..n_max, over the points of ``plan`` as :func:`_require` passes
+    it."""
     plan = _require(plan, kind, n_max)
-    return _verdict(f"closed/{kind}", {"n_max": n_max, "points": len(plan)},
-                    cases(plan.points))
+    identity, params = f"closed/{kind}", {"n_max": n_max, "points": len(plan)}
+    if n_max < first:
+        raise _no_case(identity, params)
+    return _verdict(identity, params, cases(plan.points))
 
 
 # ----------------------------------------------------------------------
@@ -310,8 +320,11 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
 def check_grammar_runs(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x^2 under the main grammar carry the run
     triangle: the n-th derivative equals x^2 sum_k R(n+1,k) y^k z^(n-k)."""
+    params = {"n_max": n_max}
+    if n_max < 1:
+        raise _no_case("grammar/runs", params)
     tri = triangles.triangle_R(n_max + 1)
-    return _verdict("grammar/runs", {"n_max": n_max}, _expand(
+    return _verdict("grammar/runs", params, _expand(
         grammar.builtin("main"), n_max,
         [(grammar.MPoly.monomial({"x": 2}), "derivative of x^2",
           lambda n: tri.row(n + 1), lambda n, k: {"x": 2, "y": k, "z": n - k})],
@@ -321,8 +334,11 @@ def check_grammar_runs(n_max: int = 12) -> CheckReport:
 def check_grammar_alt(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x under the main grammar carry the
     altsubseq triangle: the n-th derivative is x sum_k a_k(n) y^k z^(n-k)."""
+    params = {"n_max": n_max}
+    if n_max < 1:
+        raise _no_case("grammar/altsubseq", params)
     tri = triangles.triangle_A(n_max)
-    return _verdict("grammar/altsubseq", {"n_max": n_max}, _expand(
+    return _verdict("grammar/altsubseq", params, _expand(
         grammar.builtin("main"), n_max,
         [(grammar.MPoly.letter("x"), "derivative of x",
           tri.row, lambda n, k: {"x": 1, "y": k, "z": n - k})],
@@ -349,6 +365,8 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     """
     _oracle_bound("oracle_n_max", oracle_n_max, n_max)
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
+    if n_max < 1:
+        raise _no_case("grammar/eulerian", params)
     tri = triangles.triangle_euler(n_max)
     return _verdict("grammar/eulerian", params, _expand(
         grammar.builtin("dumont"), n_max,
@@ -368,6 +386,8 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     _oracle_bound("oracle_n_max", oracle_n_max, n_max)
     params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     ident = "grammar/peaks"
+    if n_max < 1:
+        raise _no_case(ident, params)
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
     py = grammar.MPoly.letter("y")
@@ -511,6 +531,9 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     base-X digits, which are exactly the coefficients of the left-hand row
     and of the term-by-term sum, since each lies in (-X/2, X/2).
     """
+    params = {"n_max": n_max}
+    if n_max < 1:
+        raise _no_case("poly/convolutions", params)
     T = triangles.poly_T(n_max + 1)
     R = triangles.poly_R(n_max + 2)
     W = triangles.poly_W(n_max)
@@ -524,7 +547,7 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
                     lhs, rhs = _unkron(lhs, b), _unkron(rhs, b)
                 yield n, formula, lhs, rhs
 
-    return _verdict("poly/convolutions", {"n_max": n_max}, cases())
+    return _verdict("poly/convolutions", params, cases())
 
 
 def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
@@ -532,6 +555,9 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
     recurrences exactly: the rows of the run triangle obey
     R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)', and the altsubseq rows
     obey T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'."""
+    params = {"n_max": n_max}
+    if n_max < 0:
+        raise _no_case("poly/recurrences", params)
     r = triangles.triangle_R(n_max + 2)
     t = triangles.triangle_A(n_max + 1)
     x_1_minus_x2 = RatPoly((0, 1, 0, -1))
@@ -543,16 +569,19 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
             yield (n, "T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'", t[n + 1],
                    RatPoly((0, 1, n)) * t[n] + x_1_minus_x2 * t[n].derivative())
 
-    return _verdict("poly/recurrences", {"n_max": n_max}, cases())
+    return _verdict("poly/recurrences", params, cases())
 
 
 def check_alt_from_runs(n_max: int = 25) -> CheckReport:
     """T_n(x) = (1+x)/2 * R_n(x) for n >= 2, checked in integer
     polynomial arithmetic as 2 T_n = (1+x) R_n."""
+    params = {"n_max": n_max}
+    if n_max < 2:
+        raise _no_case("closed/alt-from-runs", params)
     one_plus_x = RatPoly((1, 1))
     T = triangles.poly_T(n_max)
     R = triangles.poly_R(n_max)
-    return _verdict("closed/alt-from-runs", {"n_max": n_max}, (
+    return _verdict("closed/alt-from-runs", params, (
         (n, "2 T_n = (1+x) R_n", 2 * T[n], one_plus_x * R[n]) for n in range(2, n_max + 1)
     ))
 
@@ -590,7 +619,7 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
                     yield (n, r_form, horner(Rn, p, q),
                            (p * (p + q) ** (n - 2) * w, q * (2 * q) ** (n - 2) * w_den))
 
-    return _pointwise("runs-from-peaks", n_max, plan, cases)
+    return _pointwise("runs-from-peaks", n_max, plan, 1, cases)
 
 
 def _parity_split(row: "Sequence[int]", top: int) -> "tuple[list[int], list[int], int]":
@@ -643,7 +672,7 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
                        ((p + q) ** (n - 1) * (p + q) ** -low * e,
                         (2 * q) ** (n - 1) * (p - q) ** -low * e_den))
 
-    return _pointwise("tangent", n_max, plan, cases)
+    return _pointwise("tangent", n_max, plan, 2, cases)
 
 
 def _w_expansion(row: "Sequence[int]", top: int) -> "list[int]":
@@ -696,7 +725,7 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
                 yield (n, label, horner(Rn, p, q),
                        (v * (q + p) ** extra, (2 * q) ** (n - 1) * (2 * p) ** e))
 
-    return _pointwise("david-barton", n_max, plan, cases)
+    return _pointwise("david-barton", n_max, plan, 2, cases)
 
 
 # ----------------------------------------------------------------------
@@ -808,6 +837,9 @@ def check_oracle(n_max: int = 8) -> CheckReport:
     """All five triangles match brute-force histograms over S_n, n <= n_max,
     the five read from one class table of each S_n."""
     _oracle_bound("n_max", n_max, permcore.MAX_ENUM_N)
+    params = {"n_max": n_max}
+    if n_max < 1:
+        raise _no_case("oracle/triangles", params)
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
         (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),
@@ -815,7 +847,7 @@ def check_oracle(n_max: int = 8) -> CheckReport:
         (permcore.Stat.LEFT_PEAKS, triangles.triangle_Wtilde(n_max)),
         (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
     ]
-    return _verdict("oracle/triangles", {"n_max": n_max}, _expand(
+    return _verdict("oracle/triangles", params, _expand(
         None, n_max, (), [(stat, tri.row, stat.value) for stat, tri in sources], n_max))
 
 

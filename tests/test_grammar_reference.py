@@ -5,16 +5,24 @@ polynomial is a dict from a monomial key (its sorted ``(letter,
 exponent)`` pairs with exponent > 0) to a nonzero int coefficient, and
 every operation is written out term by term from its definition, with
 nothing taken from ``runlab.grammar``.
+
+A second reference is the step-by-step derivation that the towers of
+``runlab.grammar`` replaced, kept verbatim: one ``d_apply`` per step,
+each at the width its own result needs, and a Leibniz check that aligns
+all 2n+2 derivatives before it sums their products.  ``d_power``,
+``d_apply`` and ``_leibniz_sides`` must equal it term for term.
 """
 
 import json
 from itertools import chain
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from runlab import grammar as gr
 from runlab import triangles
+from runlab.grammar import Grammar, MPoly, _align, _fit, _mpoly, _mul_into, _repack, _unpack
 
 LETTERS = "wxyz"
 
@@ -105,6 +113,74 @@ def as_ref(p):
 
 def build(terms):
     return gr.MPoly([(gr.Monomial(exps), c) for exps, c in terms])
+
+
+# -- step reference ------------------------------------------------------
+
+
+def step_d_apply(g: Grammar, p: MPoly) -> MPoly:
+    """One application of the derivation induced by ``g``.
+
+    Acts linearly on terms and by the product rule inside each monomial:
+    every letter occurrence is replaced, once, by its rule.  On packed
+    keys over the grammar's alphabet, a term ``c * v`` whose field ``i``
+    reads ``e`` contributes ``c * e * rc`` at ``v + delta`` for each
+    compiled rule term ``(delta, rc)`` of letter ``i``.  A delta field of
+    -1 is only added where that exponent is >= 1, so no field borrows,
+    and the result's fields are widened first if ``g`` could raise an
+    exponent to their top bit.
+    """
+    letters = g._letters
+    if p._letters != letters:
+        for v in _unpack(p._terms, len(p._letters), _fit(p._top)):
+            for letter, e in zip(p._letters, v):
+                if e and letter not in g.rules:
+                    raise ValueError(f"letter {letter!r} has no rule in this grammar")
+    top = p._top + g._grow
+    width = _fit(top)
+    fields = g._fields(width)
+    mask = (1 << width) - 1
+    acc: "dict[int, int]" = {}
+    for k, c in _repack(p, letters, width).items():
+        for s, rule in fields:
+            e = k >> s & mask
+            if e:
+                ce = c * e
+                for delta, rc in rule:
+                    m = k + delta
+                    acc[m] = acc.get(m, 0) + ce * rc
+    return _mpoly(letters, top, acc)
+
+
+def step_d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
+    """n-fold application of :func:`step_d_apply`."""
+    if n < 0:
+        raise ValueError("derivative order must be >= 0")
+    for _ in range(n):
+        p = step_d_apply(g, p)
+    return p
+
+
+def step_leibniz_sides(g: Grammar, u: MPoly, v: MPoly, n: int) -> "tuple[MPoly, MPoly]":
+    """D^n(u*v) and sum_k C(n,k) D^k(u) D^(n-k)(v).
+
+    The sum is accumulated in one dict of packed keys, every derivative
+    aligned first to one alphabet and to the width that holds the
+    exponents of each product.
+    """
+    if n < 0:
+        raise ValueError("derivative order must be >= 0")
+    du = [u]
+    dv = [v]
+    for _ in range(n):
+        du.append(step_d_apply(g, du[-1]))
+        dv.append(step_d_apply(g, dv[-1]))
+    top = max(du[k]._top + dv[n - k]._top for k in range(n + 1))
+    letters, terms = _align(du + dv, top)
+    acc: "dict[int, int]" = {}
+    for k in range(n + 1):
+        _mul_into(acc, terms[k], terms[2 * n + 1 - k], comb(n, k))
+    return step_d_power(g, u * v, n), _mpoly(letters, top, acc)
 
 
 # -- strategies ----------------------------------------------------------
@@ -287,6 +363,65 @@ class TestFieldBoundary:
         assert dict(wide.terms()) == dict(x.terms())
         assert wide.letters() == x.letters() == ("x", "y")
         assert wide * x == x * x and wide + x == 2 * x
+
+
+def assert_matches_step(fn, step, *args):
+    """``fn(*args)`` raises the ValueError text of ``step(*args)``, or
+    returns the same polynomials, term for term, with the same bound."""
+    try:
+        want = step(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        assert str(err.value) == str(exc)
+        return
+    got = fn(*args)
+    if isinstance(want, MPoly):
+        got, want = (got,), (want,)
+    assert [(p._top, as_ref(p)) for p in got] == [(p._top, as_ref(p)) for p in want]
+
+
+class TestAgainstStepReference:
+    """The towers against the step-by-step derivation they replaced, on
+    operands whose alphabet is seldom the grammar's, so letters without
+    a rule are refused or dropped as there."""
+
+    @given(grammars(), operands(), st.integers(0, 4))
+    def test_d_power(self, grammar, operand, n):
+        assert_matches_step(gr.d_power, step_d_power, grammar[0], operand[0], n)
+
+    @given(grammars(), operands())
+    def test_d_apply(self, grammar, operand):
+        assert_matches_step(gr.d_apply, step_d_apply, grammar[0], operand[0])
+
+    @given(grammars(), operands(), operands(), st.integers(0, 4))
+    def test_leibniz_sides(self, grammar, u, v, n):
+        assert_matches_step(gr._leibniz_sides, step_leibniz_sides,
+                            grammar[0], u[0], v[0], n)
+
+    @given(grammars(exps=wide_exps), wide_operands, st.integers(0, 3))
+    def test_d_power_past_the_field_width(self, grammar, operand, n):
+        assert_matches_step(gr.d_power, step_d_power, grammar[0], operand[0], n)
+
+    @given(grammars(exps=wide_exps), wide_operands, wide_operands, st.integers(0, 3))
+    def test_leibniz_sides_past_the_field_width(self, grammar, u, v, n):
+        assert_matches_step(gr._leibniz_sides, step_leibniz_sides,
+                            grammar[0], u[0], v[0], n)
+
+    def test_leibniz_case_wider_than_either_operand(self):
+        # u and v each fit W-bit fields, but u*v and its derivatives do
+        # not: every tower of the case runs at the one wider width, and
+        # both sides carry the one bound
+        g = gr.builtin("main")
+        u = gr.MPoly.monomial({"x": 2 ** (W - 2), "y": 1})
+        v = gr.MPoly.monomial({"x": 2 ** (W - 2), "z": 2}) + gr.MPoly.letter("y")
+        n = 3
+        top = u._top + v._top + n * g._grow
+        assert gr._fit(top) > max(gr._fit(u._top), gr._fit(v._top))
+        lhs, rhs = gr._leibniz_sides(g, u, v, n)
+        assert lhs._top == rhs._top == top
+        assert_matches_step(gr._leibniz_sides, step_leibniz_sides, g, u, v, n)
+        assert gr.leibniz_check(g, u, v, n)
 
 
 class TestConstructionPaths:

@@ -349,7 +349,7 @@ class TestVerdict:
         assert report.first_failure == idn.CheckFailure(
             4, "z^4: sqrt component", str(value), "0")
 
-    def test_rational_part_compared_when_the_sqrt_component_vanishes(self):
+    def test_rational_quadext_is_compared_by_value(self):
         assert idn._verdict("t/id", {}, [(1, "p", F(3), QuadExt(F(3), 0, F(2)))]).passed
         report = idn._verdict("t/id", {}, [(1, "p", F(3), QuadExt(F(5, 2), 0, F(2)))])
         assert report.first_failure == idn.CheckFailure(1, "p", "3", "5/2")
@@ -409,7 +409,24 @@ class TestVacuousRanges:
         (lambda: idn.check_david_barton(1), "closed/david-barton (n_max=1, points=5)"),
         (lambda: idn.check_grammar_runs(0), "grammar/runs (n_max=0)"),
         (lambda: idn.check_grammar_alt(0), "grammar/altsubseq (n_max=0)"),
-    ], ids=["alt-from-runs", "tangent", "david-barton", "grammar-runs", "grammar-alt"])
+        # ranges too short for the families a check reads: refused by the
+        # check, in its own terms, before a family builder refuses them
+        (lambda: idn.check_convolutions(0), "poly/convolutions (n_max=0)"),
+        (lambda: idn.check_runs_from_peaks(0), "closed/runs-from-peaks (n_max=0, points=2)"),
+        (lambda: idn.check_tangent_forms(0), "closed/tangent (n_max=0, points=3)"),
+        (lambda: idn.check_david_barton(0), "closed/david-barton (n_max=0, points=3)"),
+        (lambda: idn.check_alt_from_runs(0), "closed/alt-from-runs (n_max=0)"),
+        (lambda: idn.check_oracle(0), "oracle/triangles (n_max=0)"),
+        (lambda: idn.check_grammar_runs(-1), "grammar/runs (n_max=-1)"),
+        (lambda: idn.check_grammar_alt(-1), "grammar/altsubseq (n_max=-1)"),
+        (lambda: idn.check_dumont(0, 0), "grammar/eulerian (n_max=0, oracle_n_max=0)"),
+        (lambda: idn.check_peaks_grammar(0, 0), "grammar/peaks (n_max=0, oracle_n_max=0)"),
+        (lambda: idn.check_recurrence_consistency(-1), "poly/recurrences (n_max=-1)"),
+        (lambda: idn.check_recurrence_consistency(-2), "poly/recurrences (n_max=-2)"),
+    ], ids=["alt-from-runs", "tangent", "david-barton", "grammar-runs", "grammar-alt",
+            "convolutions-0", "runs-from-peaks-0", "tangent-0", "david-barton-0",
+            "alt-from-runs-0", "oracle-0", "grammar-runs-neg", "grammar-alt-neg",
+            "eulerian-0", "peaks-0", "recurrences-neg", "recurrences-neg2"])
     def test_empty_range_raises(self, check, message):
         with pytest.raises(ValueError) as info:
             check()
@@ -794,19 +811,18 @@ class TestFaultInjection:
     def test_non_derivation_breaks_leibniz(self, monkeypatch):
         # a linear map that replaces each letter occurrence by its rule
         # but drops the exponent factor e: not a derivation
-        def linear_step(g, p):
-            acc = {}
-            for mono, c in p.terms():
-                for letter, e in mono.items():
-                    rest = dict(mono.items())
-                    rest[letter] = e - 1
-                    base = grammar.Monomial(rest)
-                    for rmono, rc in g.rules[letter].terms():
-                        m = base * rmono
-                        acc[m] = acc.get(m, 0) + c * rc
-            return grammar.MPoly(acc)
+        def linear_tower(g, terms, width, n):
+            mask = (1 << width) - 1
+            for _ in range(n):
+                items, terms = terms.items(), {}
+                for s, rule in g._fields(width):
+                    for delta, rc in rule:
+                        for k, c in items:
+                            if k >> s & mask:
+                                terms[k + delta] = terms.get(k + delta, 0) + c * rc
+                yield terms
 
-        monkeypatch.setattr(grammar, "d_apply", linear_step)
+        monkeypatch.setattr(grammar, "_tower", linear_tower)
         n, point, lhs, rhs = self._failure(idn.check_leibniz(4, 10))
         assert (n, point) == (3, "case 0: grammar=schett, u=y^2, v=3 + 2*x^2*z^2")
         assert lhs == (
