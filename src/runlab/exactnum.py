@@ -44,7 +44,6 @@ Rational = Union[int, Fraction]
 
 __all__ = [
     "Fraction",
-    "NEG_INF",
     "PowerSeries",
     "QuadExt",
     "RatPoly",
@@ -54,10 +53,6 @@ __all__ = [
     "horner",
     "sin_series",
 ]
-
-#: Degree of the zero polynomial.
-NEG_INF = float("-inf")
-
 
 class _Frozen:
     """Base of every runlab value type: an instance refuses attribute
@@ -337,8 +332,7 @@ class RatPoly(_Frozen):
     takes ``int`` coefficients only and raises ``TypeError`` on any
     other type, ``bool`` included; sums, products with ``int`` scalars
     and derivatives keep them integral.  Trailing zero coefficients are
-    trimmed on construction, so equality is structural.  The zero
-    polynomial has degree ``NEG_INF``.
+    trimmed on construction, so equality is structural.
     """
 
     __slots__ = ("_coeffs",)
@@ -355,10 +349,6 @@ class RatPoly(_Frozen):
     @property
     def coeffs(self) -> "tuple[int, ...]":
         return self._coeffs
-
-    @property
-    def degree(self):
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
 
     # -- arithmetic ----------------------------------------------------
 

@@ -5,7 +5,9 @@ it induces a derivation ``D`` on the polynomial ring: linear, Leibniz on
 products, and equal to the rule on each letter.  Iterating ``D`` on a
 seed monomial expands into :class:`MPoly` values whose integer
 coefficients are the triangles generated elsewhere in this package --
-that cross-check is the point of the whole module.
+that cross-check is the point of the whole module.  An :class:`MPoly`
+is a value: built, compared and printed; every sum and product a
+derivation needs is taken on packed terms inside this module.
 
 Coefficients are plain ``int`` (iterated derivatives reach
 tangent-number growth, far past 64 bits).  Every value refuses attribute
@@ -88,10 +90,6 @@ class Monomial(_Frozen):
             if l == letter:
                 return e
         return 0
-
-    @property
-    def total_degree(self) -> int:
-        return sum(e for _, e in self._exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -207,7 +205,14 @@ def _mul_into(acc: "dict[int, int]", a: "dict[int, int]", b: "dict[int, int]",
 
 
 class MPoly(_Frozen):
-    """Sparse multivariate polynomial with int coefficients.
+    """Sparse multivariate polynomial with int coefficients, as a value.
+
+    An MPoly is constructed (``MPoly(...)``, :meth:`letter`,
+    :meth:`monomial`, or as a derivative by this module's functions),
+    compared with ``==``, printed (``str``, :meth:`sorted_terms`,
+    :meth:`to_json_obj`) and asked for its :meth:`letters`.  It has no
+    arithmetic: the sums and products a derivation needs are taken on
+    packed terms inside this module.
 
     Terms are stored as ``{packed exponent vector: coefficient}`` over a
     sorted tuple of letters.  A monomial's key is one int: the exponent
@@ -221,20 +226,18 @@ class MPoly(_Frozen):
     Exponents are unbounded.  Each polynomial carries an upper bound
     ``top`` on its exponents, and its field width is ``_fit(top)``: the
     smallest of 16, 32, 64, ... bits whose fields hold ``top`` below
-    their top bit.  An operation first bounds the exponents of its
+    their top bit.  A derivation first bounds the exponents of its
     result and packs its operands at that bound's width, so no field
     carries into the next.
 
     The alphabet may hold letters whose exponent is 0 in every term (a
-    derivative keeps its grammar's alphabet), so operations and equality
-    align two polynomials over the union of their alphabets and one
-    width that holds both.  Zero coefficients are never stored, so
-    equality is structural.
+    derivative keeps its grammar's alphabet), so equality aligns two
+    polynomials over the union of their alphabets and one width that
+    holds both.  Zero coefficients are never stored, so equality is
+    structural.
 
-    ``MPoly(...)``, :meth:`letter` and :meth:`monomial` validate through
-    :class:`Monomial`.  Coefficients and scalars are ``int`` only, with
-    ``bool`` refused as by ``RatPoly``; arithmetic builds its results
-    from packed keys directly.
+    The constructors validate through :class:`Monomial`.  Coefficients
+    are ``int`` only, with ``bool`` refused as by ``RatPoly``.
     """
 
     __slots__ = ("_letters", "_top", "_terms")
@@ -262,24 +265,12 @@ class MPoly(_Frozen):
         _set(self, "_terms", {k: c for k, c in agg.items() if c})
 
     @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
-    @classmethod
     def letter(cls, letter: str) -> "MPoly":
         return cls([(Monomial({letter: 1}), 1)])
 
     @classmethod
     def monomial(cls, exps: "Mapping[str, int]", coeff: int = 1) -> "MPoly":
         return cls([(Monomial(exps), coeff)])
-
-    def _monomials(self, keys: "Iterable[int]") -> "list[Monomial]":
-        letters = self._letters
-        return [Monomial(zip(letters, v)) for v in _unpack(keys, len(letters), _fit(self._top))]
-
-    def terms(self):
-        terms = self._terms
-        return dict(zip(self._monomials(terms), terms.values())).items()
 
     def letters(self) -> "tuple[str, ...]":
         vectors = _unpack(self._terms, len(self._letters), _fit(self._top))
@@ -289,35 +280,9 @@ class MPoly(_Frozen):
 
     def sorted_terms(self) -> "list[tuple[Monomial, int]]":
         keys = sorted(self._terms)
-        return list(zip(self._monomials(keys), map(self._terms.__getitem__, keys)))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if type(other) is int:
-            other = _mpoly((), 0, {0: other})
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        top = max(self._top, other._top)
-        letters, (a, b) = _align((self, other), top)
-        out = dict(a)
-        for k, c in b.items():
-            out[k] = out.get(k, 0) + c
-        return _mpoly(letters, top, out)
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return _mpoly(self._letters, self._top,
-                          {k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        top = self._top + other._top
-        letters, (a, b) = _align((self, other), top)
-        out: "dict[int, int]" = {}
-        _mul_into(out, a, b)
-        return _mpoly(letters, top, out)
-
-    __rmul__ = __mul__
+        letters = self._letters
+        return [(Monomial(zip(letters, v)), self._terms[k])
+                for k, v in zip(keys, _unpack(keys, len(letters), _fit(self._top)))]
 
     # -- structure -----------------------------------------------------
 
@@ -325,8 +290,6 @@ class MPoly(_Frozen):
         return len(self._terms)
 
     def __eq__(self, other):
-        if type(other) is int:
-            other = _mpoly((), 0, {0: other})
         if not isinstance(other, MPoly):
             return NotImplemented
         _, (a, b) = _align((self, other), max(self._top, other._top))

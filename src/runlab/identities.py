@@ -236,7 +236,8 @@ def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
     points_for, singular, what, _, _ = _POINTWISE[kind]
     needed = points_for(n_max)
     if plan is None:
-        plan = default_plan(kind, needed)
+        # at least one point, so an empty range is refused as such
+        plan = default_plan(kind, max(1, needed))
     for x in plan.points:
         if singular(_rational(x, "sample point")):
             raise ValueError(f"sample point {x} is singular for {what}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from runlab import cli, grammar, identities as idn, triangles
 from runlab.exactnum import QuadExt, RatPoly
-from tests.test_identities import corrupt_triangle
+from tests.faults import corrupt_triangle
 
 F = Fraction
 

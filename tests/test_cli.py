@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from runlab import cli, triangles
-from tests.test_identities import corrupt_triangle
+from tests.faults import corrupt_triangle
 
 
 #: stdout of ``grammar --builtin NAME --word SEED --n 8`` in plain, JSON and

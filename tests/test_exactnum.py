@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from runlab.exactnum import (
-    NEG_INF,
     PowerSeries,
     QuadExt,
     RatPoly,
@@ -140,10 +139,10 @@ class TestRatPoly:
         with pytest.raises(TypeError):
             p(RatPoly((0, 1)))
 
-    def test_zero_degree_sentinel(self):
-        assert RatPoly().degree == NEG_INF
-        assert RatPoly((0, 0)).degree == NEG_INF
-        assert RatPoly((1, 2)).degree == 1
+    def test_trailing_zeros_trimmed(self):
+        assert RatPoly((0, 0)).coeffs == RatPoly().coeffs == ()
+        assert RatPoly((1, 2, 0, 0)).coeffs == (1, 2)
+        assert RatPoly((0, 0)) == RatPoly()
 
     def test_str(self):
         assert str(RatPoly((0, 2, 4))) == "2*x + 4*x^2"

@@ -10,23 +10,13 @@ import pytest
 from runlab import identities as idn
 from runlab import grammar, permcore as pc, triangles
 from runlab.exactnum import PowerSeries, QuadExt, RatPoly
+from tests import faults
+from tests.faults import corrupt_triangle
 
 F = Fraction
 
 REPORT_SCHEMA_KEYS = {"identity", "params", "passed", "first_failure"}
 FAILURE_SCHEMA_KEYS = {"n", "point", "lhs", "rhs"}
-
-
-def corrupt_triangle(builder, n, k, delta=1):
-    """Wrap a triangle builder so one entry comes out wrong."""
-
-    def wrapped(n_max):
-        tri = builder(n_max)
-        if tri.start <= n <= tri.max_n and k < len(tri.row(n)):
-            tri.row(n)[k] += delta
-        return tri
-
-    return wrapped
 
 
 class TestGrammarChecks:
@@ -423,10 +413,20 @@ class TestVacuousRanges:
         (lambda: idn.check_peaks_grammar(0, 0), "grammar/peaks (n_max=0, oracle_n_max=0)"),
         (lambda: idn.check_recurrence_consistency(-1), "poly/recurrences (n_max=-1)"),
         (lambda: idn.check_recurrence_consistency(-2), "poly/recurrences (n_max=-2)"),
+        # below n_max = -1 the degree bound asks for no point at all; the
+        # stock plan still takes one, so the range is what is refused
+        (lambda: idn.check_runs_from_peaks(-2), "closed/runs-from-peaks (n_max=-2, points=1)"),
+        (lambda: idn.check_tangent_forms(-2), "closed/tangent (n_max=-2, points=1)"),
+        (lambda: idn.check_david_barton(-2), "closed/david-barton (n_max=-2, points=1)"),
+        (lambda: idn.check_runs_from_peaks(-3), "closed/runs-from-peaks (n_max=-3, points=1)"),
+        (lambda: idn.check_tangent_forms(-3), "closed/tangent (n_max=-3, points=1)"),
+        (lambda: idn.check_david_barton(-3), "closed/david-barton (n_max=-3, points=1)"),
     ], ids=["alt-from-runs", "tangent", "david-barton", "grammar-runs", "grammar-alt",
             "convolutions-0", "runs-from-peaks-0", "tangent-0", "david-barton-0",
             "alt-from-runs-0", "oracle-0", "grammar-runs-neg", "grammar-alt-neg",
-            "eulerian-0", "peaks-0", "recurrences-neg", "recurrences-neg2"])
+            "eulerian-0", "peaks-0", "recurrences-neg", "recurrences-neg2",
+            "runs-from-peaks-neg2", "tangent-neg2", "david-barton-neg2",
+            "runs-from-peaks-neg3", "tangent-neg3", "david-barton-neg3"])
     def test_empty_range_raises(self, check, message):
         with pytest.raises(ValueError) as info:
             check()
@@ -811,18 +811,7 @@ class TestFaultInjection:
     def test_non_derivation_breaks_leibniz(self, monkeypatch):
         # a linear map that replaces each letter occurrence by its rule
         # but drops the exponent factor e: not a derivation
-        def linear_tower(g, terms, width, n):
-            mask = (1 << width) - 1
-            for _ in range(n):
-                items, terms = terms.items(), {}
-                for s, rule in g._fields(width):
-                    for delta, rc in rule:
-                        for k, c in items:
-                            if k >> s & mask:
-                                terms[k + delta] = terms.get(k + delta, 0) + c * rc
-                yield terms
-
-        monkeypatch.setattr(grammar, "_tower", linear_tower)
+        faults.install("linear-tower", monkeypatch.setattr)
         n, point, lhs, rhs = self._failure(idn.check_leibniz(4, 10))
         assert (n, point) == (3, "case 0: grammar=schett, u=y^2, v=3 + 2*x^2*z^2")
         assert lhs == (
@@ -865,7 +854,8 @@ class TestFaultInjection:
     def test_tangent_fault_fails_before_later_rows_are_read(self, monkeypatch):
         # the cases are drawn lazily: a fault at n = 2 ends the check
         # before P_3 is ever read
-        original = triangles.poly_P
+        faults.install("tangent-P2", monkeypatch.setattr)  # P_2 + x^2
+        skewed = triangles.poly_P
 
         class Guarded(triangles.Family):
             def row(self, n):
@@ -873,12 +863,11 @@ class TestFaultInjection:
                     pytest.fail(f"row {n} of P was read")
                 return super().row(n)
 
-        def skewed(n_max):
-            fam = original(n_max)
-            fam.row(2)[2] += 1  # P_2 + x^2
+        def guarded(n_max):
+            fam = skewed(n_max)
             return Guarded(fam.name, fam.start, fam.rows)
 
-        monkeypatch.setattr(triangles, "poly_P", skewed)
+        monkeypatch.setattr(triangles, "poly_P", guarded)
         assert self._failure(idn.check_tangent_forms(4)) == (
             2, "odd part of P_n", "[1, 0]", "[0, 0]"
         )
@@ -887,18 +876,28 @@ class TestFaultInjection:
         # breaking the parity of a tangent polynomial leaves a nonzero odd
         # part, the sqrt component of every point, which must be reported
         # as its own condition
-        original = triangles.poly_P
-
-        def skewed(n_max):
-            fam = original(n_max)
-            fam.row(2)[2] += 1  # P_2 + x^2
-            return fam
-
-        monkeypatch.setattr(triangles, "poly_P", skewed)
+        faults.install("tangent-P2", monkeypatch.setattr)  # P_2 + x^2
         report = idn.check_tangent_forms(3)
         assert not report.passed
         assert report.first_failure.point == "odd part of P_n"
         assert report.first_failure.rhs == "[0, 0]"
+
+
+class TestFaultCatalogue:
+    """Every fault of tests/faults.py fails the suite it names."""
+
+    @pytest.mark.parametrize("name", sorted(faults.FAULTS))
+    def test_fault_fails_its_suite(self, monkeypatch, name):
+        suite = faults.install(name, monkeypatch.setattr)
+        assert not all(r.passed for r in idn.run_suite(suite))
+
+    def test_diagonal_fault_fails_exactly_the_carlitz_checks(self, monkeypatch):
+        # R(4,3) + 1 sits on the diagonal R(n+1, n), which gf/carlitz[x0=0]
+        # reads at z^3; no other GF check reads R
+        suite = faults.install("diagonal-R43", monkeypatch.setattr)
+        failed = {r.identity: (r.first_failure.n, r.first_failure.point)
+                  for r in idn.run_suite(suite) if not r.passed}
+        assert failed == {f"gf/carlitz[x0={x0}]": (3, "z^3") for x0 in ("0", "1/2", "1/3")}
 
 
 class TestDescentWalks:

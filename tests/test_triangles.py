@@ -131,19 +131,21 @@ class TestPolyFamilies:
             tr.poly_Wtilde(-1)
 
     def test_degrees(self):
+        # rows are trimmed of trailing zeros, so a row's length is one
+        # more than its polynomial's degree
         n_max = 20
         R, T = tr.poly_R(n_max), tr.poly_T(n_max)
         W, Wt = tr.poly_W(n_max), tr.poly_Wtilde(n_max)
         A, P = tr.poly_A(n_max), tr.poly_P(n_max)
         for n in range(2, n_max + 1):
-            assert R[n].degree == n - 1
+            assert len(R.row(n)) == n
         for n in range(0, n_max + 1):
-            assert T[n].degree == n
-            assert P[n].degree == n + 1
-            assert Wt[n].degree == n // 2
+            assert len(T.row(n)) == n + 1
+            assert len(P.row(n)) == n + 2
+            assert len(Wt.row(n)) == n // 2 + 1
         for n in range(1, n_max + 1):
-            assert W[n].degree == (n - 1) // 2
-            assert A[n].degree == n
+            assert len(W.row(n)) == (n - 1) // 2 + 1
+            assert len(A.row(n)) == n + 1
 
     def test_all_coefficients_are_nonnegative_integers(self):
         for family in (
@@ -204,10 +206,10 @@ def triangle_euler(n_max: int) -> Family:
     for n in range(1, n_max + 1):
         p = grammar.d_apply(g, p)
         row = [0] * n
-        for mono, c in p.terms():
+        for mono, c in p.sorted_terms():
             k = mono.degree_of("x") - 1
             if not (0 <= k < n and mono.degree_of("y") == n - k
-                    and mono.total_degree == n + 1):
+                    and sum(e for _, e in mono.items()) == n + 1):
                 raise ConsistencyError(
                     f"unexpected monomial {mono} in derivative {n} of x"
                 )
