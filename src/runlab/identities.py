@@ -885,14 +885,19 @@ def run_suite(
 
     # each check's own signature default is its range unless one is given
     span = {} if n_max is None else {"n_max": n_max}
-    gf_checks = [
-        (check, [_series_point(x, order) for x in (stock if given is None else given)])
-        for check, given, stock in (
-            (check_carlitz, carlitz_x0s, DEFAULT_CARLITZ_X0S),
-            (check_stanley_gf, stanley_t0s, DEFAULT_STANLEY_T0S),
-            (check_altsubseq_gf, final_x0s, DEFAULT_FINAL_X0S),
-        )
-    ]
+    gf_checks = []
+    for check, option, given, stock in (
+        (check_carlitz, "carlitz_x0s", carlitz_x0s, DEFAULT_CARLITZ_X0S),
+        (check_stanley_gf, "stanley_t0s", stanley_t0s, DEFAULT_STANLEY_T0S),
+        (check_altsubseq_gf, "final_x0s", final_x0s, DEFAULT_FINAL_X0S),
+    ):
+        points = [_series_point(x, order) for x in (stock if given is None else given)]
+        if not points:
+            raise ValueError(f"{option} must hold at least one point")
+        repeated = [x for i, x in enumerate(points) if x in points[:i]]
+        if repeated:
+            raise ValueError(f"{option} repeats the point {repeated[0]}")
+        gf_checks.append((check, points))
 
     reports: "list[CheckReport]" = []
     # first, so a range the closed forms cannot compare is refused before

@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 #: The class table of S_n has 2^(n-1) rows, and each histogram applies its
-#: definition once per row: S_1..S_14 check all five in about a second.
+#: definition once per row: S_1..S_14 check all five in about 0.3 s
+#: (Python 3.11, 2 shared vCPUs).
 MAX_ENUM_N = 14
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from runlab import cli, grammar, identities as idn, triangles
 from runlab.exactnum import QuadExt, RatPoly
-from tests.faults import corrupt_triangle
+from tests import faults
 
 F = Fraction
 
@@ -154,9 +154,7 @@ def test_criterion_9_cli_contract(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.splitlines()[-1].endswith("checks passed")
 
-    monkeypatch.setattr(
-        triangles, "triangle_A", corrupt_triangle(triangles.triangle_A, 5, 3)
-    )
+    faults.install("alt-A53", monkeypatch.setattr)
     code = cli.main(["verify", "all"])
     out = capsys.readouterr().out
     assert code == 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from runlab import cli, triangles
-from tests.faults import corrupt_triangle
+from tests import faults
 
 
 #: stdout of ``grammar --builtin NAME --word SEED --n 8`` in plain, JSON and
@@ -640,9 +640,7 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_fault_injection_fails_with_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            triangles, "triangle_R", corrupt_triangle(triangles.triangle_R, 5, 2)
-        )
+        faults.install("runs-R52", monkeypatch.setattr)
         for fmt in cli.FORMATS:
             code, out, err = run(capsys, "verify", "grammar", "--n-max", "6",
                                  "--format", fmt)
@@ -660,11 +658,7 @@ class TestVerifyCommand:
         assert err == "error: row 2 contradicts its seed\n"
 
     def test_fault_injection_oracle_suite(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            triangles,
-            "triangle_Wtilde",
-            corrupt_triangle(triangles.triangle_Wtilde, 3, 1),
-        )
+        faults.install("leftpeaks-Wt31", monkeypatch.setattr)
         code, out, _ = run(capsys, "verify", "oracle")
         assert code == 1
         assert "FAIL oracle/triangles" in out and "leftpeaks" in out
