@@ -379,12 +379,12 @@ class Grammar(_Frozen):
 
 
 def _check_rules(g: Grammar, p: MPoly) -> None:
-    """Refuse ``p`` if a letter it uses has no rule in ``g``."""
+    """Refuse ``p`` if a letter it uses has no rule in ``g``, naming the
+    first such letter in alphabetical order, whatever the order of terms."""
     if p._letters != g._letters:
-        for v in _unpack(p._terms, len(p._letters), _fit(p._top)):
-            for letter, e in zip(p._letters, v):
-                if e and letter not in g.rules:
-                    raise ValueError(f"letter {letter!r} has no rule in this grammar")
+        for letter in p.letters():
+            if letter not in g.rules:
+                raise ValueError(f"letter {letter!r} has no rule in this grammar")
 
 
 def _tower(g: Grammar, terms: "dict[int, int]", width: int, n: int):

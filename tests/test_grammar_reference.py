@@ -7,11 +7,14 @@ every operation is written out term by term from its definition, with
 nothing taken from ``runlab.grammar``.
 
 A second reference is the step-by-step derivation that the towers of
-``runlab.grammar`` replaced, kept verbatim: one ``d_apply`` per step,
-each at the width its own result needs, and a Leibniz check that aligns
-all 2n+2 derivatives before it sums their products, with u*v taken by
-``step_mul``.  ``d_power``, ``d_apply`` and ``_leibniz_sides`` must
-equal it term for term.
+``runlab.grammar`` replaced, kept verbatim but for the letter that a
+refusal names: one ``d_apply`` per step, each at the width its own
+result needs, and a Leibniz check that aligns all 2n+2 derivatives
+before it sums their products, with u*v taken by ``step_mul``.
+``d_power``, ``d_apply`` and ``_leibniz_sides`` must equal it term for
+term.  Both references, like ``runlab.grammar``, refuse an operand by
+naming its first letter without a rule in alphabetical order, whatever
+the order of its terms.
 """
 
 import json
@@ -23,7 +26,7 @@ from hypothesis import given, strategies as st
 
 from runlab import grammar as gr
 from runlab import triangles
-from runlab.grammar import Grammar, MPoly, _align, _fit, _mpoly, _mul_into, _repack, _unpack
+from runlab.grammar import Grammar, MPoly, _align, _fit, _mpoly, _mul_into, _repack
 
 LETTERS = "wxyz"
 
@@ -65,12 +68,14 @@ def ref_mul(p, q):
 
 
 def ref_d(rules, p):
-    """One derivation step: each occurrence of a letter replaced by its rule."""
+    """One derivation step: each occurrence of a letter replaced by its rule.
+    A letter without a rule is refused, the first in alphabetical order."""
+    missing = sorted({l for k in p for l, _ in k} - set(rules))
+    if missing:
+        raise ValueError(f"letter {missing[0]!r} has no rule in this grammar")
     terms = []
     for k, c in p.items():
         for l, e in k:
-            if l not in rules:
-                raise ValueError(f"letter {l!r} has no rule in this grammar")
             rest = dict(k)
             rest[l] = e - 1
             for rk, rc in rules[l].items():
@@ -143,10 +148,9 @@ def step_d_apply(g: Grammar, p: MPoly) -> MPoly:
     """
     letters = g._letters
     if p._letters != letters:
-        for v in _unpack(p._terms, len(p._letters), _fit(p._top)):
-            for letter, e in zip(p._letters, v):
-                if e and letter not in g.rules:
-                    raise ValueError(f"letter {letter!r} has no rule in this grammar")
+        for letter in p.letters():
+            if letter not in g.rules:
+                raise ValueError(f"letter {letter!r} has no rule in this grammar")
     top = p._top + g._grow
     width = _fit(top)
     fields = g._fields(width)
