@@ -25,11 +25,13 @@ the width first.
 Derivatives are taken in towers: D^1(p), ..., D^n(p) from one private
 kernel, all at the one width that holds the exponents of D^n(p), chosen
 once from p's bound plus n times the most any rule raises an exponent.
-No step repacks or builds an :class:`MPoly`; zero coefficients are
-dropped once, from the level a caller keeps.  :func:`d_power` keeps the
-last level, :func:`d_apply` is ``d_power(g, p, 1)``, and the Leibniz
-check derives u, v and u*v in three towers at the single width of its
-whole case.
+No step repacks; zero coefficients are dropped from each level handed
+out.  :func:`d_tower` checks the order and p's letters once and yields
+every level as an :class:`MPoly`: the grammar checks read each stream
+from one tower, and :func:`d_power` keeps the last level.
+:func:`d_apply` is ``d_power(g, p, 1)``, public API with no caller left
+in this package.  The Leibniz check derives u, v and u*v in three
+towers at the single width of its whole case.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import _Frozen, _set, _sum_text
 
@@ -50,6 +52,7 @@ __all__ = [
     "builtin",
     "d_apply",
     "d_power",
+    "d_tower",
     "leibniz_check",
     "parse_grammar",
     "parse_word",
@@ -387,6 +390,15 @@ def _check_rules(g: Grammar, p: MPoly) -> None:
                 raise ValueError(f"letter {letter!r} has no rule in this grammar")
 
 
+def _check_order(n: int) -> None:
+    """Refuse a derivative order that is not an ``int``, or is a ``bool``,
+    with ``TypeError``, and a negative one with ``ValueError``."""
+    if type(n) is not int:
+        raise TypeError(f"derivative order must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("derivative order must be >= 0")
+
+
 def _tower(g: Grammar, terms: "dict[int, int]", width: int, n: int):
     """Yield D^1(p), ..., D^n(p) for the packed terms of ``p``, keyed over
     the grammar's alphabet in fields of ``width`` bits.
@@ -416,6 +428,25 @@ def _tower(g: Grammar, terms: "dict[int, int]", width: int, n: int):
         yield terms
 
 
+def d_tower(g: Grammar, p: MPoly, n: int) -> "Iterator[MPoly]":
+    """Yield D^1(p), ..., D^n(p) under the derivation induced by ``g``.
+
+    The order and p's letters are checked once, when the first level is
+    drawn, and the width once: every level carries the bound of D^n(p)
+    and is taken at the one field width that holds it.  An order that is
+    not an ``int``, or is a ``bool``, raises ``TypeError``, a negative
+    one ``ValueError``; n = 0 yields nothing and checks no letter.
+    """
+    _check_order(n)
+    if not n:
+        return
+    _check_rules(g, p)
+    top = p._top + n * g._grow
+    width = _fit(top)
+    for terms in _tower(g, _repack(p, g._letters, width), width, n):
+        yield _mpoly(g._letters, top, terms)
+
+
 def d_apply(g: Grammar, p: MPoly) -> MPoly:
     """One application of the derivation induced by ``g``: every letter
     occurrence replaced, once, by its rule."""
@@ -423,18 +454,11 @@ def d_apply(g: Grammar, p: MPoly) -> MPoly:
 
 
 def d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
-    """n-fold application of :func:`d_apply`, all n steps at the one field
-    width that holds the exponents of the last."""
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
-    if not n:
-        return p
-    _check_rules(g, p)
-    top = p._top + n * g._grow
-    width = _fit(top)
-    for terms in _tower(g, _repack(p, g._letters, width), width, n):
+    """D^n(p): the last level of :func:`d_tower`, or ``p`` itself, its
+    letters unchecked, for n = 0."""
+    for p in d_tower(g, p, n):
         pass
-    return _mpoly(g._letters, top, terms)
+    return p
 
 
 def _leibniz_sides(g: Grammar, u: MPoly, v: MPoly, n: int) -> "tuple[MPoly, MPoly]":
@@ -444,8 +468,7 @@ def _leibniz_sides(g: Grammar, u: MPoly, v: MPoly, n: int) -> "tuple[MPoly, MPol
     which bounds the exponents of both sides; the sum is accumulated in
     one dict of packed keys.
     """
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_order(n)
     if n:
         _check_rules(g, u)
         _check_rules(g, v)

@@ -283,8 +283,9 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
             oracle: "Sequence[tuple]" = (), oracle_n_max: int = 0) -> Iterator[tuple]:
     """The cases of the four grammar checks and of the oracle check.
 
-    Each stream ``(seed, point, row, exponents)`` is derived under ``g``
-    once per n = 1..n_max, in the order given, and derivative n must
+    Each stream ``(seed, point, row, exponents)`` reads its derivatives
+    under ``g`` from one :func:`grammar.d_tower` to n_max, the streams
+    taking turns at each n in the order given, and derivative n must
     equal sum_k row(n)[k] * Monomial(exponents(n, k)) over the nonzero
     entries of the row (k = 0 included), compared at ``point``; an entry
     whose monomial would need a negative exponent is printed with it on
@@ -294,10 +295,10 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
     histogram is the left side and the row the right, as the triangle is
     the right side of every stream.
     """
-    polys = [seed for seed, _, _, _ in streams]
+    towers = [grammar.d_tower(g, seed, n_max) for seed, _, _, _ in streams]
     for n in range(1, n_max + 1):
-        for i, (_, point, row, exponents) in enumerate(streams):
-            p = polys[i] = grammar.d_apply(g, polys[i])
+        for tower, (_, point, row, exponents) in zip(towers, streams):
+            p = next(tower)
             terms = [(exponents(n, k), c) for k, c in enumerate(row(n)) if c]
             # an entry past the degree of derivative n has a negative exponent
             stray = [(e, c) for e, c in terms if min(e.values()) < 0]

@@ -149,6 +149,24 @@ class TestDerivation:
             [(mono(x=2, y=1), 1), (mono(x=1, y=2), 1)]
         )
 
+    @pytest.mark.parametrize("n, error, message", [
+        (True, TypeError, "derivative order must be an int, got True"),
+        (False, TypeError, "derivative order must be an int, got False"),
+        (2.0, TypeError, "derivative order must be an int, got 2.0"),
+        ("1", TypeError, "derivative order must be an int, got '1'"),
+        (-1, ValueError, "derivative order must be >= 0"),
+    ], ids=["true", "false", "float", "str", "negative"])
+    def test_bad_orders_refused(self, n, error, message):
+        # one check for every derivation: a bool is not an order, and a
+        # negative order fails the tower too instead of yielding nothing
+        g = gr.builtin("main")
+        x = gr.MPoly.letter("x")
+        for derive in (gr.d_power, lambda g, p, n: list(gr.d_tower(g, p, n)),
+                       lambda g, p, n: gr.leibniz_check(g, p, p, n)):
+            with pytest.raises(error) as err:
+                derive(g, x, n)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("n", range(1, 16))
     def test_derivatives_of_xy_and_xz_agree(self, n):
         g = gr.builtin("main")

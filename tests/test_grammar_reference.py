@@ -12,7 +12,7 @@ refusal names: one ``d_apply`` per step, each at the width its own
 result needs, and a Leibniz check that aligns all 2n+2 derivatives
 before it sums their products, with u*v taken by ``step_mul``.
 ``d_power``, ``d_apply`` and ``_leibniz_sides`` must equal it term for
-term.  Both references, like ``runlab.grammar``, refuse an operand by
+term, and ``d_tower`` level by level.  Both references, like ``runlab.grammar``, refuse an operand by
 naming its first letter without a rule in alphabetical order, whatever
 the order of its terms.
 """
@@ -174,6 +174,15 @@ def step_d_power(g: Grammar, p: MPoly, n: int) -> MPoly:
     for _ in range(n):
         p = step_d_apply(g, p)
     return p
+
+
+def step_d_tower(g: Grammar, p: MPoly, n: int) -> "list[MPoly]":
+    """D^1(p), ..., D^n(p), each by one :func:`step_d_apply` on the last."""
+    levels = []
+    for _ in range(n):
+        p = step_d_apply(g, p)
+        levels.append(p)
+    return levels
 
 
 def step_leibniz_sides(g: Grammar, u: MPoly, v: MPoly, n: int) -> "tuple[MPoly, MPoly]":
@@ -382,6 +391,20 @@ def assert_matches_step(fn, step, *args):
     assert [(p._top, as_ref(p)) for p in got] == [(p._top, as_ref(p)) for p in want]
 
 
+def assert_tower_matches_step(g, p, n):
+    """``d_tower(g, p, n)`` raises the ValueError text of the step
+    reference, or yields its levels, term for term.  Every level carries
+    the bound of the last, so bounds are not compared."""
+    try:
+        want = step_d_tower(g, p, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            list(gr.d_tower(g, p, n))
+        assert str(err.value) == str(exc)
+        return
+    assert [as_ref(q) for q in gr.d_tower(g, p, n)] == [as_ref(q) for q in want]
+
+
 class TestAgainstStepReference:
     """The towers against the step-by-step derivation they replaced, on
     operands whose alphabet is seldom the grammar's, so letters without
@@ -394,6 +417,25 @@ class TestAgainstStepReference:
     @given(grammars(), operands())
     def test_d_apply(self, grammar, operand):
         assert_matches_step(gr.d_apply, step_d_apply, grammar[0], operand[0])
+
+    @given(grammars(), operands(), st.integers(0, 4))
+    def test_d_tower(self, grammar, operand, n):
+        assert_tower_matches_step(grammar[0], operand[0], n)
+
+    @given(grammars(exps=wide_exps), wide_operands, st.integers(0, 3))
+    def test_d_tower_past_the_field_width(self, grammar, operand, n):
+        assert_tower_matches_step(grammar[0], operand[0], n)
+
+    def test_d_tower_refusal_and_order_zero(self):
+        # z and y have no rule: the refusal names y, and only once a level
+        # is drawn; at order 0 nothing is yielded and no letter is checked
+        g = gr.Grammar({"x": gr.MPoly.letter("x")})
+        p = build([({"z": 1}, 1), ({"x": 1, "y": 2}, 3)])
+        assert list(gr.d_tower(g, p, 0)) == step_d_tower(g, p, 0) == []
+        assert_tower_matches_step(g, p, 2)
+        with pytest.raises(ValueError) as err:
+            next(gr.d_tower(g, p, 2))
+        assert str(err.value) == "letter 'y' has no rule in this grammar"
 
     @given(grammars(), operands(), operands(), st.integers(0, 4))
     def test_leibniz_sides(self, grammar, u, v, n):
