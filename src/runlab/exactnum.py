@@ -325,14 +325,26 @@ def horner(coeffs: "Sequence[int]", p: int, q: int) -> "tuple[int, int]":
     return acc, qk
 
 
+def _ratpoly(coeffs: "list[int]") -> "RatPoly":
+    """The ``RatPoly`` with coefficients ``coeffs``, trailing zeros popped
+    from the list.  The trusted path, for int lists built inside runlab:
+    the public constructor's type check is skipped."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = _new(RatPoly)
+    _set(p, "_coeffs", tuple(coeffs))
+    return p
+
+
 class RatPoly(_Frozen):
     """Dense univariate polynomial with ``int`` coefficients; index = degree.
 
     Every polynomial the checks build lies in Z[x], so the constructor
     takes ``int`` coefficients only and raises ``TypeError`` on any
     other type, ``bool`` included; sums, products with ``int`` scalars
-    and derivatives keep them integral.  Trailing zero coefficients are
-    trimmed on construction, so equality is structural.
+    and derivatives keep them integral, so their results are built by
+    :func:`_ratpoly` without checking again.  Trailing zero coefficients
+    are trimmed on construction, so equality is structural.
     """
 
     __slots__ = ("_coeffs",)
@@ -354,7 +366,7 @@ class RatPoly(_Frozen):
 
     def __add__(self, other):
         if type(other) is int:
-            other = RatPoly((other,))
+            other = _ratpoly([other])
         if not isinstance(other, RatPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -363,29 +375,33 @@ class RatPoly(_Frozen):
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPoly(out)
+        return _ratpoly(out)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is int:
-            return RatPoly(c * other for c in self._coeffs)
+            return _ratpoly([c * other for c in self._coeffs])
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return RatPoly()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        a, b = self._coeffs, other._coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return _ratpoly([])
+        # one row of partial products per nonzero coefficient of the
+        # shorter operand
+        m = len(b)
+        out = [0] * (len(a) + m - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + m] = [o + c * d for o, d in zip(out[i:i + m], b)]
+        return _ratpoly(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(k * c for k, c in enumerate(self._coeffs) if k)
+        return _ratpoly([k * c for k, c in enumerate(self._coeffs) if k])
 
     def __call__(self, point):
         """Horner evaluation at an int, Fraction or QuadExt point.

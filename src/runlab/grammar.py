@@ -163,6 +163,24 @@ def _mpoly(letters: "tuple[str, ...]", top: int, terms: "dict[int, int]") -> "MP
     return p
 
 
+def _pack(terms: "Sequence[tuple[Sequence[int], int]]") -> "tuple[int, dict[int, int]]":
+    """``(top, packed)`` for ``terms``, (exponent vector, coefficient)
+    pairs over one sorted alphabet: ``top`` the largest exponent, and
+    ``packed`` the coefficients summed per key in fields of ``_fit(top)``
+    bits, zero sums dropped.  Every exponent must be a nonnegative int
+    and every coefficient an int: :class:`MPoly` validates before it
+    packs, and :func:`_mpoly` takes the result as it is."""
+    top = max((e for v, _ in terms for e in v), default=0)
+    width = _fit(top)
+    packed: "dict[int, int]" = {}
+    for v, c in terms:
+        k = 0
+        for e in v:
+            k = k << width | e
+        packed[k] = packed.get(k, 0) + c
+    return top, {k: c for k, c in packed.items() if c}
+
+
 def _repack(p: "MPoly", letters: "tuple[str, ...]", width: int) -> "dict[int, int]":
     """The terms of ``p`` keyed over ``letters`` in fields of ``width`` bits.
 
@@ -239,8 +257,10 @@ class MPoly(_Frozen):
     holds both.  Zero coefficients are never stored, so equality is
     structural.
 
-    The constructors validate through :class:`Monomial`.  Coefficients
-    are ``int`` only, with ``bool`` refused as by ``RatPoly``.
+    The constructors validate through :class:`Monomial`, then pack
+    through :func:`_pack`, as runlab's own values built from exponent
+    vectors do without the validation.  Coefficients are ``int`` only,
+    with ``bool`` refused as by ``RatPoly``.
     """
 
     __slots__ = ("_letters", "_top", "_terms")
@@ -255,17 +275,10 @@ class MPoly(_Frozen):
                 raise TypeError("MPoly coefficients must be int")
             checked.append((mono, c))
         letters = tuple(sorted({l for mono, _ in checked for l in mono.letters}))
-        top = max((e for mono, _ in checked for _, e in mono.items()), default=0)
-        width = _fit(top)
-        agg: "dict[int, int]" = {}
-        for mono, c in checked:
-            k = 0
-            for e in mono.exponent_vector(letters):
-                k = k << width | e
-            agg[k] = agg.get(k, 0) + c
+        top, terms = _pack([(mono.exponent_vector(letters), c) for mono, c in checked])
         _set(self, "_letters", letters)
         _set(self, "_top", top)
-        _set(self, "_terms", {k: c for k, c in agg.items() if c})
+        _set(self, "_terms", terms)
 
     @classmethod
     def letter(cls, letter: str) -> "MPoly":

@@ -286,14 +286,15 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
     Each stream ``(seed, point, row, exponents)`` reads its derivatives
     under ``g`` from one :func:`grammar.d_tower` to n_max, the streams
     taking turns at each n in the order given, and derivative n must
-    equal sum_k row(n)[k] * Monomial(exponents(n, k)) over the nonzero
-    entries of the row (k = 0 included), compared at ``point``; an entry
-    whose monomial would need a negative exponent is printed with it on
-    the right, so that case fails.  For n <= oracle_n_max each oracle row
-    ``(stat, row, name)`` must then match the brute-force histogram of
-    ``stat`` over S_n, all rows read from one class table of S_n; the
-    histogram is the left side and the row the right, as the triangle is
-    the right side of every stream.
+    equal sum_k row(n)[k] * x^exponents(n, k) over the nonzero entries of
+    the row (k = 0 included), compared at ``point``; that sum is packed
+    from its exponent vectors over the letters ``exponents`` names.  An
+    entry whose monomial would need a negative exponent is printed with
+    it on the right, so that case fails.  For n <= oracle_n_max each
+    oracle row ``(stat, row, name)`` must then match the brute-force
+    histogram of ``stat`` over S_n, all rows read from one class table of
+    S_n; the histogram is the left side and the row the right, as the
+    triangle is the right side of every stream.
     """
     towers = [grammar.d_tower(g, seed, n_max) for seed, _, _, _ in streams]
     for n in range(1, n_max + 1):
@@ -302,9 +303,9 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
             terms = [(exponents(n, k), c) for k, c in enumerate(row(n)) if c]
             # an entry past the degree of derivative n has a negative exponent
             stray = [(e, c) for e, c in terms if min(e.values()) < 0]
-            expected = grammar.MPoly(
-                (grammar.Monomial(e), c) for e, c in terms if min(e.values()) >= 0
-            )
+            letters = tuple(sorted(exponents(n, 0)))
+            expected = grammar._mpoly(letters, *grammar._pack(
+                [([e[l] for l in letters], c) for e, c in terms if min(e.values()) >= 0]))
             if stray:
                 # str(p) never spells a negative exponent, so this case fails
                 yield n, point, str(p), " + ".join(
@@ -408,11 +409,11 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
 
 
 def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPoly:
-    terms = []
-    for _ in range(rng.randint(1, 3)):
-        mono = {l: rng.randint(0, 2) for l in letters}
-        terms.append((grammar.Monomial(mono), rng.randint(1, 3)))
-    return grammar.MPoly(terms)
+    """One to three terms over the sorted ``letters``, each exponent in
+    0..2 and each coefficient in 1..3, drawn term by term."""
+    terms = [([rng.randint(0, 2) for _ in letters], rng.randint(1, 3))
+             for _ in range(rng.randint(1, 3))]
+    return grammar._mpoly(letters, *grammar._pack(terms))
 
 
 def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> CheckReport:
@@ -446,7 +447,20 @@ def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> Ch
 
 
 def _kron(row: "Sequence[int]", bits: int) -> int:
-    """The polynomial with coefficients ``row`` evaluated at 2**bits."""
+    """The polynomial with coefficients ``row`` evaluated at 2**bits.
+
+    When ``bits`` is a whole number of bytes and every coefficient fits
+    its field unsigned, the fields are written as little-endian byte
+    chunks and read back as one int, in linear time; otherwise, e.g. for
+    a negative coefficient, by shift-add Horner.
+    """
+    if not bits % 8:
+        size = bits // 8
+        try:
+            return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in row]),
+                                  "little")
+        except OverflowError:
+            pass
     value = 0
     for c in reversed(row):
         value = (value << bits) + c
@@ -477,42 +491,62 @@ _CONVOLUTIONS = (
     "T_(n+1) = T_n + x^2 sum C(n,k) T_k W_(n-k)(x^2)",
 )
 
+#: Kronecker field widths are rounded up to a multiple of this many bits.
+_WIDTH_STEP = 32
 
-def _convolution_sides(n: int, T, R, W, Wt):
-    """The five convolution formulas at ``n`` as ``(bits, sides)``: each
-    side is ``(formula, lhs(2**bits), rhs(2**bits))``, with ``lhs`` the
-    polynomial on the left and ``rhs`` the right-hand sum.
 
-    ``bits`` exceeds by 2 the bit length of a bound on the absolute
-    value of every coefficient of either side of every formula: the 1-norm
-    of each left side, and each right side summed over the 1-norms of its
-    rows.  That bounds it because a coefficient of F*G is at most
-    |F|_1 |G|_1, and x -> x^2 and the prefactors x and x^2 keep 1-norms.
+def _convolution_sides(n_max: int, T, R, W, Wt) -> Iterator[tuple]:
+    """Yield the five convolution formulas at n = 1..n_max as
+    ``(n, bits, sides)``: each side is ``(formula, lhs(2**bits),
+    rhs(2**bits))``, with ``lhs`` the polynomial on the left and ``rhs``
+    the right-hand sum.
+
+    ``bits`` is 2 more than the bit length of a bound on the absolute
+    value of every coefficient of either side of every formula at n,
+    rounded up to a multiple of ``_WIDTH_STEP``, and never below the
+    width of n - 1, so each width holds for a run of consecutive n.  The
+    bound is the 1-norm of each left side, and each right side summed
+    over the 1-norms of its rows.  That bounds it because a coefficient
+    of F*G is at most |F|_1 |G|_1, and x -> x^2 and the prefactors x and
+    x^2 keep 1-norms.
+
+    The rows and their 1-norms are read once, and each row is packed at
+    most once per width, the packed values kept while the width holds.
     """
-    c = [comb(n, k) for k in range(n + 1)]
+    # rows 0..n_max+1 of T, 1..n_max+2 of R, 1..n_max of W and 0..n_max of Wt
+    rows = ([T.row(k) for k in range(n_max + 2)], [[]] + [R.row(k) for k in range(1, n_max + 3)],
+            [[]] + [W.row(k) for k in range(1, n_max + 1)], [Wt.row(k) for k in range(n_max + 1)])
+    norms = [[sum(map(abs, row)) for row in family] for family in rows]
+    width, values = 0, ()
+    for n in range(1, n_max + 1):
+        c = [comb(n, k) for k in range(n + 1)]
 
-    def right_sides(t, r, w, wt, times_x):
-        # t, r, w, wt: one value per row; times_x(v, j) is x^j * v
-        return (
-            sum(c[k] * t[k] * t[n - k] for k in range(n + 1)),
-            2 * sum(c[k] * t[k] * t[n - k + 1] for k in range(n + 1)),
-            2 * times_x(wt[n] + sum(c[k] * r[k + 1] * wt[n - k] for k in range(1, n + 1)), 1),
-            times_x(sum(c[k] * t[k] * wt[n - k] for k in range(n + 1)), 1),
-            t[n] + times_x(sum(c[k] * t[k] * w[n - k] for k in range(n)), 2),
-        )
+        def right_sides(t, r, w, wt, times_x):
+            # t, r, w, wt: one value per row; times_x(v, j) is x^j * v.
+            # The first sum is symmetric in k and n-k.
+            m = n // 2
+            first = 2 * sum(c[k] * t[k] * t[n - k] for k in range((n + 1) // 2))
+            return (
+                first if n % 2 else first + c[m] * t[m] * t[m],
+                2 * sum(c[k] * t[k] * t[n - k + 1] for k in range(n + 1)),
+                2 * times_x(wt[n] + sum(c[k] * r[k + 1] * wt[n - k] for k in range(1, n + 1)), 1),
+                times_x(sum(c[k] * t[k] * wt[n - k] for k in range(n + 1)), 1),
+                t[n] + times_x(sum(c[k] * t[k] * w[n - k] for k in range(n)), 2),
+            )
 
-    # rows 0..n+1 of T, 1..n+2 of R, 1..n of W and 0..n of Wt
-    rows = ([T.row(k) for k in range(n + 2)], [[]] + [R.row(k) for k in range(1, n + 3)],
-            [[]] + [W.row(k) for k in range(1, n + 1)], [Wt.row(k) for k in range(n + 1)])
-    t, r, w, wt = ([sum(map(abs, row)) for row in family] for family in rows)
-    bound = max(r[n + 1], r[n + 2], t[n + 1], *right_sides(t, r, w, wt, lambda v, j: v))
-    b = bound.bit_length() + 2
-    # W and Wt enter as W(x^2), so they are evaluated at X^2
-    t, r, w, wt = ([_kron(row, bits) for row in family]
-                   for family, bits in zip(rows, (b, b, 2 * b, 2 * b)))
-    lefts = (r[n + 1], r[n + 2], r[n + 2], t[n + 1], t[n + 1])
-    rights = right_sides(t, r, w, wt, lambda v, j: v << j * b)
-    return b, tuple(zip(_CONVOLUTIONS, lefts, rights))
+        t, r, w, wt = norms
+        bound = max(r[n + 1], r[n + 2], t[n + 1], *right_sides(t, r, w, wt, lambda v, j: v))
+        b = max(width, -(-(bound.bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP)
+        if b != width:
+            width, values = b, ([], [], [], [])
+        # W and Wt enter as W(x^2), so they are evaluated at X^2
+        for vals, family, bits, stop in zip(values, rows, (b, b, 2 * b, 2 * b),
+                                            (n + 2, n + 3, n + 1, n + 1)):
+            vals.extend(_kron(row, bits) for row in family[len(vals):stop])
+        t, r, w, wt = values
+        lefts = (r[n + 1], r[n + 2], r[n + 2], t[n + 1], t[n + 1])
+        rights = right_sides(t, r, w, wt, lambda v, j: v << j * b)
+        yield n, b, tuple(zip(_CONVOLUTIONS, lefts, rights))
 
 
 def check_convolutions(n_max: int = 20) -> CheckReport:
@@ -521,17 +555,20 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     R_(n+1) = sum_k C(n,k) T_k T_(n-k); peak factors enter at x^2.
 
     Each formula is checked at n by evaluating both sides at X = 2**b
-    (Kronecker substitution): a row is one shift-add Horner pass, a row
+    (Kronecker substitution): a row is packed into one int, a row
     W(x^2) or Wt(x^2) is evaluated at X^2, prefactors x and x^2 are
-    shifts, and each product is one integer product.  ``b`` is chosen
-    per n from a bound B on every coefficient of both sides (see
-    :func:`_convolution_sides`), with 2B < 2**(b-1).  Equal values then
-    mean equal polynomials: if the two sides differed, their difference
-    D would be nonzero with every coefficient below X in absolute value,
-    and D(X) = 0 would force X to divide its lowest nonzero coefficient.
-    Where the two values differ, both are decoded into their balanced
-    base-X digits, which are exactly the coefficients of the left-hand row
-    and of the term-by-term sum, since each lies in (-X/2, X/2).
+    shifts, and each product is one integer product.  The width rule:
+    ``b`` is chosen per n from a bound B on every coefficient of both
+    sides (see :func:`_convolution_sides`), as the bit length of B plus
+    2 rounded up to a multiple of 32, or the width of n - 1 if that is
+    wider.  So 2B < 2**(b-1), and consecutive n share a width, at which
+    each row is packed once.  Equal values then mean equal polynomials:
+    if the two sides differed, their difference D would be nonzero with
+    every coefficient below X in absolute value, and D(X) = 0 would force
+    X to divide its lowest nonzero coefficient.  Where the two values
+    differ, both are decoded into their balanced base-X digits, which are
+    exactly the coefficients of the left-hand row and of the term-by-term
+    sum, since each lies in (-X/2, X/2).
     """
     params = {"n_max": n_max}
     if n_max < 1:
@@ -542,8 +579,7 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     Wt = triangles.poly_Wtilde(n_max)
 
     def cases():
-        for n in range(1, n_max + 1):
-            b, sides = _convolution_sides(n, T, R, W, Wt)
+        for n, b, sides in _convolution_sides(n_max, T, R, W, Wt):
             for formula, lhs, rhs in sides:
                 if lhs != rhs:
                     lhs, rhs = _unkron(lhs, b), _unkron(rhs, b)

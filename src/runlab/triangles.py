@@ -17,7 +17,7 @@ and k-2, and dense rows avoid sentinel bugs at the boundaries).
 
 from __future__ import annotations
 
-from .exactnum import RatPoly, _Frozen
+from .exactnum import RatPoly, _Frozen, _ratpoly
 
 __all__ = [
     "ConsistencyError",
@@ -43,8 +43,9 @@ class ConsistencyError(RuntimeError):
 class Family(_Frozen):
     """Integer coefficient rows indexed n = start.., dense from k = 0.
 
-    Row n holds the coefficients of the family's n-th polynomial, and
-    ``F[n]`` is that polynomial, built from the stored row on each call.
+    Row n holds the ``int`` coefficients of the family's n-th polynomial,
+    and ``F[n]`` is that polynomial, built from a copy of the stored row
+    on each call, its entries trusted to be ints.
     """
 
     __slots__ = ("name", "start", "rows")
@@ -72,7 +73,7 @@ class Family(_Frozen):
         return row[k] if 0 <= k < len(row) else 0
 
     def __getitem__(self, n: int) -> RatPoly:
-        return RatPoly(self.row(n))
+        return _ratpoly(list(self.row(n)))
 
 
 #: Family recurrences, one (shift, a, b, c) entry per term: row n,

@@ -109,6 +109,34 @@ class TestQuadExt:
 # ----------------------------------------------------------------------
 # RatPoly
 
+# zeros drawn often, so products cancel and results need trimming
+coeff_lists_st = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=-2 ** 70, max_value=2 ** 70)),
+    max_size=8,
+)
+
+
+def trimmed(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_add(a, b):
+    n = max(len(a), len(b))
+    return trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                   for i in range(n))
+
+
+def schoolbook_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
 
 class TestRatPoly:
     def test_derivative(self):
@@ -143,6 +171,34 @@ class TestRatPoly:
         assert RatPoly((0, 0)).coeffs == RatPoly().coeffs == ()
         assert RatPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert RatPoly((0, 0)) == RatPoly()
+
+    def test_constructor_refuses_non_int_coefficients(self):
+        # results of +, * and derivative skip this check; the public
+        # constructor keeps it
+        for bad in (True, [F(1, 2)], [1.0], [1, True], [2, 0.0]):
+            with pytest.raises(TypeError):
+                RatPoly(bad)
+
+    @given(coeff_lists_st, coeff_lists_st, st.integers(min_value=-5, max_value=5))
+    def test_arithmetic_equals_schoolbook(self, a, b, s):
+        p, q = RatPoly(a), RatPoly(b)
+        results = [
+            (p + q, schoolbook_add(a, b)),
+            (q + p, schoolbook_add(a, b)),
+            (p * q, schoolbook_mul(a, b)),
+            (q * p, schoolbook_mul(a, b)),
+            (p.derivative(), trimmed(k * a[k] for k in range(1, len(a)))),
+            (p + s, schoolbook_add(a, [s])),
+            (s + p, schoolbook_add(a, [s])),
+            (p * s, schoolbook_mul(a, [s])),
+            (s * p, schoolbook_mul(a, [s])),
+        ]
+        for got, want in results:
+            assert got.coeffs == want
+            assert all(type(c) is int for c in got.coeffs)
+            assert got == RatPoly(want)
+        # the operands are values: no result shares or edits their coefficients
+        assert p.coeffs == trimmed(a) and q.coeffs == trimmed(b)
 
     def test_str(self):
         assert str(RatPoly((0, 2, 4))) == "2*x + 4*x^2"

@@ -1,11 +1,13 @@
 """Identity harness: reports, plans, failure paths, determinism."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from runlab import identities as idn
 from runlab import grammar, permcore as pc, triangles
@@ -37,6 +39,22 @@ class TestGrammarChecks:
         assert report.params["cases"] == 40
 
 
+    def test_random_operands_keep_their_draws(self):
+        # the Leibniz operands, packed from exponent vectors, are the
+        # polynomials the same draws give through Monomial and MPoly
+        mine, ref = random.Random(7), random.Random(7)
+        for letters in [("x", "y", "z"), ("x", "y"), ("y", "z")] * 20:
+            got = idn._random_mpoly(mine, letters)
+            terms = []
+            for _ in range(ref.randint(1, 3)):
+                mono = {l: ref.randint(0, 2) for l in letters}
+                terms.append((grammar.Monomial(mono), ref.randint(1, 3)))
+            want = grammar.MPoly(terms)
+            assert got == want
+            assert str(got) == str(want)
+        assert mine.random() == ref.random()
+
+
 class TestPolynomialChecks:
     def test_convolutions(self):
         assert idn.check_convolutions(10).passed
@@ -58,8 +76,7 @@ class TestPolynomialChecks:
             out[::2] = p.coeffs
             return RatPoly(out)
 
-        for n in range(1, 13):
-            b, sides = idn._convolution_sides(n, T, R, W, Wt)
+        for n, b, sides in idn._convolution_sides(12, T, R, W, Wt):
             c = [comb(n, k) for k in range(n + 1)]
             expected = [
                 (R[n + 1], sum((c[k] * (T[k] * T[n - k]) for k in range(n + 1)), RatPoly())),
@@ -79,6 +96,43 @@ class TestPolynomialChecks:
                 assert idn._unkron(rhs_value, b) == rhs_poly
                 for coeff in lhs_poly.coeffs + rhs_poly.coeffs:
                     assert abs(coeff) < 2 ** (b - 2)
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 12, 32, 64, 96, 200])
+    @pytest.mark.parametrize("row", [
+        [], [0], [1], [3, 0, 1], [0, 0, 5], [255, 1, 0, 7],
+        [-1], [4, -3, 2], [2, 0, -3 ** 80], [2 ** 64, 1], [3 ** 200, 0, 2], [1, -(2 ** 64), 0],
+    ])
+    def test_kron_equals_horner(self, row, bits):
+        # the byte packing and its Horner fallback give the same value,
+        # also for negative entries and entries wider than a field
+        horner = 0
+        for c in reversed(row):
+            horner = horner * 2 ** bits + c
+        assert idn._kron(row, bits) == horner
+
+    @given(st.integers(min_value=2, max_value=160).flatmap(lambda bits: st.tuples(
+        st.just(bits),
+        st.lists(st.integers(min_value=-(2 ** (bits - 1)), max_value=2 ** (bits - 1) - 1),
+                 max_size=12))))
+    def test_unkron_inverts_kron(self, case):
+        bits, row = case
+        assert idn._unkron(idn._kron(row, bits), bits) == RatPoly(row)
+
+    def test_convolutions_pack_each_row_once_per_width(self, monkeypatch):
+        # one check packs no (family, row, width) twice; the rows are
+        # distinct list objects held by the families for the whole call
+        real, packed = idn._kron, Counter()
+
+        def counting(row, bits):
+            packed[id(row), bits] += 1
+            return real(row, bits)
+
+        monkeypatch.setattr(idn, "_kron", counting)
+        assert idn.check_convolutions(40).passed
+        assert packed and max(packed.values()) == 1
+        assert all(bits % idn._WIDTH_STEP == 0 for _, bits in packed)
+        # consecutive n share widths: far fewer widths than n
+        assert len({bits for _, bits in packed}) < 20
 
     def test_recurrences(self):
         assert idn.check_recurrence_consistency(10).passed

@@ -122,6 +122,22 @@ class TestPolyFamilies:
             family.rows[0][-1] += 7
             assert build(3).rows[0] != family.rows[0]
 
+    def test_getitem_is_the_row_as_a_value(self):
+        # F[n] equals the checked constructor's polynomial, and neither
+        # trims nor shares the stored row
+        for family in (tr.poly_R(6), tr.poly_T(6), tr.poly_W(6), tr.poly_Wtilde(6),
+                       tr.poly_A(6), tr.poly_P(6), Family("padded", 0, [[1, 2, 0, 0]])):
+            for n in family.indices():
+                row = family.row(n)
+                before = list(row)
+                p = family[n]
+                assert p == RatPoly(row)
+                assert family.row(n) == before
+                row.append(5)
+                row[0] -= 3
+                assert p == RatPoly(before)
+                assert family[n] == RatPoly(row) != p
+
     def test_index_errors(self):
         with pytest.raises(ValueError):
             tr.poly_T(5)[6]
