@@ -1,7 +1,11 @@
 """Identity harness: reports, plans, failure paths, determinism."""
 
 import json
+import os
 import random
+import re
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -974,3 +978,134 @@ class TestSuites:
         # no 0/0 suite, no silently dropped check, no report twice
         with pytest.raises(ValueError, match=f"^{message}$"):
             idn.run_suite("gf", **points)
+
+
+def _no_child_left():
+    """Whether this process has no child left, reaped or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _pid_report(**kwargs):
+    """A passing grammar/leibniz report that names the process it ran in."""
+    return idn.CheckReport("grammar/leibniz", {"pid": os.getpid()}, True)
+
+
+def _leibniz_pid(suite_reports):
+    """The process that ran grammar/leibniz, as :func:`_pid_report` names it."""
+    (params,) = [r.params for r in suite_reports if r.identity == "grammar/leibniz"]
+    return params["pid"]
+
+
+can_fork = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+class TestLeibnizChild:
+    """run_suite may run grammar/leibniz in a forked child while it runs
+    the other checks; reports, exceptions and exit codes are those of the
+    serial run, and no child outlives the call."""
+
+    @staticmethod
+    def serial(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @pytest.mark.parametrize("suite", ["all", "grammar"])
+    @pytest.mark.parametrize("span, fault", [({}, None), ({"n_max": 3}, None),
+                                             ({}, "linear-tower")],
+                             ids=["defaults", "n_max-3", "linear-tower"])
+    def test_serial_and_child_reports_are_equal(self, monkeypatch, suite, span, fault):
+        if fault is not None:
+            faults.install(fault, monkeypatch.setattr)
+        forked = idn.run_suite(suite, **span)
+        self.serial(monkeypatch)
+        assert forked == idn.run_suite(suite, **span)
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not can_fork, reason="needs os.fork and at least two CPUs")
+    def test_child_path_is_taken_on_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(idn, "check_leibniz", _pid_report)
+        assert _leibniz_pid(idn.run_suite("grammar", n_max=2)) != os.getpid()
+        assert _no_child_left()
+
+    def test_serial_path_on_one_cpu_or_beside_a_thread(self, monkeypatch):
+        monkeypatch.setattr(idn, "check_leibniz", _pid_report)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            reports = idn.run_suite("grammar", n_max=2)
+        finally:
+            release.set()
+            worker.join()
+        assert _leibniz_pid(reports) == os.getpid()
+        self.serial(monkeypatch)
+        assert _leibniz_pid(idn.run_suite("grammar", n_max=2)) == os.getpid()
+
+    def test_a_raising_parent_side_check_stops_the_child(self, monkeypatch):
+        # the child would run for a minute unless it is killed
+        monkeypatch.setattr(idn, "check_leibniz", lambda **k: time.sleep(60))
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("parent side")
+
+        monkeypatch.setattr(idn, "check_oracle", boom)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^parent side$"):
+            idn.run_suite("all")
+        assert time.monotonic() - start < 30
+        assert _no_child_left()
+
+    def test_a_raising_leibniz_check_raises_its_own_exception(self, monkeypatch):
+        def boom(**kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(idn, "check_leibniz", boom)
+        with pytest.raises(ValueError) as info:
+            idn.run_suite("grammar")
+        assert type(info.value) is ValueError and str(info.value) == "boom"
+        assert _no_child_left()
+
+    def test_a_child_that_dies_is_rerun_here(self, monkeypatch):
+        parent = os.getpid()
+
+        def dies_in_a_child(**kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return _pid_report()
+
+        monkeypatch.setattr(idn, "check_leibniz", dies_in_a_child)
+        assert _leibniz_pid(idn.run_suite("grammar", n_max=2)) == parent
+        assert _no_child_left()
+
+
+class TestIntOptions:
+    """Ranges and orders are ints, never bools or floats, refused before
+    any check runs."""
+
+    @pytest.mark.parametrize("suite, options, message", [
+        ("oracle", {"n_max": True}, "n_max must be an int, got True"),
+        ("gf", {"order": True}, "order must be an int, got True"),
+        ("gf", {"n_max": 2.5}, "n_max must be an int, got 2.5"),
+        ("grammar", {"n_max": True}, "n_max must be an int, got True"),
+        ("all", {"order": 12.0}, "order must be an int, got 12.0"),
+    ], ids=["oracle-bool", "gf-order-bool", "gf-float", "grammar-bool", "all-order-float"])
+    def test_run_suite_refuses(self, monkeypatch, suite, options, message):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        for name in idn.__all__:
+            if name.startswith("check_"):
+                monkeypatch.setattr(idn, name, lambda *a, _name=name, **k: pytest.fail(_name))
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            idn.run_suite(suite, **options)
+
+    @pytest.mark.parametrize("args, message", [
+        ((True,), "n_max must be an int, got True"),
+        ((4, True), "cases must be an int, got True"),
+        ((4.0,), "n_max must be an int, got 4.0"),
+    ], ids=["n_max-bool", "cases-bool", "n_max-float"])
+    def test_check_leibniz_refuses(self, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            idn.check_leibniz(*args)
