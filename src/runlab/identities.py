@@ -30,9 +30,11 @@ and grammar/peaks' derivative-0 seed check, whose right side prints as
 ``Wt[0]``.
 
 Reports are deterministic: the same inputs produce byte-identical
-serialized output.  :func:`run_suite` may run grammar/leibniz in a
-forked child beside the other checks; its reports, and the exception it
-raises, are those of the serial run.
+serialized output.  One table, ``_CHECKS``, says which checks each suite
+runs; :func:`run_suite` may run grammar/leibniz in a forked child beside
+the others, with the reports and exception of the serial run.  Every
+public check refuses a ``bool`` or non-``int`` range, order, case count
+or seed (:func:`_params`) before it builds anything.
 """
 
 from __future__ import annotations
@@ -144,14 +146,37 @@ def _verdict(identity: str, params: dict, cases: "Iterable[tuple]") -> CheckRepo
 
 def _no_case(identity: str, params: "Mapping[str, object]") -> ValueError:
     """The refusal of a check that compares nothing.  A check whose range
-    of n is empty raises it itself, before it builds a family that range
-    would need none of."""
+    of n is empty raises it through :func:`_params`, before it builds a
+    family that range would need none of."""
     return ValueError(f"{identity} ({_params_text(params)}) has no case to compare")
 
 
 def _params_text(params: "Mapping[str, object]") -> str:
     """``params`` as a report line shows them: ``k=v, ...`` in their order."""
     return ", ".join(f"{k}={v}" for k, v in params.items())
+
+
+def _int(value: object, what: str) -> int:
+    """``value``, refused with ``TypeError`` unless it is an ``int`` (not
+    a ``bool``)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def _params(identity: str, first: "int | None", **params: object) -> "dict[str, object]":
+    """The report params of check ``identity``, refused before it builds
+    anything: a non-int range, oracle bound, order, case count or seed by
+    :func:`_int`, in params order; then an ``oracle_n_max`` out of bounds;
+    then an ``n_max`` below ``first``, the check's first n, if it has one."""
+    for name, value in params.items():
+        if name in ("n_max", "oracle_n_max", "order", "cases", "seed"):
+            _int(value, name)
+    if "oracle_n_max" in params:
+        _oracle_bound("oracle_n_max", params["oracle_n_max"], params["n_max"])
+    if first is not None and params["n_max"] < first:
+        raise _no_case(identity, params)
+    return params
 
 
 # ----------------------------------------------------------------------
@@ -258,11 +283,10 @@ def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None", first: int,
     """The report of ``closed/<kind>`` on ``cases(points)`` for n =
     first..n_max, over the points of ``plan`` as :func:`_require` passes
     it."""
-    plan = _require(plan, kind, n_max)
-    identity, params = f"closed/{kind}", {"n_max": n_max, "points": len(plan)}
-    if n_max < first:
-        raise _no_case(identity, params)
-    return _verdict(identity, params, cases(plan.points))
+    plan = _require(plan, kind, _int(n_max, "n_max"))
+    identity = f"closed/{kind}"
+    return _verdict(identity, _params(identity, first, n_max=n_max, points=len(plan)),
+                    cases(plan.points))
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +352,7 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
 def check_grammar_runs(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x^2 under the main grammar carry the run
     triangle: the n-th derivative equals x^2 sum_k R(n+1,k) y^k z^(n-k)."""
-    params = {"n_max": n_max}
-    if n_max < 1:
-        raise _no_case("grammar/runs", params)
+    params = _params("grammar/runs", 1, n_max=n_max)
     tri = triangles.triangle_R(n_max + 1)
     return _verdict("grammar/runs", params, _expand(
         grammar.builtin("main"), n_max,
@@ -342,9 +364,7 @@ def check_grammar_runs(n_max: int = 12) -> CheckReport:
 def check_grammar_alt(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x under the main grammar carry the
     altsubseq triangle: the n-th derivative is x sum_k a_k(n) y^k z^(n-k)."""
-    params = {"n_max": n_max}
-    if n_max < 1:
-        raise _no_case("grammar/altsubseq", params)
+    params = _params("grammar/altsubseq", 1, n_max=n_max)
     tri = triangles.triangle_A(n_max)
     return _verdict("grammar/altsubseq", params, _expand(
         grammar.builtin("main"), n_max,
@@ -371,10 +391,7 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     E(n,k) = (k+1)E(n-1,k) + (n-k)E(n-1,k-1) and never reads a grammar,
     so each half is an independent comparison.
     """
-    _oracle_bound("oracle_n_max", oracle_n_max, n_max)
-    params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
-    if n_max < 1:
-        raise _no_case("grammar/eulerian", params)
+    params = _params("grammar/eulerian", 1, n_max=n_max, oracle_n_max=oracle_n_max)
     tri = triangles.triangle_euler(n_max)
     return _verdict("grammar/eulerian", params, _expand(
         grammar.builtin("dumont"), n_max,
@@ -391,11 +408,8 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     derivatives of z carry interior-peak counts on y^(2k+2) z^(n-2k-1).
     Both are also compared against the brute-force histograms for
     n <= oracle_n_max, read from one class table of each S_n."""
-    _oracle_bound("oracle_n_max", oracle_n_max, n_max)
-    params = {"n_max": n_max, "oracle_n_max": oracle_n_max}
     ident = "grammar/peaks"
-    if n_max < 1:
-        raise _no_case(ident, params)
+    params = _params(ident, 1, n_max=n_max, oracle_n_max=oracle_n_max)
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
     py = grammar.MPoly.letter("y")
@@ -421,22 +435,14 @@ def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPo
     return grammar._mpoly(letters, *grammar._pack(terms))
 
 
-def _int(value: object, what: str) -> int:
-    """``value``, refused with ``TypeError`` unless it is an ``int`` (not
-    a ``bool``)."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an int, got {value!r}")
-    return value
-
-
 def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> CheckReport:
     """Iterated product rule: D^n(u*v) = sum_k C(n,k) D^k(u) D^(n-k)(v)
     over seeded random u, v and all four stock grammars."""
-    if _int(cases, "cases") < 1:
+    params = _params("grammar/leibniz", None, n_max=n_max, cases=cases, seed=seed)
+    if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
-    if _int(n_max, "n_max") < 0:
+    if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    params = {"n_max": n_max, "cases": cases, "seed": seed}
     rng = random.Random(seed)
     names = sorted(grammar.BUILTIN_GRAMMARS)
     for case in range(cases):
@@ -583,9 +589,7 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     exactly the coefficients of the left-hand row and of the term-by-term
     sum, since each lies in (-X/2, X/2).
     """
-    params = {"n_max": n_max}
-    if n_max < 1:
-        raise _no_case("poly/convolutions", params)
+    params = _params("poly/convolutions", 1, n_max=n_max)
     T = triangles.poly_T(n_max + 1)
     R = triangles.poly_R(n_max + 2)
     W = triangles.poly_W(n_max)
@@ -606,9 +610,7 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
     recurrences exactly: the rows of the run triangle obey
     R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)', and the altsubseq rows
     obey T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'."""
-    params = {"n_max": n_max}
-    if n_max < 0:
-        raise _no_case("poly/recurrences", params)
+    params = _params("poly/recurrences", 0, n_max=n_max)
     r = triangles.triangle_R(n_max + 2)
     t = triangles.triangle_A(n_max + 1)
     x_1_minus_x2 = RatPoly((0, 1, 0, -1))
@@ -626,9 +628,7 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
 def check_alt_from_runs(n_max: int = 25) -> CheckReport:
     """T_n(x) = (1+x)/2 * R_n(x) for n >= 2, checked in integer
     polynomial arithmetic as 2 T_n = (1+x) R_n."""
-    params = {"n_max": n_max}
-    if n_max < 2:
-        raise _no_case("closed/alt-from-runs", params)
+    params = _params("closed/alt-from-runs", 2, n_max=n_max)
     one_plus_x = RatPoly((1, 1))
     T = triangles.poly_T(n_max)
     R = triangles.poly_R(n_max)
@@ -797,11 +797,11 @@ def _egf_coeffs(rows: "Callable[[int], list[int]]", x0: Fraction, order: int) ->
 
 def _series_point(x0: Rational, order: int) -> Fraction:
     """``x0`` as a ``Fraction``, refused unless it is an ``int`` or
-    ``Fraction`` in (-1, 1) and the series order is at least 1."""
+    ``Fraction`` in (-1, 1) and the series order an int of at least 1."""
     x0 = Fraction(_rational(x0, "base point"))
     if not -1 < x0 < 1:
         raise ValueError(f"base point {x0} must lie in (-1, 1)")
-    if order < 1:
+    if _int(order, "order") < 1:
         raise ValueError("order must be >= 1")
     return x0
 
@@ -835,8 +835,8 @@ def check_carlitz(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) -> 
       = (1-x0)/(1+x0) * ((rho + sin(z rho)) / (x0 - cos(z rho)))^2,
     rho = sqrt(1-x0^2), compared through z^order."""
     x0 = _series_point(x0, order)
-    params = {"x0": str(x0), "order": order}
     ident = f"gf/carlitz[x0={x0}]"
+    params = _params(ident, None, x0=str(x0), order=order)
     q = _q_series(x0, QuadExt.root(1 - x0 * x0), order)
     rhs = (1 - x0) / (1 + x0) * (q * q)
     tri = triangles.triangle_R(order + 1)
@@ -851,8 +851,8 @@ def check_stanley_gf(t0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) 
               / (1 + rho - t0^2 + (1 - rho - t0^2) e^(2 rho x)),
     rho = sqrt(1-t0^2), compared through x^order."""
     t0 = _series_point(t0, order)
-    params = {"t0": str(t0), "order": order}
     ident = f"gf/stanley[t0={t0}]"
+    params = _params(ident, None, t0=str(t0), order=order)
     rho = QuadExt.root(1 - t0 * t0)
     e1 = exp_series(rho, order)
     e2 = exp_series(rho * 2, order)
@@ -871,8 +871,8 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
       = -sqrt((1-x0)/(1+x0)) (rho + sin(z rho)) / (x0 - cos(z rho)),
     with the positive branch sqrt((1-x0)/(1+x0)) = rho/(1+x0)."""
     x0 = _series_point(x0, order)
-    params = {"x0": str(x0), "order": order}
     ident = f"gf/altsubseq[x0={x0}]"
+    params = _params(ident, None, x0=str(x0), order=order)
     rho = QuadExt.root(1 - x0 * x0)
     rhs = _q_series(x0, rho, order) * (-(rho / (1 + x0)))
     tri = triangles.triangle_A(order)
@@ -887,10 +887,8 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 def check_oracle(n_max: int = 8) -> CheckReport:
     """All five triangles match brute-force histograms over S_n, n <= n_max,
     the five read from one class table of each S_n."""
-    _oracle_bound("n_max", n_max, permcore.MAX_ENUM_N)
-    params = {"n_max": n_max}
-    if n_max < 1:
-        raise _no_case("oracle/triangles", params)
+    _oracle_bound("n_max", _int(n_max, "n_max"), permcore.MAX_ENUM_N)
+    params = _params("oracle/triangles", 1, n_max=n_max)
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
         (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),
@@ -906,6 +904,29 @@ def check_oracle(n_max: int = 8) -> CheckReport:
 # Suites.
 
 SUITES = ("all", "grammar", "convolutions", "closed-forms", "gf", "oracle")
+
+#: Each check in the order run_suite starts it: its name, looked up as it
+#: runs (so a wrapper set on this module is called), the suite that runs
+#: it besides ``all``, the options it reads, and whether it may run in a
+#: forked child (one row at most), which reports last wherever it ran.
+#: The closed forms come first, so a range they refuse starts nothing else.
+_CHECKS = (
+    ("check_alt_from_runs", "closed-forms", "range", False),
+    ("check_runs_from_peaks", "closed-forms", "range", False),
+    ("check_tangent_forms", "closed-forms", "range", False),
+    ("check_david_barton", "closed-forms", "range", False),
+    ("check_leibniz", "grammar", "range", True),
+    ("check_grammar_runs", "grammar", "range", False),
+    ("check_grammar_alt", "grammar", "range", False),
+    ("check_dumont", "grammar", "range and oracle cap", False),
+    ("check_peaks_grammar", "grammar", "range and oracle cap", False),
+    ("check_convolutions", "convolutions", "range", False),
+    ("check_recurrence_consistency", "convolutions", "range", False),
+    ("check_carlitz", "gf", "carlitz_x0s", False),
+    ("check_stanley_gf", "gf", "stanley_t0s", False),
+    ("check_altsubseq_gf", "gf", "final_x0s", False),
+    ("check_oracle", "oracle", "oracle cap", False),
+)
 
 
 def _fork(check: "Callable[..., CheckReport]", kwargs: dict) -> "tuple[int, int] | None":
@@ -995,22 +1016,20 @@ def run_suite(
     # every option is validated before any check runs, read by the suite or not
     if n_max is not None and _int(n_max, "n_max") < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if suite == "oracle" and n_max is not None:
-        oracle_cap = n_max
-    else:
-        # in `all` and `grammar` the oracle share stays at S_8; params show it
-        oracle_cap = 8 if n_max is None else min(n_max, 8)
+    # in `all` and `grammar` the oracle share stays at S_8; params show it
+    oracle_cap = 8 if n_max is None else n_max if suite == "oracle" else min(n_max, 8)
     if oracle_cap > permcore.MAX_ENUM_N:
         raise ValueError(f"oracle bound {oracle_cap} exceeds the brute-force "
                          f"limit S_{permcore.MAX_ENUM_N}")
 
-    # each check's own signature default is its range unless one is given
+    # the keywords of each call by the options read; with no n_max a check takes its own range
     span = {} if n_max is None else {"n_max": n_max}
-    gf_checks = []
-    for check, option, given, stock in (
-        (check_carlitz, "carlitz_x0s", carlitz_x0s, DEFAULT_CARLITZ_X0S),
-        (check_stanley_gf, "stanley_t0s", stanley_t0s, DEFAULT_STANLEY_T0S),
-        (check_altsubseq_gf, "final_x0s", final_x0s, DEFAULT_FINAL_X0S),
+    calls = {"range": [span], "range and oracle cap": [{**span, "oracle_n_max": oracle_cap}],
+             "oracle cap": [{"n_max": oracle_cap}]}
+    for option, param, given, stock in (
+        ("carlitz_x0s", "x0", carlitz_x0s, DEFAULT_CARLITZ_X0S),
+        ("stanley_t0s", "t0", stanley_t0s, DEFAULT_STANLEY_T0S),
+        ("final_x0s", "x0", final_x0s, DEFAULT_FINAL_X0S),
     ):
         points = [_series_point(x, order) for x in (stock if given is None else given)]
         if not points:
@@ -1018,47 +1037,25 @@ def run_suite(
         repeated = [x for i, x in enumerate(points) if x in points[:i]]
         if repeated:
             raise ValueError(f"{option} repeats the point {repeated[0]}")
-        gf_checks.append((check, points))
+        calls[option] = [{param: x, "order": order} for x in points]
 
-    reports: "list[CheckReport]" = []
-    # first, so a range the closed forms cannot compare is refused before
-    # any other check runs
-    if suite in ("all", "closed-forms"):
-        reports += [
-            check_alt_from_runs(**span),
-            check_runs_from_peaks(**span),
-            check_tangent_forms(**span),
-            check_david_barton(**span),
-        ]
-    # grammar/leibniz runs last, in a child of its own if it may, while
-    # this process runs the rest; a check that raises here wins in both
-    leibniz = suite in ("all", "grammar")
-    child = _fork(check_leibniz, span) if leibniz else None
+    reports, deferred, child = [], None, None
     try:
-        if leibniz:
-            reports += [
-                check_grammar_runs(**span),
-                check_grammar_alt(**span),
-                check_dumont(**span, oracle_n_max=oracle_cap),
-                check_peaks_grammar(**span, oracle_n_max=oracle_cap),
-            ]
-        if suite in ("all", "convolutions"):
-            reports += [
-                check_convolutions(**span),
-                check_recurrence_consistency(**span),
-            ]
-        if suite in ("all", "gf"):
-            for check, x0s in gf_checks:
-                reports += [check(x0, order) for x0 in x0s]
-        if suite in ("all", "oracle"):
-            reports.append(check_oracle(oracle_cap))
+        for name, member, option, may_fork in _CHECKS:
+            if suite in ("all", member):
+                for kwargs in calls[option]:
+                    if may_fork:
+                        deferred, child = (name, kwargs), _fork(globals()[name], kwargs)
+                    else:
+                        reports.append(globals()[name](**kwargs))
     except BaseException:
         if child is not None:
             _kill(child)
         raise
-    if leibniz:
+    if deferred is not None:
         # a child that raised or died is rerun here: the check is
         # deterministic, so this raises what the child would have
+        name, kwargs = deferred
         report = None if child is None else _join(child)
-        reports.append(check_leibniz(**span) if report is None else report)
+        reports.append(globals()[name](**kwargs) if report is None else report)
     return sorted(reports, key=lambda r: r.identity)

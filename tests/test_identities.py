@@ -1,5 +1,6 @@
 """Identity harness: reports, plans, failure paths, determinism."""
 
+import inspect
 import json
 import os
 import random
@@ -979,6 +980,26 @@ class TestSuites:
         with pytest.raises(ValueError, match=f"^{message}$"):
             idn.run_suite("gf", **points)
 
+    def test_each_suite_runs_its_checks(self):
+        # a check table row dropped, repeated or given the wrong suite shows here
+        closed = ["closed/alt-from-runs", "closed/david-barton", "closed/runs-from-peaks",
+                  "closed/tangent"]
+        gf = ["gf/altsubseq[x0=1/2]", "gf/altsubseq[x0=1/3]", "gf/carlitz[x0=0]",
+              "gf/carlitz[x0=1/2]", "gf/carlitz[x0=1/3]", "gf/stanley[t0=1/2]",
+              "gf/stanley[t0=1/3]"]
+        grammar = ["grammar/altsubseq", "grammar/eulerian", "grammar/leibniz", "grammar/peaks",
+                   "grammar/runs"]
+        expected = {"closed-forms": closed, "gf": gf, "grammar": grammar,
+                    "convolutions": ["poly/convolutions", "poly/recurrences"],
+                    "oracle": ["oracle/triangles"]}
+        expected["all"] = closed + gf + grammar + ["oracle/triangles", "poly/convolutions",
+                                                   "poly/recurrences"]
+        assert set(expected) == set(idn.SUITES)
+        for suite in idn.SUITES:
+            reports = idn.run_suite(suite, n_max=4, order=4)
+            assert [r.identity for r in reports] == expected[suite], suite
+            assert all(r.passed for r in reports), suite
+
 
 def _no_child_left():
     """Whether this process has no child left, reaped or not."""
@@ -1069,6 +1090,30 @@ class TestLeibnizChild:
         assert type(info.value) is ValueError and str(info.value) == "boom"
         assert _no_child_left()
 
+    def test_a_refused_range_starts_no_child(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        with pytest.raises(ValueError,
+                           match=r"^closed/alt-from-runs \(n_max=1\) has no case to compare$"):
+            idn.run_suite("all", n_max=1)
+
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["forked", "serial"])
+    def test_the_first_raising_check_in_serial_order_wins(self, monkeypatch, one_cpu):
+        # grammar/eulerian runs before gf/carlitz in both paths, and
+        # grammar/leibniz, wherever it runs, after both
+        def raises(message):
+            def check(*args, **kwargs):
+                raise RuntimeError(message)
+            return check
+
+        monkeypatch.setattr(idn, "check_leibniz", raises("leibniz"))
+        monkeypatch.setattr(idn, "check_carlitz", raises("carlitz"))
+        monkeypatch.setattr(idn, "check_dumont", raises("dumont"))
+        if one_cpu:
+            self.serial(monkeypatch)
+        with pytest.raises(RuntimeError, match="^dumont$"):
+            idn.run_suite("all", n_max=3)
+        assert _no_child_left()
+
     def test_a_child_that_dies_is_rerun_here(self, monkeypatch):
         parent = os.getpid()
 
@@ -1082,9 +1127,16 @@ class TestLeibnizChild:
         assert _no_child_left()
 
 
+#: Each public check's int params, as ``(check, param)``, read from their
+#: annotations.
+INT_PARAMS = [(name, param) for name in idn.__all__ if name.startswith("check_")
+              for param, p in inspect.signature(getattr(idn, name)).parameters.items()
+              if p.annotation == "int"]
+
+
 class TestIntOptions:
-    """Ranges and orders are ints, never bools or floats, refused before
-    any check runs."""
+    """Ranges, orders, case counts and seeds are ints, never bools, floats
+    or strs, refused before any check runs or family is built."""
 
     @pytest.mark.parametrize("suite, options, message", [
         ("oracle", {"n_max": True}, "n_max must be an int, got True"),
@@ -1101,11 +1153,18 @@ class TestIntOptions:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             idn.run_suite(suite, **options)
 
-    @pytest.mark.parametrize("args, message", [
-        ((True,), "n_max must be an int, got True"),
-        ((4, True), "cases must be an int, got True"),
-        ((4.0,), "n_max must be an int, got 4.0"),
-    ], ids=["n_max-bool", "cases-bool", "n_max-float"])
-    def test_check_leibniz_refuses(self, args, message):
+    @pytest.mark.parametrize("value", [True, 2.0, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("check, param", INT_PARAMS,
+                             ids=[f"{check}-{param}" for check, param in INT_PARAMS])
+    def test_every_check_refuses(self, monkeypatch, check, param, value):
+        # no family is built before the refusal
+        for name in triangles.__all__:
+            if name.startswith(("triangle_", "poly_")):
+                monkeypatch.setattr(triangles, name, lambda *a, _name=name, **k: pytest.fail(_name))
+        message = f"{param} must be an int, got {value!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            idn.check_leibniz(*args)
+            getattr(idn, check)(**{param: value})
+
+    def test_every_int_param_is_listed(self):
+        assert len(INT_PARAMS) == 19
+        assert ("check_leibniz", "seed") in INT_PARAMS
