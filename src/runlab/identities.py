@@ -33,8 +33,8 @@ Reports are deterministic: the same inputs produce byte-identical
 serialized output.  One table, ``_CHECKS``, says which checks each suite
 runs; :func:`run_suite` may run grammar/leibniz in a forked child beside
 the others, with the reports and exception of the serial run.  Every
-public check refuses a ``bool`` or non-``int`` range, order, case count
-or seed (:func:`_params`) before it builds anything.
+public check refuses a bad range or order in one place, :func:`_params`,
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -166,16 +166,21 @@ def _int(value: object, what: str) -> int:
 
 def _params(identity: str, first: "int | None", **params: object) -> "dict[str, object]":
     """The report params of check ``identity``, refused before it builds
-    anything: a non-int range, oracle bound, order, case count or seed by
-    :func:`_int`, in params order; then an ``oracle_n_max`` out of bounds;
-    then an ``n_max`` below ``first``, the check's first n, if it has one."""
+    anything: first a non-int ``n_max``, ``oracle_n_max`` or ``order`` by
+    :func:`_int`, in params order; then an ``n_max`` below ``first``, the
+    check's first n, if it has one, by :func:`_no_case`; then an
+    ``oracle_n_max`` outside 0..min(n_max, permcore.MAX_ENUM_N), which
+    the step before has made nonempty."""
     for name, value in params.items():
-        if name in ("n_max", "oracle_n_max", "order", "cases", "seed"):
+        if name in ("n_max", "oracle_n_max", "order"):
             _int(value, name)
-    if "oracle_n_max" in params:
-        _oracle_bound("oracle_n_max", params["oracle_n_max"], params["n_max"])
     if first is not None and params["n_max"] < first:
         raise _no_case(identity, params)
+    if "oracle_n_max" in params:
+        top = min(params["n_max"], permcore.MAX_ENUM_N)
+        if not 0 <= params["oracle_n_max"] <= top:
+            raise ValueError(f"oracle_n_max must be between 0 and {top}, "
+                             f"got {params['oracle_n_max']}")
     return params
 
 
@@ -373,14 +378,6 @@ def check_grammar_alt(n_max: int = 12) -> CheckReport:
     ))
 
 
-def _oracle_bound(name: str, value: int, n_max: int) -> None:
-    """Refuse the oracle bound ``value`` of parameter ``name`` outside
-    0..min(n_max, permcore.MAX_ENUM_N), before any row is built."""
-    top = min(n_max, permcore.MAX_ENUM_N)
-    if not 0 <= value <= top:
-        raise ValueError(f"{name} must be between 0 and {top}, got {value}")
-
-
 def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     """The two-letter grammar {x -> xy, y -> xy} expands descent counts:
     the n-th derivative of x is sum_k E(n,k) x^(k+1) y^(n-k).
@@ -435,17 +432,15 @@ def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPo
     return grammar._mpoly(letters, *grammar._pack(terms))
 
 
-def check_leibniz(n_max: int = 10, cases: int = 100, seed: int = 20240801) -> CheckReport:
+def check_leibniz(n_max: int = 10) -> CheckReport:
     """Iterated product rule: D^n(u*v) = sum_k C(n,k) D^k(u) D^(n-k)(v)
-    over seeded random u, v and all four stock grammars."""
-    params = _params("grammar/leibniz", None, n_max=n_max, cases=cases, seed=seed)
-    if cases < 1:
-        raise ValueError(f"cases must be >= 1, got {cases}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rng = random.Random(seed)
+    over the four stock grammars, on a fixed sample: 100 random u, v and
+    0 <= n <= n_max from one seed, both printed in the params, so a
+    failure's case index names the same case in every run."""
+    params = _params("grammar/leibniz", 0, n_max=n_max, cases=100, seed=20240801)
+    rng = random.Random(params["seed"])
     names = sorted(grammar.BUILTIN_GRAMMARS)
-    for case in range(cases):
+    for case in range(params["cases"]):
         name = rng.choice(names)
         g = grammar.builtin(name)
         letters = tuple(sorted(g.alphabet))
@@ -887,8 +882,9 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 def check_oracle(n_max: int = 8) -> CheckReport:
     """All five triangles match brute-force histograms over S_n, n <= n_max,
     the five read from one class table of each S_n."""
-    _oracle_bound("n_max", _int(n_max, "n_max"), permcore.MAX_ENUM_N)
     params = _params("oracle/triangles", 1, n_max=n_max)
+    if n_max > permcore.MAX_ENUM_N:
+        raise ValueError(f"n_max must be between 1 and {permcore.MAX_ENUM_N}, got {n_max}")
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
         (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),
@@ -1018,9 +1014,6 @@ def run_suite(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     # in `all` and `grammar` the oracle share stays at S_8; params show it
     oracle_cap = 8 if n_max is None else n_max if suite == "oracle" else min(n_max, 8)
-    if oracle_cap > permcore.MAX_ENUM_N:
-        raise ValueError(f"oracle bound {oracle_cap} exceeds the brute-force "
-                         f"limit S_{permcore.MAX_ENUM_N}")
 
     # the keywords of each call by the options read; with no n_max a check takes its own range
     span = {} if n_max is None else {"n_max": n_max}

@@ -600,7 +600,8 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "oracle", "--n-max", "15")
         assert code == 2
         assert out == ""
-        assert "error: oracle bound 15" in err and "Traceback" not in err
+        assert err.splitlines()[-1] == "error: n_max must be between 1 and 14, got 15"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
         (("grammar", "--order", "0"), "order must be >= 1"),
@@ -610,8 +611,11 @@ class TestVerifyCommand:
         (("gf", "--n-max", "0"), "n_max must be >= 1, got 0"),
         (("gf", "--n-max", "-5"), "n_max must be >= 1, got -5"),
         (("oracle", "--n-max", "0"), "n_max must be >= 1, got 0"),
+        # the base points are validated before check_oracle reads its bound
+        (("oracle", "--n-max", "15", "--order", "0"), "order must be >= 1"),
     ], ids=["grammar-order", "oracle-order", "grammar-x0",
-            "convolutions-t0", "gf-n-max-0", "gf-n-max-negative", "oracle-n-max-0"])
+            "convolutions-t0", "gf-n-max-0", "gf-n-max-negative", "oracle-n-max-0",
+            "oracle-n-max-15-order-0"])
     def test_options_the_suite_does_not_read_are_still_validated(self, capsys, argv,
                                                                  message):
         code, out, err = run(capsys, "verify", *argv)
