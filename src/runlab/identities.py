@@ -32,9 +32,12 @@ and grammar/peaks' derivative-0 seed check, whose right side prints as
 Reports are deterministic: the same inputs produce byte-identical
 serialized output.  One table, ``_CHECKS``, says which checks each suite
 runs; :func:`run_suite` may run grammar/leibniz in a forked child beside
-the others, with the reports and exception of the serial run.  Every
-public check refuses a bad range or order in one place, :func:`_params`,
-before it builds anything.
+the others.  The closed forms but alt-from-runs, the convolutions and the
+recurrences compare each n on its own, so :func:`_split` may draw every
+other n in a forked child.  Only one child lives at a time, and either
+way a check returns the report or raises the exception of the serial
+run.  Every public check refuses a bad range or order in one place,
+:func:`_params`, before it builds anything.
 """
 
 from __future__ import annotations
@@ -237,8 +240,8 @@ _POINTWISE = {
 
 
 def default_plan(identity: str, count: int) -> SamplePlan:
-    """The stock sample plan of ``count`` >= 1 points for one of the
-    pointwise checks.
+    """The stock sample plan of ``count`` points for one of the pointwise
+    checks; ``count`` is an ``int`` (not a ``bool``) of at least 1.
 
     ``identity`` is one of ``runs-from-peaks``, ``tangent``,
     ``david-barton``.  Points avoid each identity's singular values; the
@@ -246,7 +249,7 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     2*n_max+3 points, more than their degree bound n+2 needs, because
     reports print the count and the benchmark draws from these pools.
     """
-    if count < 1:
+    if _int(count, "count") < 1:
         raise ValueError(f"points must be >= 1, got {count}")
     if identity not in _POINTWISE:
         raise ValueError(f"no default plan for identity {identity!r}")
@@ -283,15 +286,14 @@ def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
     return plan
 
 
-def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None", first: int,
-               cases: "Callable[[tuple[Fraction, ...]], Iterable[tuple]]") -> CheckReport:
-    """The report of ``closed/<kind>`` on ``cases(points)`` for n =
-    first..n_max, over the points of ``plan`` as :func:`_require` passes
-    it."""
+def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None",
+               first: int) -> "tuple[str, dict, tuple[Rational, ...]]":
+    """``closed/<kind>``, its report params for n = first..n_max and the
+    points of ``plan`` as :func:`_require` passes it, refused before any
+    family is built."""
     plan = _require(plan, kind, _int(n_max, "n_max"))
     identity = f"closed/{kind}"
-    return _verdict(identity, _params(identity, first, n_max=n_max, points=len(plan)),
-                    cases(plan.points))
+    return identity, _params(identity, first, n_max=n_max, points=len(plan)), plan.points
 
 
 # ----------------------------------------------------------------------
@@ -509,16 +511,18 @@ _CONVOLUTIONS = (
 _WIDTH_STEP = 32
 
 
-def _convolution_sides(n_max: int, T, R, W, Wt) -> Iterator[tuple]:
-    """Yield the five convolution formulas at n = 1..n_max as
-    ``(n, bits, sides)``: each side is ``(formula, lhs(2**bits),
-    rhs(2**bits))``, with ``lhs`` the polynomial on the left and ``rhs``
-    the right-hand sum.
+def _convolution_sides(ns: "Sequence[int]", T, R, W, Wt) -> Iterator[tuple]:
+    """Yield the five convolution formulas at each n of ``ns``, ascending
+    from 1 or more, as ``(n, bits, sides)``: each side is ``(formula,
+    lhs(2**bits), rhs(2**bits))``, with ``lhs`` the polynomial on the
+    left and ``rhs`` the right-hand sum.
 
     ``bits`` is 2 more than the bit length of a bound on the absolute
     value of every coefficient of either side of every formula at n,
     rounded up to a multiple of ``_WIDTH_STEP``, and never below the
-    width of n - 1, so each width holds for a run of consecutive n.  The
+    width of n - 1, so each width holds for a run of consecutive n; it is
+    found for every n up to the last of ``ns``, so any ``ns`` gives each
+    of its n the same width as ``range(1, n_max + 1)`` does.  The
     bound is the 1-norm of each left side, and each right side summed
     over the 1-norms of its rows.  That bounds it because a coefficient
     of F*G is at most |F|_1 |G|_1, and x -> x^2 and the prefactors x and
@@ -527,6 +531,7 @@ def _convolution_sides(n_max: int, T, R, W, Wt) -> Iterator[tuple]:
     The rows and their 1-norms are read once, and each row is packed at
     most once per width, the packed values kept while the width holds.
     """
+    n_max, wanted = ns[-1], set(ns)
     # rows 0..n_max+1 of T, 1..n_max+2 of R, 1..n_max of W and 0..n_max of Wt
     rows = ([T.row(k) for k in range(n_max + 2)], [[]] + [R.row(k) for k in range(1, n_max + 3)],
             [[]] + [W.row(k) for k in range(1, n_max + 1)], [Wt.row(k) for k in range(n_max + 1)])
@@ -553,6 +558,8 @@ def _convolution_sides(n_max: int, T, R, W, Wt) -> Iterator[tuple]:
         b = max(width, -(-(bound.bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP)
         if b != width:
             width, values = b, ([], [], [], [])
+        if n not in wanted:
+            continue
         # W and Wt enter as W(x^2), so they are evaluated at X^2
         for vals, family, bits, stop in zip(values, rows, (b, b, 2 * b, 2 * b),
                                             (n + 2, n + 3, n + 1, n + 1)):
@@ -590,14 +597,14 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
 
-    def cases():
-        for n, b, sides in _convolution_sides(n_max, T, R, W, Wt):
+    def cases(ns):
+        for n, b, sides in _convolution_sides(ns, T, R, W, Wt):
             for formula, lhs, rhs in sides:
                 if lhs != rhs:
                     lhs, rhs = _unkron(lhs, b), _unkron(rhs, b)
                 yield n, formula, lhs, rhs
 
-    return _verdict("poly/convolutions", params, cases())
+    return _split("poly/convolutions", params, cases, range(1, n_max + 1))
 
 
 def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
@@ -610,14 +617,14 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
     t = triangles.triangle_A(n_max + 1)
     x_1_minus_x2 = RatPoly((0, 1, 0, -1))
 
-    def cases():
-        for n in range(0, n_max + 1):
+    def cases(ns):
+        for n in ns:
             yield (n, "R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'", r[n + 2],
                    RatPoly((0, 2, n)) * r[n + 1] + x_1_minus_x2 * r[n + 1].derivative())
             yield (n, "T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'", t[n + 1],
                    RatPoly((0, 1, n)) * t[n] + x_1_minus_x2 * t[n].derivative())
 
-    return _verdict("poly/recurrences", params, cases())
+    return _split("poly/recurrences", params, cases, range(0, n_max + 1))
 
 
 def check_alt_from_runs(n_max: int = 25) -> CheckReport:
@@ -648,14 +655,15 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     T_n(p, q)/q^(deg T_n) with p (p+q)^(n-1) W_n(2p, p+q) over
     q (2q)^(n-1) (p+q)^(deg W_n), and the R-form is the same with n-2.
     """
-    def cases(xs):
-        W = triangles.poly_W(n_max)
-        R = triangles.poly_R(n_max)
-        T = triangles.poly_T(n_max)
-        # what does not depend on n, once per point: the two labels, p, q
-        points = [(f"T-form x={x}", f"R-form x={x}", x.numerator, x.denominator)
-                  for x in xs]
-        for n in range(1, n_max + 1):
+    identity, params, xs = _pointwise("runs-from-peaks", n_max, plan, 1)
+    W = triangles.poly_W(n_max)
+    R = triangles.poly_R(n_max)
+    T = triangles.poly_T(n_max)
+    # what does not depend on n, once per point: the two labels, p, q
+    points = [(f"T-form x={x}", f"R-form x={x}", x.numerator, x.denominator) for x in xs]
+
+    def cases(ns):
+        for n in ns:
             Wn, Rn, Tn = W.row(n), R.row(n), T.row(n)
             for t_form, r_form, p, q in points:
                 w, w_den = horner(Wn, 2 * p, p + q)
@@ -665,7 +673,7 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
                     yield (n, r_form, horner(Rn, p, q),
                            (p * (p + q) ** (n - 2) * w, q * (2 * q) ** (n - 2) * w_den))
 
-    return _pointwise("runs-from-peaks", n_max, plan, 1, cases)
+    return _split(identity, params, cases, range(1, n_max + 1))
 
 
 def _parity_split(row: "Sequence[int]", top: int) -> "tuple[list[int], list[int], int]":
@@ -697,13 +705,15 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     After clearing denominators the degree is at most n+2, below the
     2*n_max+3 points a plan must hold.
     """
-    def cases(xs):
-        W = triangles.poly_W(n_max)
-        R = triangles.poly_R(n_max)
-        P = triangles.poly_P(n_max)
-        # what does not depend on n, once per point: the two labels, p, q
-        points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator) for x in xs]
-        for n in range(2, n_max + 1):
+    identity, params, xs = _pointwise("tangent", n_max, plan, 2)
+    W = triangles.poly_W(n_max)
+    R = triangles.poly_R(n_max)
+    P = triangles.poly_P(n_max)
+    # what does not depend on n, once per point: the two labels, p, q
+    points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator) for x in xs]
+
+    def cases(ns):
+        for n in ns:
             Wn, Rn = W.row(n), R.row(n)
             E, O, low = _parity_split(P.row(n), n + 1)
             yield n, "odd part of P_n", O, [0] * len(O)
@@ -718,7 +728,7 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
                        ((p + q) ** (n - 1) * (p + q) ** -low * e,
                         (2 * q) ** (n - 1) * (p - q) ** -low * e_den))
 
-    return _pointwise("tangent", n_max, plan, 2, cases)
+    return _split(identity, params, cases, range(2, n_max + 1))
 
 
 def _w_expansion(row: "Sequence[int]", top: int) -> "list[int]":
@@ -753,12 +763,14 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     denominators the degree is at most n+2, below the 2*n_max+3 points a
     plan must hold.
     """
-    def cases(xs):
-        A = triangles.poly_A(n_max)
-        R = triangles.poly_R(n_max)
-        # what does not depend on n, once per point: the label, p, q
-        points = [(f"x={x}", x.numerator, x.denominator) for x in xs]
-        for n in range(2, n_max + 1):
+    identity, params, xs = _pointwise("david-barton", n_max, plan, 2)
+    A = triangles.poly_A(n_max)
+    R = triangles.poly_R(n_max)
+    # what does not depend on n, once per point: the label, p, q
+    points = [(f"x={x}", x.numerator, x.denominator) for x in xs]
+
+    def cases(ns):
+        for n in ns:
             An, Rn = A.row(n), R.row(n)
             e = max(0, len(An) - n - 2)
             c = _w_expansion([0] * e + An, n + 1 + 2 * e)
@@ -771,7 +783,7 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
                 yield (n, label, horner(Rn, p, q),
                        (v * (q + p) ** extra, (2 * q) ** (n - 1) * (2 * p) ** e))
 
-    return _pointwise("david-barton", n_max, plan, 2, cases)
+    return _split(identity, params, cases, range(2, n_max + 1))
 
 
 # ----------------------------------------------------------------------
@@ -905,13 +917,17 @@ SUITES = ("all", "grammar", "convolutions", "closed-forms", "gf", "oracle")
 #: runs (so a wrapper set on this module is called), the suite that runs
 #: it besides ``all``, the options it reads, and whether it may run in a
 #: forked child (one row at most), which reports last wherever it ran.
-#: The closed forms come first, so a range they refuse starts nothing else.
+#: closed/alt-from-runs comes first: its first n, 2, is the highest, so a
+#: range it refuses starts no child.  grammar/leibniz, about half the work
+#: of ``all``, starts next, so its child runs beside every other check;
+#: while it lives, the checks that split their n between two processes
+#: (:func:`_split`) run theirs all in this one.
 _CHECKS = (
     ("check_alt_from_runs", "closed-forms", "range", False),
+    ("check_leibniz", "grammar", "range", True),
     ("check_runs_from_peaks", "closed-forms", "range", False),
     ("check_tangent_forms", "closed-forms", "range", False),
     ("check_david_barton", "closed-forms", "range", False),
-    ("check_leibniz", "grammar", "range", True),
     ("check_grammar_runs", "grammar", "range", False),
     ("check_grammar_alt", "grammar", "range", False),
     ("check_dumont", "grammar", "range and oracle cap", False),
@@ -925,22 +941,31 @@ _CHECKS = (
 )
 
 
+#: True while this process has a child it has not reaped, and in a
+#: forked child for good: :func:`_fork` then refuses, so a run never has
+#: more than two processes.
+_busy = False
+
+
 def _fork(check: "Callable[..., CheckReport]", kwargs: dict) -> "tuple[int, int] | None":
     """Start ``check(**kwargs)`` in a forked child, which sends its report
     back marshalled over a pipe: ``(pid, read end)``, or None when no
     second process may run beside this one.
 
     That takes ``os.fork``, ``os.sched_getaffinity`` with at least two
-    CPUs, and no thread but this one, since a child forked beside another
-    thread may inherit a lock that thread held.  ``threading`` is read
-    from ``sys.modules``, never imported.  The child never returns: it
-    leaves by ``os._exit``, so it flushes no stdio buffer of this process
-    and runs no exit handler, and if ``check`` raises, it sends nothing.
+    CPUs, no thread but this one, since a child forked beside another
+    thread may inherit a lock that thread held, and a process that is
+    neither a forked child nor has a live one (``_busy``).  ``threading``
+    is read from ``sys.modules``, never imported.  The child never
+    returns: it leaves by ``os._exit``, so it flushes no stdio buffer of
+    this process and runs no exit handler, and if ``check`` raises, it
+    sends nothing.
     """
+    global _busy
     threading = sys.modules.get("threading")
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and (threading is None or threading.active_count() == 1)):
+    if _busy or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                     and len(os.sched_getaffinity(0)) >= 2
+                     and (threading is None or threading.active_count() == 1)):
         return None
     read, write = os.pipe()
     try:
@@ -949,6 +974,7 @@ def _fork(check: "Callable[..., CheckReport]", kwargs: dict) -> "tuple[int, int]
         os.close(read)
         os.close(write)
         return None
+    _busy = True
     if not pid:
         try:
             os.close(read)
@@ -968,15 +994,18 @@ def _kill(child: "tuple[int, int]") -> None:
     """Stop the child at once and reap it."""
     import signal
 
+    global _busy
     pid, read = child
     os.close(read)
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
+    _busy = False
 
 
 def _join(child: "tuple[int, int]") -> "CheckReport | None":
     """The report the child sent, once it has exited and been reaped, or
     None if it raised, died or sent nothing that reads as a report."""
+    global _busy
     pid, read = child
     chunks = []
     try:
@@ -986,7 +1015,9 @@ def _join(child: "tuple[int, int]") -> "CheckReport | None":
         _kill(child)
         raise
     os.close(read)
-    if os.waitpid(pid, 0)[1]:
+    status = os.waitpid(pid, 0)[1]
+    _busy = False
+    if status:
         return None
     try:
         identity, params, passed, failure = marshal.loads(b"".join(chunks))
@@ -994,6 +1025,45 @@ def _join(child: "tuple[int, int]") -> "CheckReport | None":
                            None if failure is None else CheckFailure(*failure))
     except (EOFError, ValueError, TypeError):
         return None
+
+
+def _split(identity: str, params: dict, cases: "Callable[[Sequence[int]], Iterable[tuple]]",
+           ns: "Sequence[int]") -> CheckReport:
+    """``_verdict(identity, params, cases(ns))``, for ``cases`` that yield
+    the cases of each n of the given ascending ``ns`` in turn, each n's
+    the same whichever other n are given.
+
+    When :func:`_fork` may start a child, the child draws
+    ``cases(ns[1::2])`` while this process draws ``cases(ns[0::2])``, and
+    the failure with the smaller n is the report.  A failure here below
+    the child's first n stops the child at once; otherwise the child is
+    joined, and stops at its own first failure.  If the child raises or
+    dies, or the cases here raise an ``Exception``, the child is stopped
+    and every n is drawn here again, so the report or exception is the
+    serial run's.
+    """
+    child = None if len(ns) < 2 else _fork(
+        _verdict, {"identity": identity, "params": params, "cases": cases(ns[1::2])})
+    if child is None:
+        return _verdict(identity, params, cases(ns))
+    try:
+        mine = _verdict(identity, params, cases(ns[0::2]))
+    except Exception:
+        mine = None  # drawn again below, outside this handler
+    except BaseException:
+        _kill(child)
+        raise
+
+    def first(report):  # the n of the first failure, past every n if it passed
+        return report.first_failure.n if report.first_failure else ns[-1] + 1
+
+    if mine is None or first(mine) < ns[1]:
+        _kill(child)
+        if mine is not None:
+            return mine
+    elif (theirs := _join(child)) is not None:
+        return min(mine, theirs, key=first)
+    return _verdict(identity, params, cases(ns))
 
 
 def run_suite(

@@ -64,6 +64,17 @@ class TestPolynomialChecks:
     def test_convolutions(self):
         assert idn.check_convolutions(10).passed
 
+    def test_convolution_sides_of_a_half_are_those_of_the_whole(self):
+        # either half of a split range yields each of its n at the width,
+        # and with the values, of the whole range
+        families = (triangles.poly_T(31), triangles.poly_R(32), triangles.poly_W(30),
+                    triangles.poly_Wtilde(30))
+        ns = range(1, 31)
+        whole = {n: (n, b, sides) for n, b, sides in idn._convolution_sides(ns, *families)}
+        assert len({b for _, b, _ in whole.values()}) > 2
+        for half in (ns[0::2], ns[1::2]):
+            assert list(idn._convolution_sides(half, *families)) == [whole[n] for n in half]
+
     @pytest.mark.parametrize("perturb", [0, 2 ** 64, -3 ** 80])
     def test_convolution_sides_decode_to_the_term_by_term_sums(self, perturb):
         # at X = 2^b each right-hand side must decode to the RatPoly sum
@@ -81,7 +92,7 @@ class TestPolynomialChecks:
             out[::2] = p.coeffs
             return RatPoly(out)
 
-        for n, b, sides in idn._convolution_sides(12, T, R, W, Wt):
+        for n, b, sides in idn._convolution_sides(range(1, 13), T, R, W, Wt):
             c = [comb(n, k) for k in range(n + 1)]
             expected = [
                 (R[n + 1], sum((c[k] * (T[k] * T[n - k]) for k in range(n + 1)), RatPoly())),
@@ -216,6 +227,15 @@ class TestPointwiseChecks:
         monkeypatch.setattr(idn, "_pool", no_pool)
         for kind in ("runs-from-peaks", "tangent", "david-barton"):
             with pytest.raises(ValueError, match=f"points must be >= 1, got {count}$"):
+                idn.default_plan(kind, count)
+
+    @pytest.mark.parametrize("count", [True, 2.0, "3"], ids=["bool", "float", "str"])
+    def test_non_int_plan_sizes_rejected(self, monkeypatch, count):
+        # a bool is not a one-point count; refused before the pool is read
+        monkeypatch.setattr(idn, "_pool", lambda: pytest.fail("the sample pool was read"))
+        message = f"count must be an int, got {count!r}"
+        for kind in ("runs-from-peaks", "tangent", "david-barton"):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
                 idn.default_plan(kind, count)
 
     def test_square_discriminants_still_work(self):
@@ -832,10 +852,10 @@ class TestFaultInjection:
             " + 16*x^5*y^3*z"
         )
 
-    def test_tangent_fault_fails_before_later_rows_are_read(self, monkeypatch):
-        # the cases are drawn lazily: a fault at n = 2 ends the check
-        # before P_3 is ever read
-        faults.install("tangent-P2", monkeypatch.setattr)  # P_2 + x^2
+    @staticmethod
+    def _guard_tangent_rows(monkeypatch):
+        """Install tangent-P2 (P_2 + x^2) with every row of P past 2 guarded."""
+        faults.install("tangent-P2", monkeypatch.setattr)
         skewed = triangles.poly_P
 
         class Guarded(triangles.Family):
@@ -849,9 +869,26 @@ class TestFaultInjection:
             return Guarded(fam.name, fam.start, fam.rows)
 
         monkeypatch.setattr(triangles, "poly_P", guarded)
+
+    def test_tangent_fault_fails_before_later_rows_are_read(self, monkeypatch):
+        # the cases are drawn lazily: a fault at n = 2 ends the check
+        # before P_3 is ever read; in one process, since a guarded read in
+        # a forked child would fail only the child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self._guard_tangent_rows(monkeypatch)
         assert self._failure(idn.check_tangent_forms(4)) == (
             2, "odd part of P_n", "[1, 0]", "[0, 0]"
         )
+
+    def test_tangent_fault_below_the_childs_first_n_ends_the_split(self, monkeypatch):
+        # the same report with n split between two processes: n = 2 fails
+        # here, below the child's first n, 3, so the child is stopped
+        # whatever it read
+        self._guard_tangent_rows(monkeypatch)
+        assert self._failure(idn.check_tangent_forms(4)) == (
+            2, "odd part of P_n", "[1, 0]", "[0, 0]"
+        )
+        assert _no_child_left()
 
 
 class TestFaultCatalogue:
@@ -1124,6 +1161,186 @@ class TestLeibnizChild:
 
         monkeypatch.setattr(idn, "check_leibniz", dies_in_a_child)
         assert _leibniz_pid(idn.run_suite("grammar", n_max=2)) == parent
+        assert _no_child_left()
+
+
+def _serial_outcome(call):
+    """``call()``'s report, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _steps(plan):
+    """Cases for :func:`identities._split`: one case per n, which passes
+    unless ``plan[n]`` is "fail", "raise" (a ValueError naming n), or,
+    only in a forked child, "die" (exit status 3) or "sleep" (a minute)."""
+    parent = os.getpid()
+
+    def cases(ns):
+        for n in ns:
+            what = plan.get(n)
+            if what == "raise":
+                raise ValueError(f"raised at n={n}")
+            if os.getpid() != parent:
+                if what == "die":
+                    os._exit(3)
+                if what == "sleep":
+                    time.sleep(60)
+            yield n, f"step {n}", "wrong" if what == "fail" else "right", "right"
+
+    return cases
+
+
+def _split_outcome(plan, ns=range(1, 9)):
+    return _serial_outcome(lambda: idn._split("test/split", {"n_max": ns[-1]}, _steps(plan), ns))
+
+
+#: The check of each report that splits its n between two processes.
+SPLIT_CHECKS = {
+    "closed/runs-from-peaks": "check_runs_from_peaks",
+    "closed/tangent": "check_tangent_forms",
+    "closed/david-barton": "check_david_barton",
+    "poly/convolutions": "check_convolutions",
+    "poly/recurrences": "check_recurrence_consistency",
+}
+#: Each catalogue fault that fails one of them, as ``(fault, report)``.
+SPLIT_FAULTS = [(name, ident) for name, (*_, failing) in faults.FAULTS.items()
+                for ident in failing if ident in SPLIT_CHECKS]
+
+
+class TestSplit:
+    """A check that splits its n between this process and a forked child
+    returns the serial run's report or exception, and leaves no child."""
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        """The pids os.fork returns here from now on, in a list."""
+        forked, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forked
+
+    def test_every_split_check_is_reached_by_a_fault(self):
+        assert {ident for _, ident in SPLIT_FAULTS} == set(SPLIT_CHECKS)
+
+    @pytest.mark.parametrize("name, ident", SPLIT_FAULTS,
+                             ids=[f"{name}-{ident}" for name, ident in SPLIT_FAULTS])
+    def test_split_and_serial_reports_are_equal(self, monkeypatch, name, ident):
+        faults.install(name, monkeypatch.setattr)
+        forked = self.count_forks(monkeypatch)
+        split = getattr(idn, SPLIT_CHECKS[ident])()
+        assert len(forked) == can_fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = getattr(idn, SPLIT_CHECKS[ident])()
+        assert split == serial
+        f = split.first_failure
+        assert (f.n, f.point, f.lhs, f.rhs) == faults.FAULTS[name][4][ident]
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not can_fork, reason="needs os.fork and at least two CPUs")
+    @pytest.mark.parametrize("name, ident, half", [
+        ("runs-R53", "closed/tangent", "child"),
+        ("runs-R53", "closed/david-barton", "child"),
+        ("runs-R53", "closed/runs-from-peaks", "parent"),
+        ("runs-R63", "poly/convolutions", "child"),
+        ("runs-R63", "poly/recurrences", "parent"),
+    ])
+    def test_a_fault_is_found_in_either_half(self, monkeypatch, name, ident, half):
+        # the report is the child's exactly when its half holds the first
+        # failing n; the fault may fail a later n of the other half too
+        faults.install(name, monkeypatch.setattr)
+        joined, join = [], idn._join
+        monkeypatch.setattr(idn, "_join", lambda child: joined.append(join(child)) or joined[-1])
+        report = getattr(idn, SPLIT_CHECKS[ident])()
+        (theirs,) = joined
+        assert not report.passed
+        assert (theirs == report) == (half == "child")
+
+    @pytest.mark.parametrize("plan", [
+        {3: "raise", 4: "raise"}, {2: "raise", 3: "raise"},
+        {2: "fail", 3: "raise"}, {3: "fail", 2: "raise"},
+        {1: "fail", 2: "raise"}, {4: "fail", 3: "raise"},
+        {5: "fail", 4: "fail"}, {6: "fail", 7: "fail"}, {}, {8: "raise"},
+    ], ids=["raise-both", "raise-both-child-first", "child-fails-parent-raises",
+            "parent-fails-child-raises", "parent-fails-first", "child-raises-first",
+            "child-fails-first", "parent-fails-first-late", "pass", "raise-last"])
+    def test_the_serial_outcome_wins(self, monkeypatch, plan):
+        split = _split_outcome(plan)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert split == _split_outcome(plan)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("plan", [{}, {5: "fail"}, {3: "raise"}, {4: "raise"}, {4: "die"}],
+                             ids=["pass", "fail", "parent-raises", "child-raises", "child-dies"])
+    def test_no_child_is_left(self, monkeypatch, plan):
+        forked = self.count_forks(monkeypatch)
+        _split_outcome(plan)
+        assert len(forked) == can_fork
+        assert _no_child_left()
+        assert not idn._busy
+
+    def test_a_child_that_dies_is_rerun_here(self):
+        assert _split_outcome({4: "die"}) == idn._passed("test/split", {"n_max": 8})
+
+    def test_a_failure_below_the_childs_first_n_stops_it_at_once(self):
+        # the child would sleep for a minute at n = 2
+        start = time.monotonic()
+        report = _split_outcome({1: "fail", 2: "sleep"})
+        assert time.monotonic() - start < 30
+        assert report.first_failure == idn.CheckFailure(1, "step 1", "wrong", "right")
+        assert _no_child_left()
+
+    def test_one_n_starts_no_child(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert _split_outcome({}, range(3, 4)).passed
+
+    @pytest.mark.skipif(not can_fork, reason="needs os.fork and at least two CPUs")
+    def test_no_fork_beside_a_live_child_or_in_one(self):
+        child = idn._fork(lambda: idn.CheckReport(
+            "test/fork", {"refused": idn._fork(_pid_report, {}) is None}, True), {})
+        assert child is not None
+        assert idn._fork(_pid_report, {}) is None
+        assert idn._join(child).params == {"refused": True}
+        assert not idn._busy
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not can_fork, reason="needs os.fork and at least two CPUs")
+    def test_all_forks_once(self, monkeypatch):
+        # grammar/leibniz's child lives while every split check runs, so
+        # they run in this process
+        forked = self.count_forks(monkeypatch)
+        assert all(r.passed for r in idn.run_suite("all"))
+        assert len(forked) == 1
+        assert _no_child_left()
+
+    @pytest.mark.skipif(not can_fork, reason="needs os.fork and at least two CPUs")
+    def test_closed_forms_never_has_two_children(self, monkeypatch):
+        live, fork, waitpid = set(), os.fork, os.waitpid
+
+        def fork_alone():
+            assert not live
+            pid = fork()
+            if pid:
+                live.add(pid)
+            return pid
+
+        def reaped(pid, options):
+            result = waitpid(pid, options)
+            live.discard(result[0])
+            return result
+
+        monkeypatch.setattr(os, "fork", fork_alone)
+        monkeypatch.setattr(os, "waitpid", reaped)
+        assert all(r.passed for r in idn.run_suite("closed-forms", n_max=6))
+        assert not live
         assert _no_child_left()
 
 
