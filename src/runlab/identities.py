@@ -11,7 +11,10 @@ Three kinds of verification appear:
 * structural equality of polynomials / multivariate expansions,
 * pointwise evaluation of the closed forms at enough rational points
   to certify the underlying polynomial identity (the degree bound is
-  noted per check).  The radical in the tangent and David-Barton forms
+  noted per check).  Each n is evaluated only at the first points of
+  the plan that its own degree bound needs, read from its rows, so a
+  plan's surplus points are drawn only when a row's degree needs them.
+  The radical in the tangent and David-Barton forms
   cancels by a symmetry of P_n or A_n, checked once per n as its own
   named integer condition; at a point p/q each side is then an integer
   ratio, found by homogeneous Horner and compared by
@@ -223,10 +226,12 @@ def _pool() -> Iterator[Fraction]:
         q += 1
 
 
-#: Per pointwise check: the sample points that certify it for every
-#: n <= n_max (one more than its degree bound after clearing
+#: Per pointwise check: the sample points a plan must hold for every
+#: n <= n_max (at least one more than its degree bound after clearing
 #: denominators), the points where it is singular and what for, and its
-#: stock plan: the pool moved by a shift, then filtered.
+#: stock plan: the pool moved by a shift, then filtered.  Each n draws
+#: only the first distinct points its own bound needs; the surplus is
+#: drawn only when a row's degree needs it.
 _POINTWISE = {
     "runs-from-peaks": (lambda n: n + 2, lambda x: x == -1, "W_n(2x/(1+x))",
                         0, lambda x: x != -1),
@@ -246,8 +251,10 @@ def default_plan(identity: str, count: int) -> SamplePlan:
     ``identity`` is one of ``runs-from-peaks``, ``tangent``,
     ``david-barton``.  Points avoid each identity's singular values; the
     two radical forms' pools still skip square discriminants and take
-    2*n_max+3 points, more than their degree bound n+2 needs, because
-    reports print the count and the benchmark draws from these pools.
+    2*n_max+3 points, because reports print the count and the benchmark
+    draws from these pools.  A check draws at each n only the first
+    points its rows' degrees need, n or n+1 on stock rows, so a plan's
+    surplus points are drawn only when a row's degree needs them.
     """
     if _int(count, "count") < 1:
         raise ValueError(f"points must be >= 1, got {count}")
@@ -641,6 +648,20 @@ def check_alt_from_runs(n_max: int = 25) -> CheckReport:
 
 # ----------------------------------------------------------------------
 # Closed forms verified pointwise over integers.
+#
+# At each n a form compares two sides whose cross-multiplied difference
+# is, after dividing out powers of q and of factors nonzero at every
+# allowed point, a polynomial B in x of degree at most D_n, a bound taken
+# from the lengths of the rows actually read.  If B is not zero, one of
+# any D_n+1 distinct points is not a root of it, so n draws its cases
+# only at the first D_n+1 distinct points of the plan, in plan order: the
+# first failing point, if any, is among them, and the report is that of
+# every point.
+
+
+def _deg(row: "Sequence[int]") -> int:
+    """The degree a row is homogenised to by :func:`horner`, 0 if empty."""
+    return max(len(row) - 1, 0)
 
 
 def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> CheckReport:
@@ -648,24 +669,30 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     R_n(x) = x (1+x)^(n-2) / 2^(n-2) * W_n(2x/(1+x))   for n >= 2,
     T_n(x) = x (1+x)^(n-1) / 2^(n-1) * W_n(2x/(1+x))   for n >= 1.
 
-    Both sides are rational at rational x; after clearing (1+x) powers
-    the degree is at most n, so the n_max+2 sample points certify every
-    n <= n_max.  At x = p/q each side is an integer ratio: a row F
-    homogenised to its own degree is F(a, b), so the T-form compares
-    T_n(p, q)/q^(deg T_n) with p (p+q)^(n-1) W_n(2p, p+q) over
-    q (2q)^(n-1) (p+q)^(deg W_n), and the R-form is the same with n-2.
+    Both sides are rational at rational x.  At x = p/q each side is an
+    integer ratio: a row F homogenised to its own degree d_F is F(a, b),
+    so the T-form compares T_n(p, q)/q^(d_T) with p (p+q)^(n-1)
+    W_n(2p, p+q) over q (2q)^(n-1) (p+q)^(d_W), and the R-form is the
+    same with n-2.  After clearing q and the common (1+x) powers the
+    T-form's difference has degree at most max(d_T, n) +
+    max(0, d_W - n + 1) and the R-form's max(d_R, n - 1) +
+    max(0, d_W - n + 2), so n draws one point more than the larger of
+    the two: n+1 on stock rows, where d_R = n-1, d_T = n, d_W < n.
     """
     identity, params, xs = _pointwise("runs-from-peaks", n_max, plan, 1)
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     T = triangles.poly_T(n_max)
-    # what does not depend on n, once per point: the two labels, p, q
-    points = [(f"T-form x={x}", f"R-form x={x}", x.numerator, x.denominator) for x in xs]
+    # what does not depend on n, once per distinct point: the two labels, p, q
+    points = [(f"T-form x={x}", f"R-form x={x}", x.numerator, x.denominator)
+              for x in dict.fromkeys(xs)]
 
     def cases(ns):
         for n in ns:
             Wn, Rn, Tn = W.row(n), R.row(n), T.row(n)
-            for t_form, r_form, p, q in points:
+            dW, dR, dT = _deg(Wn), _deg(Rn), _deg(Tn)
+            top = max(max(dT, n) + max(0, dW - n + 1), max(dR, n - 1) + max(0, dW - n + 2))
+            for t_form, r_form, p, q in points[:top + 1]:
                 w, w_den = horner(Wn, 2 * p, p + q)
                 yield (n, t_form, horner(Tn, p, q),
                        (p * (p + q) ** (n - 1) * w, q * (2 * q) ** (n - 1) * w_den))
@@ -702,22 +729,29 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     that is checked once per n as ``odd part of P_n``, which prints O's
     coefficients on failure.  Each form is then compared at x = p/q as
     two integer ratios, E homogenised at (p-q, q), resp. (p-q, p+q).
-    After clearing denominators the degree is at most n+2, below the
-    2*n_max+3 points a plan must hold.
+    With L = -low, the W-form's difference after clearing denominators
+    has degree at most max(d_W + 1 + L, d_E), and the R-form's, after
+    dividing out the common (x+1) power, max(d_R + L, n - 1 + L) +
+    max(0, d_E - (n - 1 + L)); n draws one point more than the larger:
+    n on stock rows, of the 2*n_max+3 points a plan must hold.
     """
     identity, params, xs = _pointwise("tangent", n_max, plan, 2)
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     P = triangles.poly_P(n_max)
-    # what does not depend on n, once per point: the two labels, p, q
-    points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator) for x in xs]
+    # what does not depend on n, once per distinct point: the two labels, p, q
+    points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator)
+              for x in dict.fromkeys(xs)]
 
     def cases(ns):
         for n in ns:
             Wn, Rn = W.row(n), R.row(n)
             E, O, low = _parity_split(P.row(n), n + 1)
             yield n, "odd part of P_n", O, [0] * len(O)
-            for w_form, r_form, p, q in points:
+            L, dE = -low, len(E) - 1
+            top = max(_deg(Wn) + 1 + L, dE,
+                      max(_deg(Rn) + L, n - 1 + L) + max(0, dE - (n - 1 + L)))
+            for w_form, r_form, p, q in points[:top + 1]:
                 # W-form: (q/p) y^low E(y), y = (p-q)/q
                 e, e_den = horner(E, p - q, q)
                 yield (n, w_form, horner(Wn, p, q),
@@ -760,14 +794,15 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     (2q)^(n-1).  A row e entries longer than n+2 is expanded after e
     zeros to top n+1+2e, which multiplies the sum by
     (1-w^2)^e = (2p/(q+p))^e, divided out again.  After clearing
-    denominators the degree is at most n+2, below the 2*n_max+3 points a
-    plan must hold.
+    denominators the difference has degree at most max(d_R + e,
+    n + e - 1), and n draws one point more: n on stock rows, of the
+    2*n_max+3 points a plan must hold.
     """
     identity, params, xs = _pointwise("david-barton", n_max, plan, 2)
     A = triangles.poly_A(n_max)
     R = triangles.poly_R(n_max)
-    # what does not depend on n, once per point: the label, p, q
-    points = [(f"x={x}", x.numerator, x.denominator) for x in xs]
+    # what does not depend on n, once per distinct point: the label, p, q
+    points = [(f"x={x}", x.numerator, x.denominator) for x in dict.fromkeys(xs)]
 
     def cases(ns):
         for n in ns:
@@ -778,7 +813,7 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
             yield n, "odd part of (1+w)^(n+1) A_n((1-w)/(1+w))", odd, [0] * len(odd)
             # (q+p)^(n-1+e-m) is (q+p)^(len(even)-1-m) times this power
             extra = n + e - len(even)
-            for label, p, q in points:
+            for label, p, q in points[:max(_deg(Rn) + e, n + e - 1) + 1]:
                 v, _ = horner(even, q - p, q + p)
                 yield (n, label, horner(Rn, p, q),
                        (v * (q + p) ** extra, (2 * q) ** (n - 1) * (2 * p) ** e))
@@ -798,7 +833,8 @@ def _egf_coeffs(rows: "Callable[[int], list[int]]", x0: Fraction, order: int) ->
     for n in range(order + 1):
         if n:
             fact *= n
-        out.append(Fraction(RatPoly(rows(n)[::-1])(x0), fact))
+        num, den = horner(rows(n)[::-1], x0.numerator, x0.denominator)
+        out.append(Fraction(num, den * fact))
     return out
 
 

@@ -11,11 +11,18 @@ and under single-entry faults in every family they read.  The one
 deliberate difference: where the reference fails a sqrt component, the
 two radical forms fail their odd-part condition at the same n, since
 they check once per n the symmetry that clears the radical.
+
+The reference compares every n at every point of the plan; the checks
+draw each n's points only from the first D_n+1 distinct plan points, D_n
+their degree bound at n.  Faults that vanish on a prefix of the plan
+show that this prefix still holds the reference's first failure.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -261,3 +268,134 @@ class TestFaultSweep:
         assert want.first_failure.point == "W-form x=3/2: sqrt component"
         assert_reports_as_the_reference(got, want, "tangent")
         assert got.first_failure == idn.CheckFailure(2, "odd part of P_n", "[1, 0, 0]", "[0, 0, 0]")
+
+
+# -- the prefix of the plan each n draws -----------------------------------
+
+
+#: kind -> the distinct plan points each n draws on stock rows: D_n + 1
+POINTS_PER_N = {
+    "runs-from-peaks": lambda n: n + 1,
+    "tangent": lambda n: n,
+    "david-barton": lambda n: n,
+}
+
+
+def repeated_plan(kind, n_max):
+    """The stock plan after a front of its first three points repeated in
+    another order, so a count of plan entries is no count of points."""
+    pts = idn.default_plan(kind, needed(kind, n_max)).points
+    return idn.SamplePlan((pts[0], pts[0], pts[1], pts[0], pts[2], pts[1]) + pts)
+
+
+#: plan name -> plan of (kind, n_max)
+PLANS = {
+    "stock": lambda kind, n_max: idn.default_plan(kind, needed(kind, n_max)),
+    "seeded": lambda kind, n_max: seeded_plan(kind, n_max, 7),
+    "wide": lambda kind, n_max: wide_plan(kind, n_max, 3),
+    "repeated": repeated_plan,
+}
+
+
+def vanishing(roots, c, s):
+    """The coefficients of c x^s prod_(p/q in roots) (q x - p), low first."""
+    poly = [0] * s + [c]
+    for r in roots:
+        p, q = Fraction(r).numerator, Fraction(r).denominator
+        poly = [q * a - p * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def add_to(poly):
+    """A row change adding ``poly``, lengthening the row where it must."""
+    def change(row):
+        row.extend([0] * (len(poly) - len(row)))
+        for k, c in enumerate(poly):
+            row[k] += c
+    return change
+
+
+class TestPrefixVanishingFaults:
+    """Adding c x^s prod_(i<m) (q_i x - p_i) to one row, for the first m
+    distinct points p_i/q_i of the plan, leaves the form's difference
+    zero at those m points only.  Where the family is read at 2x/(1+x)
+    (W in runs-from-peaks) the roots are the images of those points, so
+    the difference still vanishes there; P and A, read at radicals, take
+    the plan points themselves.  With m up to D_n + 1 and s up to 3 the
+    row may grow past the stock bound, which must then grow with it; a
+    check drawing one point fewer than D_n + 1, or counting a repeated
+    point as a new one, reports a later failure or a pass where the
+    reference fails."""
+
+    N_MAX = 5
+
+    @pytest.mark.parametrize("kind", FORMS)
+    @pytest.mark.parametrize("plan_name", PLANS)
+    def test_every_prefix_fault_reports_as_the_reference(self, monkeypatch, kind, plan_name):
+        plan = PLANS[plan_name](kind, self.N_MAX)
+        distinct = list(dict.fromkeys(plan.points))
+        rng = random.Random(f"{kind}/{plan_name}")
+        failing_at = set()
+        for letter in FORMS[kind][2]:
+            at = (lambda x: 2 * x / (1 + x)) if (kind, letter) == ("runs-from-peaks", "W") \
+                else (lambda x: x)
+            for n in range(1 if kind == "runs-from-peaks" else 2, self.N_MAX + 1):
+                for m in range(POINTS_PER_N[kind](n) + 1):
+                    for s in range(4):
+                        c = rng.choice((-3, -2, -1, 1, 2, 3))
+                        poly = vanishing([at(x) for x in distinct[:m]], c, s)
+                        with monkeypatch.context() as mp:
+                            faulted(mp, letter, n, add_to(poly))
+                            got, want = both_reports(kind, self.N_MAX, plan)
+                        assert_reports_as_the_reference(got, want, kind, (letter, n, m, s, c))
+                        if not got.passed and got.first_failure.n == n:
+                            failing_at.add(got.first_failure.point.partition("x=")[2])
+        # the faults fail at each point a stock n draws, and at the next,
+        # which only the bound of a lengthened row reaches
+        top = POINTS_PER_N[kind](self.N_MAX)
+        assert {str(x) for x in distinct[:top + 1]} <= failing_at
+
+
+def drawn(monkeypatch, check, n_max, plan):
+    """``(report, {n: [point text, ...]})`` of ``check(n_max, plan)`` run
+    in one process, with the point cases each n drew, in order; the
+    odd-part conditions are not point cases."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    points, verdict = {}, idn._verdict
+
+    def tapped(identity, params, cases):
+        def tap():
+            for case in cases:
+                if "x=" in case[1]:
+                    points.setdefault(case[0], []).append(case[1])
+                yield case
+        return verdict(identity, params, tap())
+
+    monkeypatch.setattr(idn, "_verdict", tapped)
+    return check(n_max, plan), points
+
+
+class TestWorkCut:
+    """A passing check draws each n's cases at the first D_n + 1 distinct
+    plan points only, each point once."""
+
+    @pytest.mark.parametrize("kind", FORMS)
+    @pytest.mark.parametrize("plan_name", ["stock", "repeated"])
+    @pytest.mark.parametrize("n_max", [3, 12])
+    def test_each_n_draws_its_degree_bound_of_points(self, monkeypatch, kind, plan_name, n_max):
+        plan = PLANS[plan_name](kind, n_max)
+        report, points = drawn(monkeypatch, FORMS[kind][0], n_max, plan)
+        assert report.passed
+        distinct = [str(x) for x in dict.fromkeys(plan.points)]
+        forms = {"runs-from-peaks": ("T-form", "R-form"), "tangent": ("W-form", "R-form"),
+                 "david-barton": ("",)}[kind]
+        lo = 1 if kind == "runs-from-peaks" else 2
+        assert sorted(points) == list(range(lo, n_max + 1))
+        for n, labels in points.items():
+            want = distinct[:POINTS_PER_N[kind](n)]
+            for form in forms:
+                if (kind, form, n) == ("runs-from-peaks", "R-form", 1):
+                    continue  # the R-form starts at n = 2
+                xs = [t.partition("x=")[2] for t in labels if t.startswith(form)]
+                assert xs == want, (n, form)
+            assert len(labels) == len(set(labels))
