@@ -12,8 +12,9 @@ Three kinds of verification appear:
 * pointwise evaluation of the closed forms at enough rational points
   to certify the underlying polynomial identity (the degree bound is
   noted per check).  Each n is evaluated only at the first points of
-  the plan that its own degree bound needs, read from its rows, so a
-  plan's surplus points are drawn only when a row's degree needs them.
+  the plan that its own degree bound needs, read from its rows, and a
+  plan that holds fewer is refused at that n: this bound is the only
+  certificate, the stock plan's size only what reports print.
   The radical in the tangent and David-Barton forms
   cancels by a symmetry of P_n or A_n, checked once per n as its own
   named integer condition; at a point p/q each side is then an integer
@@ -226,12 +227,12 @@ def _pool() -> Iterator[Fraction]:
         q += 1
 
 
-#: Per pointwise check: the sample points a plan must hold for every
-#: n <= n_max (at least one more than its degree bound after clearing
-#: denominators), the points where it is singular and what for, and its
-#: stock plan: the pool moved by a shift, then filtered.  Each n draws
-#: only the first distinct points its own bound needs; the surplus is
-#: drawn only when a row's degree needs it.
+#: Per pointwise check: the size of its stock plan at n_max, which
+#: reports print and the benchmark draws, the points where it is singular
+#: and what for, and its stock plan: the pool moved by a shift, then
+#: filtered.  The certificate is each n's own degree bound (see
+#: :func:`_certify`), which needs n+1 points of runs-from-peaks and n of
+#: the radical forms on stock rows; the stock size only covers them.
 _POINTWISE = {
     "runs-from-peaks": (lambda n: n + 2, lambda x: x == -1, "W_n(2x/(1+x))",
                         0, lambda x: x != -1),
@@ -250,11 +251,10 @@ def default_plan(identity: str, count: int) -> SamplePlan:
 
     ``identity`` is one of ``runs-from-peaks``, ``tangent``,
     ``david-barton``.  Points avoid each identity's singular values; the
-    two radical forms' pools still skip square discriminants and take
-    2*n_max+3 points, because reports print the count and the benchmark
-    draws from these pools.  A check draws at each n only the first
-    points its rows' degrees need, n or n+1 on stock rows, so a plan's
-    surplus points are drawn only when a row's degree needs them.
+    two radical forms' pools still skip square discriminants.  A check
+    sizes its stock plan by ``_POINTWISE`` and draws at each n only the
+    first points its rows' degree bound needs, n or n+1 on stock rows,
+    refusing a plan that holds fewer.
     """
     if _int(count, "count") < 1:
         raise ValueError(f"points must be >= 1, got {count}")
@@ -273,34 +273,37 @@ def _rational(value: object, what: str) -> Rational:
     return value
 
 
-def _require(plan: "SamplePlan | None", kind: str, n_max: int) -> SamplePlan:
-    """``plan``, or the stock plan when it is None, refused if a point is
-    not an ``int`` or ``Fraction``, if a point is singular for
-    ``closed/<kind>``, or if it has fewer distinct points than that check
-    needs at ``n_max``."""
-    points_for, singular, what, _, _ = _POINTWISE[kind]
-    needed = points_for(n_max)
+def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None", first: int,
+               forms: "tuple[str, ...]") -> "tuple[str, dict, list[tuple]]":
+    """``closed/<kind>``, its report params for n = first..n_max, and each
+    distinct point x of ``plan``, or of the stock plan when it is None, in
+    plan order, as ``f"{form}x={x}"`` for each of ``forms``, then p, q of
+    x = p/q.  Refused before any family is built: first a non-int
+    ``n_max``, then a point that is not an ``int`` or ``Fraction`` or is
+    singular for ``closed/<kind>``, then an ``n_max`` below ``first``."""
+    count, singular, what, _, _ = _POINTWISE[kind]
+    _int(n_max, "n_max")
     if plan is None:
         # at least one point, so an empty range is refused as such
-        plan = default_plan(kind, max(1, needed))
+        plan = default_plan(kind, max(1, count(n_max)))
     for x in plan.points:
         if singular(_rational(x, "sample point")):
             raise ValueError(f"sample point {x} is singular for {what}")
-    distinct = len(set(plan.points))
-    if distinct < needed:
-        raise ValueError(f"{distinct} distinct sample points cannot certify closed/{kind}: "
-                         f"the degree bound needs at least {needed}")
-    return plan
-
-
-def _pointwise(kind: str, n_max: int, plan: "SamplePlan | None",
-               first: int) -> "tuple[str, dict, tuple[Rational, ...]]":
-    """``closed/<kind>``, its report params for n = first..n_max and the
-    points of ``plan`` as :func:`_require` passes it, refused before any
-    family is built."""
-    plan = _require(plan, kind, _int(n_max, "n_max"))
     identity = f"closed/{kind}"
-    return identity, _params(identity, first, n_max=n_max, points=len(plan)), plan.points
+    return identity, _params(identity, first, n_max=n_max, points=len(plan)), [
+        (*(f"{form}x={x}" for form in forms), x.numerator, x.denominator)
+        for x in dict.fromkeys(plan.points)]
+
+
+def _certify(identity: str, n: int, points: "list[tuple]", top: int) -> Iterator[tuple]:
+    """The first ``top`` + 1 of the distinct ``points``, at which n draws
+    its cases when their difference has degree at most ``top``.  Once
+    those cases have passed, a plan of fewer points is refused: its cases
+    at n prove nothing."""
+    yield from points[:top + 1]
+    if len(points) <= top:
+        raise ValueError(f"{len(points)} distinct sample points cannot certify {identity} "
+                         f"at n={n}: its rows' degree bound needs {top + 1}")
 
 
 # ----------------------------------------------------------------------
@@ -656,7 +659,7 @@ def check_alt_from_runs(n_max: int = 25) -> CheckReport:
 # any D_n+1 distinct points is not a root of it, so n draws its cases
 # only at the first D_n+1 distinct points of the plan, in plan order: the
 # first failing point, if any, is among them, and the report is that of
-# every point.
+# every point.  A plan of fewer points is refused at n by :func:`_certify`.
 
 
 def _deg(row: "Sequence[int]") -> int:
@@ -679,20 +682,18 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     max(0, d_W - n + 2), so n draws one point more than the larger of
     the two: n+1 on stock rows, where d_R = n-1, d_T = n, d_W < n.
     """
-    identity, params, xs = _pointwise("runs-from-peaks", n_max, plan, 1)
+    identity, params, points = _pointwise("runs-from-peaks", n_max, plan, 1,
+                                          ("T-form ", "R-form "))
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     T = triangles.poly_T(n_max)
-    # what does not depend on n, once per distinct point: the two labels, p, q
-    points = [(f"T-form x={x}", f"R-form x={x}", x.numerator, x.denominator)
-              for x in dict.fromkeys(xs)]
 
     def cases(ns):
         for n in ns:
             Wn, Rn, Tn = W.row(n), R.row(n), T.row(n)
             dW, dR, dT = _deg(Wn), _deg(Rn), _deg(Tn)
             top = max(max(dT, n) + max(0, dW - n + 1), max(dR, n - 1) + max(0, dW - n + 2))
-            for t_form, r_form, p, q in points[:top + 1]:
+            for t_form, r_form, p, q in _certify(identity, n, points, top):
                 w, w_den = horner(Wn, 2 * p, p + q)
                 yield (n, t_form, horner(Tn, p, q),
                        (p * (p + q) ** (n - 1) * w, q * (2 * q) ** (n - 1) * w_den))
@@ -733,15 +734,12 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     has degree at most max(d_W + 1 + L, d_E), and the R-form's, after
     dividing out the common (x+1) power, max(d_R + L, n - 1 + L) +
     max(0, d_E - (n - 1 + L)); n draws one point more than the larger:
-    n on stock rows, of the 2*n_max+3 points a plan must hold.
+    n on stock rows.
     """
-    identity, params, xs = _pointwise("tangent", n_max, plan, 2)
+    identity, params, points = _pointwise("tangent", n_max, plan, 2, ("W-form ", "R-form "))
     W = triangles.poly_W(n_max)
     R = triangles.poly_R(n_max)
     P = triangles.poly_P(n_max)
-    # what does not depend on n, once per distinct point: the two labels, p, q
-    points = [(f"W-form x={x}", f"R-form x={x}", x.numerator, x.denominator)
-              for x in dict.fromkeys(xs)]
 
     def cases(ns):
         for n in ns:
@@ -751,7 +749,7 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
             L, dE = -low, len(E) - 1
             top = max(_deg(Wn) + 1 + L, dE,
                       max(_deg(Rn) + L, n - 1 + L) + max(0, dE - (n - 1 + L)))
-            for w_form, r_form, p, q in points[:top + 1]:
+            for w_form, r_form, p, q in _certify(identity, n, points, top):
                 # W-form: (q/p) y^low E(y), y = (p-q)/q
                 e, e_den = horner(E, p - q, q)
                 yield (n, w_form, horner(Wn, p, q),
@@ -793,16 +791,14 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     R_n(p, q)/q^(deg R_n) against sum_m c_(2m) (q-p)^m (q+p)^(n-1-m) over
     (2q)^(n-1).  A row e entries longer than n+2 is expanded after e
     zeros to top n+1+2e, which multiplies the sum by
-    (1-w^2)^e = (2p/(q+p))^e, divided out again.  After clearing
-    denominators the difference has degree at most max(d_R + e,
-    n + e - 1), and n draws one point more: n on stock rows, of the
-    2*n_max+3 points a plan must hold.
+    (1-w^2)^e = (2p/(q+p))^e, divided out again.  Its odd part vanishes
+    only if its last e entries are zeros, so after clearing denominators
+    the difference is (2x)^e times one of degree at most max(d_R, n - 1),
+    and n draws one point more: n on stock rows.
     """
-    identity, params, xs = _pointwise("david-barton", n_max, plan, 2)
+    identity, params, points = _pointwise("david-barton", n_max, plan, 2, ("",))
     A = triangles.poly_A(n_max)
     R = triangles.poly_R(n_max)
-    # what does not depend on n, once per distinct point: the label, p, q
-    points = [(f"x={x}", x.numerator, x.denominator) for x in dict.fromkeys(xs)]
 
     def cases(ns):
         for n in ns:
@@ -813,7 +809,7 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
             yield n, "odd part of (1+w)^(n+1) A_n((1-w)/(1+w))", odd, [0] * len(odd)
             # (q+p)^(n-1+e-m) is (q+p)^(len(even)-1-m) times this power
             extra = n + e - len(even)
-            for label, p, q in points[:max(_deg(Rn) + e, n + e - 1) + 1]:
+            for label, p, q in _certify(identity, n, points, max(_deg(Rn), n - 1)):
                 v, _ = horner(even, q - p, q + p)
                 yield (n, label, horner(Rn, p, q),
                        (v * (q + p) ** extra, (2 * q) ** (n - 1) * (2 * p) ** e))

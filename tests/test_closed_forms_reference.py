@@ -14,16 +14,20 @@ they check once per n the symmetry that clears the radical.
 
 The reference compares every n at every point of the plan; the checks
 draw each n's points only from the first D_n+1 distinct plan points, D_n
-their degree bound at n.  Faults that vanish on a prefix of the plan
-show that this prefix still holds the reference's first failure.
+their degree bound at n, and refuse a plan of fewer.  Faults that vanish
+on a prefix of the plan show that this prefix still holds the
+reference's first failure, and faults that vanish on the whole plan that
+a row too long for it is refused.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import re
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 
@@ -306,6 +310,15 @@ def vanishing(roots, c, s):
     return poly
 
 
+def read_at(kind, letter):
+    """The point at which ``closed/<kind>`` reads family ``letter``, as a
+    function of the plan point x: 2x/(1+x) for W in runs-from-peaks, x
+    itself for the others (P and A, read at radicals, take x too)."""
+    if (kind, letter) == ("runs-from-peaks", "W"):
+        return lambda x: 2 * x / (1 + x)
+    return lambda x: x
+
+
 def add_to(poly):
     """A row change adding ``poly``, lengthening the row where it must."""
     def change(row):
@@ -337,8 +350,7 @@ class TestPrefixVanishingFaults:
         rng = random.Random(f"{kind}/{plan_name}")
         failing_at = set()
         for letter in FORMS[kind][2]:
-            at = (lambda x: 2 * x / (1 + x)) if (kind, letter) == ("runs-from-peaks", "W") \
-                else (lambda x: x)
+            at = read_at(kind, letter)
             for n in range(1 if kind == "runs-from-peaks" else 2, self.N_MAX + 1):
                 for m in range(POINTS_PER_N[kind](n) + 1):
                     for s in range(4):
@@ -399,3 +411,136 @@ class TestWorkCut:
                 xs = [t.partition("x=")[2] for t in labels if t.startswith(form)]
                 assert xs == want, (n, form)
             assert len(labels) == len(set(labels))
+
+
+# -- rows whose degree needs more points than the plan holds ---------------
+
+
+#: kind -> (family lengthened at n = 3, the points its rows then need,
+#: the reference's first failure on a plan of one point more)
+PAST_THE_PLAN = {
+    "runs-from-peaks": ("W", 7, "T-form x=-2/3"),
+    "tangent": ("W", 11, "W-form x=8/7"),
+    "david-barton": ("R", 10, "x=-3/4"),
+}
+
+
+class TestRowsPastThePlan:
+    """Adding prod_(i) (q_i y - p_i) to one row at n = 3, over the images
+    y_i of every point of the stock plan at n_max = 3, leaves every case of
+    that plan passing, while the row's degree needs more points than the
+    plan holds: for runs-from-peaks, W_3 becomes [-12, 54, -12, -79, 31, 30]
+    and needs 7 points of the 5.  The check refuses the plan at n = 3 with
+    the same text in one process and split between two, and a plan of one
+    point more than the rows need gives the reference's failure."""
+
+    def fault(self, monkeypatch, kind):
+        letter, _, _ = PAST_THE_PLAN[kind]
+        at = read_at(kind, letter)
+        points = idn.default_plan(kind, needed(kind, 3)).points
+        faulted(monkeypatch, letter, 3, add_to(vanishing([at(x) for x in points], 1, 0)))
+
+    def test_the_runs_from_peaks_row(self, monkeypatch):
+        self.fault(monkeypatch, "runs-from-peaks")
+        assert triangles.poly_W(3).row(3) == [-12, 54, -12, -79, 31, 30]
+
+    @pytest.mark.parametrize("kind", FORMS)
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "split"])
+    def test_the_stock_plan_is_refused_at_n(self, monkeypatch, kind, cpus):
+        self.fault(monkeypatch, kind)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        forks, fork = [], idn._fork
+        monkeypatch.setattr(idn, "_fork", lambda *args: forks.append(fork(*args)) or forks[-1])
+        message = (f"{needed(kind, 3)} distinct sample points cannot certify closed/{kind} "
+                   f"at n=3: its rows' degree bound needs {PAST_THE_PLAN[kind][1]}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FORMS[kind][0](3)
+        # split, the refusal raised in one process is the serial run's
+        assert [child is not None for child in forks] == [len(cpus) > 1]
+
+    @pytest.mark.parametrize("kind", FORMS)
+    def test_a_long_enough_plan_fails_as_the_reference(self, monkeypatch, kind):
+        self.fault(monkeypatch, kind)
+        _, needs, fails_at = PAST_THE_PLAN[kind]
+        got, want = both_reports(kind, 3, idn.default_plan(kind, needs + 1))
+        assert got == want
+        assert (want.first_failure.n, want.first_failure.point) == (3, fails_at)
+
+
+def solve(equations):
+    """The one solution over Q of a square linear system, each equation a
+    list of coefficients followed by its right side, by Gauss-Jordan."""
+    m = [[Fraction(c) for c in eq] for eq in equations]
+    for col in range(len(m)):
+        pivot = next(r for r in range(col, len(m)) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [c / m[col][col] for c in m[col]]
+        for r in range(len(m)):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def integral(*rows):
+    """``rows`` of Fractions, all scaled by one factor to integers."""
+    scale = lcm(*(Fraction(c).denominator for row in rows for c in row))
+    return [[int(c * scale) for c in row] for row in rows]
+
+
+class TestLengthenedRadicalRows:
+    """The terms of the radical forms' bounds that only a lengthened P_n or
+    A_n reaches.  Each fault is solved for over Q, then scaled to integers,
+    so that every point case of n vanishes at the first K plan points but
+    not at point K+1, where K + 1 is what the bound draws: a bound one
+    point short passes such a fault."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_tangent_rows_of_p_past_n_plus_one(self, monkeypatch, n):
+        # P_n gains 1 at x^(n+3) and a at x^(n+1), its parity kept, so
+        # low = -1 and L = 1; W_n gets degree n-2 and R_n keeps n-1, so
+        # the bound is L + n - 1: the cases vanish at the first n points
+        # and fail at point n+1.  With sigma^2 = x-1 and w = (x-1)/(x+1),
+        # P_j contributes sigma^(n+1-j)/x to the W-form and
+        # ((x+1)/2)^(n-1) w^((n+1-j)/2) to the R-form
+        plan = idn.default_plan("tangent", needed("tangent", 5))
+        xs = plan.points
+        # unknowns: a, then the n-1 entries of W's change, then R's n
+        equations = []
+        for x in xs[:n]:
+            h, w = (x + 1) / 2, (x - 1) / (x + 1)
+            equations.append([1 / x, *(-x ** k for k in range(n - 1)), *[0] * n,
+                              -(x - 1) ** -1 / x])
+            equations.append([h ** (n - 1), *[0] * (n - 1), *(-x ** k for k in range(n)),
+                              -h ** (n - 1) * w ** -1])
+        a, *rest = solve(equations)
+        dP, dW, dR = integral([0] * (n + 1) + [a, 0, 1], rest[:n - 1], rest[n - 1:])
+        for letter, change in zip("PWR", (dP, dW, dR)):
+            faulted(monkeypatch, letter, n, add_to(change))
+        assert len(triangles.poly_P(n).row(n)) == n + 4
+        got, want = both_reports("tangent", 5, plan)
+        assert got == want
+        assert (want.first_failure.n, want.first_failure.point) == (n, f"W-form x={xs[n]}")
+
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_david_barton_rows_of_a_past_n_plus_two(self, monkeypatch, e):
+        # A_4 gains 1 at x^1 and x^4, its palindrome in six entries kept,
+        # and e zeros at its end; R_4 gets degree 5, solved so that the
+        # case vanishes at the first 5 points and fails at the sixth
+        n, d = 4, 5
+        plan = idn.default_plan("david-barton", needed("david-barton", n))
+        xs = plan.points
+        dA = [0, 1, 0, 0, 1, 0] + [0] * e
+        equations = [[0] * d + [1, 1]]  # R's top entry is 1
+        for x in xs[:d]:
+            w = QuadExt.root(1 - x * x) / (1 + x)
+            side = ((1 + x) / 2) ** (n - 1) * sum(
+                c * (1 - w) ** k * (1 + w) ** (n + 1 - k) for k, c in enumerate(dA[:n + 2]))
+            assert side.b == 0
+            equations.append([x ** k for k in range(d + 1)] + [side.a])
+        dR, dA = integral(solve(equations), dA)
+        faulted(monkeypatch, "A", n, add_to(dA))
+        faulted(monkeypatch, "R", n, add_to(dR))
+        assert len(triangles.poly_A(n).row(n)) == n + 2 + e
+        got, want = both_reports("david-barton", n, plan)
+        assert got == want
+        assert (want.first_failure.n, want.first_failure.point) == (n, f"x={xs[d]}")

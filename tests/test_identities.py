@@ -207,16 +207,20 @@ class TestPointwiseChecks:
             assert not idn._is_square(x - 1)
             assert not idn._is_square((x + 1) / (x - 1))
 
-    def test_under_certified_plans_rejected(self):
-        # the degree bound needs n_max + 2 points for runs-from-peaks and
-        # 2 n_max + 3 for the two radical forms; one fewer is refused
-        with pytest.raises(ValueError, match="certify"):
-            idn.check_runs_from_peaks(6, idn.default_plan("runs-from-peaks", 7))
-        with pytest.raises(ValueError, match="certify"):
-            idn.check_tangent_forms(6, idn.default_plan("tangent", 14))
-        with pytest.raises(ValueError, match="certify"):
-            idn.check_david_barton(6, idn.default_plan("david-barton", 14))
-        assert idn.check_david_barton(6, idn.default_plan("david-barton", 15)).passed
+    @pytest.mark.parametrize("check, kind, needed", [
+        (idn.check_runs_from_peaks, "runs-from-peaks", 7),
+        (idn.check_tangent_forms, "tangent", 6),
+        (idn.check_david_barton, "david-barton", 6),
+    ], ids=["runs-from-peaks", "tangent", "david-barton"])
+    def test_under_certified_plans_rejected(self, check, kind, needed):
+        # the rows of n = 6 need n + 1 points for runs-from-peaks and n for
+        # the two radical forms; one fewer is refused at n = 6, once the
+        # cases of every lower n have passed
+        message = (f"{needed - 1} distinct sample points cannot certify closed/{kind} "
+                   f"at n=6: its rows' degree bound needs {needed}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(6, idn.default_plan(kind, needed - 1))
+        assert check(6, idn.default_plan(kind, needed)).passed
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_nonpositive_plan_sizes_rejected(self, monkeypatch, count):
@@ -243,20 +247,23 @@ class TestPointwiseChecks:
         report = idn.check_tangent_forms(3, idn.SamplePlan((F(13, 4), F(7, 3), F(9, 5), F(12, 5), F(3), F(5, 2), F(4), F(5), F(6), F(7))))
         assert report.passed
 
-    @pytest.mark.parametrize("check, x, needed", [
-        (idn.check_tangent_forms, F(3, 2), 27),
-        (idn.check_david_barton, F(1, 2), 27),
-        (idn.check_runs_from_peaks, F(1, 2), 14),
+    @pytest.mark.parametrize("check, kind, x, first", [
+        (idn.check_tangent_forms, "tangent", F(3, 2), 2),
+        (idn.check_david_barton, "david-barton", F(1, 2), 2),
+        (idn.check_runs_from_peaks, "runs-from-peaks", F(1, 2), 1),
     ], ids=["tangent", "david-barton", "runs-from-peaks"])
-    def test_repeated_points_count_once(self, check, x, needed):
-        # one point given as many times as the bound needs certifies nothing
-        with pytest.raises(ValueError, match=f"^1 distinct sample points cannot certify "
-                                             f".*needs at least {needed}$"):
-            check(12, idn.SamplePlan((x,) * needed))
-        # equal values count once whatever their type
+    def test_repeated_points_count_once(self, check, kind, x, first):
+        # one point given as many times as the stock plan holds is refused
+        # at the first n, whose rows need two
+        message = (f"1 distinct sample points cannot certify closed/{kind} "
+                   f"at n={first}: its rows' degree bound needs 2")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(12, idn.SamplePlan((x,) * 27))
+        # equal values count once whatever their type: 15 distinct points,
+        # one short at n = 15
         plan = idn.default_plan("runs-from-peaks", 13).points + (F(6, 4), 3, F(3))
-        with pytest.raises(ValueError, match="^15 distinct sample points .* at least 16$"):
-            idn.check_runs_from_peaks(14, idn.SamplePlan(plan))
+        with pytest.raises(ValueError, match="^15 distinct sample points .* at n=15: .* needs 16$"):
+            idn.check_runs_from_peaks(15, idn.SamplePlan(plan))
 
     def test_closed_forms_evaluate_no_radical(self, monkeypatch):
         # the odd-part conditions clear every radical, so a passing
