@@ -9,7 +9,9 @@ module only adds the layers the identity checks need on top of them:
 * :class:`RatPoly` -- dense univariate polynomials with ``int``
   coefficients, integral by type,
 * :class:`PowerSeries` -- series truncated at an explicit order, with
-  :class:`QuadExt` coefficients, plus ``sin``/``cos``/``exp`` builders.
+  :class:`QuadExt` coefficients, plus ``sin``/``cos``/``exp`` builders,
+* integer rows -- ``list[int]``, index = degree: :func:`horner` at ``p/q``,
+  homogenised, and Kronecker packing at 2**bits, :func:`kron`/:func:`unkron`.
 
 Arithmetic runs over integers and normalises once per result.  A
 ``QuadExt`` is stored as ``(A + B*sigma)/D`` with integer ``A``, ``B``,
@@ -19,10 +21,8 @@ integer formula followed by one three-argument ``gcd``; its ``a``,
 ``Fraction`` operands enter those formulas as ``p/q`` directly.
 Outside the series convolutions the element product is written once, in
 ``QuadExt.__mul__``: ``**`` squares and multiplies through it, and a
-polynomial at a ``QuadExt`` point runs Horner on ``QuadExt`` values.  A
-polynomial is evaluated at ``p/q`` by
-:func:`horner`, homogenised Horner on its integer coefficients, and the
-result is normalised once over its single shared denominator.  A series
+polynomial at a ``QuadExt`` point runs Horner on ``QuadExt`` values; at
+``p/q`` it runs :func:`horner` and is normalised once.  A series
 product or quotient writes each operand over one common denominator and
 sums each coefficient over integers, so it reduces once per coefficient,
 not once per partial product; operands whose irrational coefficients lie
@@ -51,7 +51,9 @@ __all__ = [
     "cos_series",
     "exp_series",
     "horner",
+    "kron",
     "sin_series",
+    "unkron",
 ]
 
 class _Frozen:
@@ -307,22 +309,6 @@ def _quad(A: int, B: int, D: int, e: int, dd: int) -> QuadExt:
     q = _new(QuadExt)
     _set(q, "_s", (A, B, D, e, dd))
     return q
-
-
-def horner(coeffs: "Sequence[int]", p: int, q: int) -> "tuple[int, int]":
-    """The integer polynomial ``coeffs`` at ``p/q`` as ``(num, q**deg)``.
-
-    ``num = sum_k c_k p^k q^(deg-k)`` is the polynomial homogenised to
-    its own degree ``deg = len(coeffs) - 1``, by Horner over integers;
-    nothing is reduced.  No coefficients give ``(0, 1)``.
-    """
-    if not coeffs:
-        return 0, 1
-    acc, qk = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        qk *= q
-        acc = acc * p + c * qk
-    return acc, qk
 
 
 def _ratpoly(coeffs: "list[int]") -> "RatPoly":
@@ -633,3 +619,55 @@ def cos_series(c: "QuadExt | Rational", order: int) -> PowerSeries:
 def exp_series(c: "QuadExt | Rational", order: int) -> PowerSeries:
     """Taylor series of exp(c*z) truncated at z**order."""
     return _taylor(c, order, (1, 1, 1, 1))
+
+
+# ----------------------------------------------------------------------
+# Integer rows: a polynomial over Z as a ``list[int]``, index = degree.
+
+
+def horner(coeffs: "Sequence[int]", p: int, q: int) -> "tuple[int, int]":
+    """The integer polynomial ``coeffs`` at ``p/q`` as ``(num, q**deg)``.
+
+    ``num = sum_k c_k p^k q^(deg-k)`` is the polynomial homogenised to
+    its own degree ``deg = len(coeffs) - 1``, by Horner over integers;
+    nothing is reduced.  No coefficients give ``(0, 1)``.
+    """
+    if not coeffs:
+        return 0, 1
+    acc, qk = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc, qk
+
+
+def kron(row: "Sequence[int]", bits: int) -> int:
+    """The row at 2**bits: its little-endian byte fields read as one int
+    when ``bits`` is a whole number of bytes and each coefficient fits its
+    field unsigned, else (e.g. for a negative one) shift-add Horner."""
+    if not bits % 8:
+        size = bits // 8
+        try:
+            return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in row]),
+                                  "little")
+        except OverflowError:
+            pass
+    value = 0
+    for c in reversed(row):
+        value = (value << bits) + c
+    return value
+
+
+def unkron(value: int, bits: int) -> "list[int]":
+    """The row, without trailing zeros, whose balanced base-2**bits
+    digits, each in [-2**(bits-1), 2**(bits-1)), spell ``value``: the
+    inverse of :func:`kron` on coefficients in that range."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    row = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        row.append(digit)
+        value = (value - digit) >> bits
+    return row

@@ -66,7 +66,9 @@ from .exactnum import (
     cos_series,
     exp_series,
     horner,
+    kron,
     sin_series,
+    unkron,
 )
 
 __all__ = [
@@ -472,42 +474,6 @@ def check_leibniz(n_max: int = 10) -> CheckReport:
 # Polynomial identities (exact polynomial arithmetic).
 
 
-def _kron(row: "Sequence[int]", bits: int) -> int:
-    """The polynomial with coefficients ``row`` evaluated at 2**bits.
-
-    When ``bits`` is a whole number of bytes and every coefficient fits
-    its field unsigned, the fields are written as little-endian byte
-    chunks and read back as one int, in linear time; otherwise, e.g. for
-    a negative coefficient, by shift-add Horner.
-    """
-    if not bits % 8:
-        size = bits // 8
-        try:
-            return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in row]),
-                                  "little")
-        except OverflowError:
-            pass
-    value = 0
-    for c in reversed(row):
-        value = (value << bits) + c
-    return value
-
-
-def _unkron(value: int, bits: int) -> RatPoly:
-    """The polynomial whose balanced base-2**bits digits, each in
-    [-2**(bits-1), 2**(bits-1)), spell ``value``: the inverse of
-    :func:`_kron` on coefficients in that range."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    coeffs = []
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << bits
-        coeffs.append(digit)
-        value = (value - digit) >> bits
-    return RatPoly(coeffs)
-
-
 #: The five convolution formulas, in the order they are checked.
 _CONVOLUTIONS = (
     "R_(n+1) = sum C(n,k) T_k T_(n-k)",
@@ -573,7 +539,7 @@ def _convolution_sides(ns: "Sequence[int]", T, R, W, Wt) -> Iterator[tuple]:
         # W and Wt enter as W(x^2), so they are evaluated at X^2
         for vals, family, bits, stop in zip(values, rows, (b, b, 2 * b, 2 * b),
                                             (n + 2, n + 3, n + 1, n + 1)):
-            vals.extend(_kron(row, bits) for row in family[len(vals):stop])
+            vals.extend(kron(row, bits) for row in family[len(vals):stop])
         t, r, w, wt = values
         lefts = (r[n + 1], r[n + 2], r[n + 2], t[n + 1], t[n + 1])
         rights = right_sides(t, r, w, wt, lambda v, j: v << j * b)
@@ -588,18 +554,15 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     Each formula is checked at n by evaluating both sides at X = 2**b
     (Kronecker substitution): a row is packed into one int, a row
     W(x^2) or Wt(x^2) is evaluated at X^2, prefactors x and x^2 are
-    shifts, and each product is one integer product.  The width rule:
-    ``b`` is chosen per n from a bound B on every coefficient of both
-    sides (see :func:`_convolution_sides`), as the bit length of B plus
-    2 rounded up to a multiple of 32, or the width of n - 1 if that is
-    wider.  So 2B < 2**(b-1), and consecutive n share a width, at which
-    each row is packed once.  Equal values then mean equal polynomials:
-    if the two sides differed, their difference D would be nonzero with
-    every coefficient below X in absolute value, and D(X) = 0 would force
-    X to divide its lowest nonzero coefficient.  Where the two values
-    differ, both are decoded into their balanced base-X digits, which are
-    exactly the coefficients of the left-hand row and of the term-by-term
-    sum, since each lies in (-X/2, X/2).
+    shifts, and each product is one integer product.  ``b`` follows the
+    width rule derived in :func:`_convolution_sides`, which keeps every
+    coefficient of both sides below X/4.  Equal values then mean equal
+    polynomials: if the two sides differed, their difference D would be
+    nonzero with every coefficient below X in absolute value, and
+    D(X) = 0 would force X to divide its lowest nonzero coefficient.
+    Where the two values differ, both are decoded into their balanced
+    base-X digits, which are exactly the coefficients of the left-hand
+    row and of the term-by-term sum, since each lies in (-X/2, X/2).
     """
     params = _params("poly/convolutions", 1, n_max=n_max)
     T = triangles.poly_T(n_max + 1)
@@ -611,7 +574,7 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
         for n, b, sides in _convolution_sides(ns, T, R, W, Wt):
             for formula, lhs, rhs in sides:
                 if lhs != rhs:
-                    lhs, rhs = _unkron(lhs, b), _unkron(rhs, b)
+                    lhs, rhs = RatPoly(unkron(lhs, b)), RatPoly(unkron(rhs, b))
                 yield n, formula, lhs, rhs
 
     return _split("poly/convolutions", params, cases, range(1, n_max + 1))
@@ -765,17 +728,15 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
 
 def _w_expansion(row: "Sequence[int]", top: int) -> "list[int]":
     """The coefficients c_0..c_top of sum_k row[k] (1-w)^k (1+w)^(top-k)
-    = sum_m c_m w^m, for ``top`` >= len(row) - 1, by homogeneous Horner
-    over coefficient lists."""
-    def times(poly, sign):  # poly * (1 + sign*w)
-        return [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
-
-    acc, power = [], [1]  # at step k, power = (1+w)^(top-k), as long as acc * (1-w)
-    for k in range(top, -1, -1):
-        a = row[k] if k < len(row) else 0
-        acc = [s + a * t for s, t in zip(times(acc, -1), power)]
-        power = times(power, 1)
-    return acc
+    = sum_m c_m w^m, for ``top`` >= len(row) - 1: the row padded to
+    top+1 entries and homogenised to ``top`` at (1-w, 1+w), which one
+    :func:`horner` call gives at w = 2**b, decoded by :func:`unkron`.
+    Each (1-w)^k (1+w)^(top-k) has 1-norm 2^top, so |c_m| <=
+    |row|_1 2^top < 2**(b-2) for b = bit_length(|row|_1) + top + 2."""
+    b = sum(map(abs, row)).bit_length() + top + 2
+    value, _ = horner(list(row) + [0] * (top + 1 - len(row)), 1 - (1 << b), 1 + (1 << b))
+    c = unkron(value, b)
+    return c + [0] * (top + 1 - len(c))
 
 
 def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> CheckReport:

@@ -18,6 +18,10 @@ their degree bound at n, and refuse a plan of fewer.  Faults that vanish
 on a prefix of the plan show that this prefix still holds the
 reference's first failure, and faults that vanish on the whole plan that
 a row too long for it is refused.
+
+David-Barton's (1-w, 1+w) expansion, one ``horner`` call since the
+integer rows moved into ``exactnum``, is checked against the
+coefficient-list loop it replaced, also kept verbatim.
 """
 
 from __future__ import annotations
@@ -544,3 +548,51 @@ class TestLengthenedRadicalRows:
         got, want = both_reports("david-barton", n, plan)
         assert got == want
         assert (want.first_failure.n, want.first_failure.point) == (n, f"x={xs[d]}")
+
+
+# -- David-Barton's w-expansion --------------------------------------------
+
+
+def w_expansion(row, top):
+    """The coefficients c_0..c_top of sum_k row[k] (1-w)^k (1+w)^(top-k)
+    = sum_m c_m w^m, for ``top`` >= len(row) - 1, by homogeneous Horner
+    over coefficient lists."""
+    def times(poly, sign):  # poly * (1 + sign*w)
+        return [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+
+    acc, power = [], [1]  # at step k, power = (1+w)^(top-k), as long as acc * (1-w)
+    for k in range(top, -1, -1):
+        a = row[k] if k < len(row) else 0
+        acc = [s + a * t for s, t in zip(times(acc, -1), power)]
+        power = times(power, 1)
+    return acc
+
+
+def tops(row):
+    return range(len(row) - 1, len(row) + 4)
+
+
+class TestWExpansion:
+    @pytest.mark.parametrize("e", [0, 1, 2])
+    def test_descent_rows_as_david_barton_expands_them(self, e):
+        # A_n after e zeros at top n+1+2e, and at every top from
+        # len(row)-1 to len(row)+3
+        A = triangles.poly_A(40)
+        for n in range(1, 41):
+            row = [0] * e + A.row(n)
+            for top in {n + 1 + 2 * e, *tops(row)}:
+                assert idn._w_expansion(row, top) == w_expansion(row, top), (n, top)
+
+    def test_seeded_rows_with_negative_entries(self):
+        rng = random.Random(20241020)
+        for _ in range(300):
+            size = rng.randint(1, 30)
+            row = [rng.randint(-10 ** size, 10 ** size) for _ in range(rng.randint(1, 14))]
+            for top in tops(row):
+                assert idn._w_expansion(row, top) == w_expansion(row, top), (row, top)
+
+    @pytest.mark.parametrize("row", [[], [0], [0, 0, 0]])
+    def test_zero_and_empty_rows(self, row):
+        for top in tops(row):
+            got = idn._w_expansion(row, top)
+            assert got == w_expansion(row, top) == [0] * (top + 1)

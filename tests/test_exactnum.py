@@ -1,5 +1,6 @@
 """Field arithmetic, polynomial and series behavior."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -12,7 +13,10 @@ from runlab.exactnum import (
     RatPoly,
     cos_series,
     exp_series,
+    horner,
+    kron,
     sin_series,
+    unkron,
 )
 
 F = Fraction
@@ -386,3 +390,60 @@ class TestPowerSeries:
         # coefficients, which refuse to combine
         with pytest.raises(ValueError):
             PowerSeries([QuadExt(1, 1, 2), 1]) * PowerSeries([QuadExt(1, 1, 3), 1])
+
+
+# ----------------------------------------------------------------------
+# Integer rows
+
+
+def homogenised(row, p, q):
+    """sum_k c_k p^k q^(deg-k), deg = len(row) - 1, term by term."""
+    deg = len(row) - 1
+    return sum(c * p ** k * q ** (deg - k) for k, c in enumerate(row))
+
+
+class TestIntegerRows:
+    def test_horner_equals_the_homogenised_sum(self):
+        # seeded rows with negative entries, at negative and huge p and q,
+        # among them the many-thousand-bit p = 1 - 2^b of the w-expansion
+        rng = random.Random(20241020)
+        big = 1 << 5000
+        pairs = [(3, 5), (-7, 2), (2, -9), (-4, -11), (0, 3), (5, 0), (1 - big, 1 + big),
+                 (-(3 ** 900), 7 ** 400), (2 ** 64 + 1, -(2 ** 61))]
+        for _ in range(40):
+            row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(rng.randint(1, 12))]
+            for p, q in pairs:
+                assert horner(row, p, q) == (homogenised(row, p, q), q ** (len(row) - 1))
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (-7, 2), (1 - (1 << 4000), 1 + (1 << 4000))])
+    def test_horner_on_short_rows(self, p, q):
+        # a single entry is its own value over q^0; no entries give (0, 1)
+        assert horner([-12], p, q) == (-12, 1)
+        assert horner([0], p, q) == (0, 1)
+        assert horner([], p, q) == (0, 1)
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 12, 32, 64, 96, 200])
+    @pytest.mark.parametrize("row", [
+        [], [0], [1], [3, 0, 1], [0, 0, 5], [255, 1, 0, 7],
+        [-1], [4, -3, 2], [2, 0, -3 ** 80], [2 ** 64, 1], [3 ** 200, 0, 2], [1, -(2 ** 64), 0],
+    ])
+    def test_kron_equals_horner(self, row, bits):
+        # the byte packing and its Horner fallback give the same value,
+        # also for negative entries and entries wider than a field
+        value = 0
+        for c in reversed(row):
+            value = value * 2 ** bits + c
+        assert kron(row, bits) == value
+        assert kron(row, bits) == horner(row, 2 ** bits, 1)[0]
+
+    @given(st.integers(min_value=2, max_value=160).flatmap(lambda bits: st.tuples(
+        st.just(bits),
+        st.lists(st.integers(min_value=-(2 ** (bits - 1)), max_value=2 ** (bits - 1) - 1),
+                 max_size=12))))
+    def test_unkron_inverts_kron(self, case):
+        # a list, without the row's trailing zeros
+        bits, row = case
+        got = unkron(kron(row, bits), bits)
+        assert type(got) is list
+        assert tuple(got) == trimmed(row)
+        assert not got or got[-1] != 0

@@ -12,11 +12,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
 from runlab import identities as idn
 from runlab import grammar, permcore as pc, triangles
-from runlab.exactnum import PowerSeries, QuadExt, RatPoly
+from runlab.exactnum import PowerSeries, QuadExt, RatPoly, unkron
 from tests import faults
 
 F = Fraction
@@ -108,42 +107,21 @@ class TestPolynomialChecks:
             ]
             assert len(sides) == len(expected)
             for (_, lhs_value, rhs_value), (lhs_poly, rhs_poly) in zip(sides, expected):
-                assert idn._unkron(lhs_value, b) == lhs_poly
-                assert idn._unkron(rhs_value, b) == rhs_poly
+                assert RatPoly(unkron(lhs_value, b)) == lhs_poly
+                assert RatPoly(unkron(rhs_value, b)) == rhs_poly
                 for coeff in lhs_poly.coeffs + rhs_poly.coeffs:
                     assert abs(coeff) < 2 ** (b - 2)
-
-    @pytest.mark.parametrize("bits", [1, 7, 8, 12, 32, 64, 96, 200])
-    @pytest.mark.parametrize("row", [
-        [], [0], [1], [3, 0, 1], [0, 0, 5], [255, 1, 0, 7],
-        [-1], [4, -3, 2], [2, 0, -3 ** 80], [2 ** 64, 1], [3 ** 200, 0, 2], [1, -(2 ** 64), 0],
-    ])
-    def test_kron_equals_horner(self, row, bits):
-        # the byte packing and its Horner fallback give the same value,
-        # also for negative entries and entries wider than a field
-        horner = 0
-        for c in reversed(row):
-            horner = horner * 2 ** bits + c
-        assert idn._kron(row, bits) == horner
-
-    @given(st.integers(min_value=2, max_value=160).flatmap(lambda bits: st.tuples(
-        st.just(bits),
-        st.lists(st.integers(min_value=-(2 ** (bits - 1)), max_value=2 ** (bits - 1) - 1),
-                 max_size=12))))
-    def test_unkron_inverts_kron(self, case):
-        bits, row = case
-        assert idn._unkron(idn._kron(row, bits), bits) == RatPoly(row)
 
     def test_convolutions_pack_each_row_once_per_width(self, monkeypatch):
         # one check packs no (family, row, width) twice; the rows are
         # distinct list objects held by the families for the whole call
-        real, packed = idn._kron, Counter()
+        real, packed = idn.kron, Counter()
 
         def counting(row, bits):
             packed[id(row), bits] += 1
             return real(row, bits)
 
-        monkeypatch.setattr(idn, "_kron", counting)
+        monkeypatch.setattr(idn, "kron", counting)
         assert idn.check_convolutions(40).passed
         assert packed and max(packed.values()) == 1
         assert all(bits % idn._WIDTH_STEP == 0 for _, bits in packed)
