@@ -11,6 +11,13 @@ where FORMAT is plain, json or csv; it exits 2 with one line on stderr
 for an unknown name, a wrong argument count or a fault that cannot be
 installed.  With no argument the script lists the fault names, one a
 line.  Imports only the standard library and runlab.
+
+The failing maps are the one place a fault's failure texts are written.
+Tier-1 reads them three ways: ``TestFaultCatalogue`` in
+tests/test_identities.py runs each entry's suite against its whole map;
+``FAULT_CALLS`` there, the per-check table, calls one check at its own
+parameters and compares its first failure with the map's entry for the
+report; and tests/test_cli.py prints runs-R52's in each output format.
 """
 
 import sys

@@ -302,9 +302,8 @@ ORACLE_4 = {
 
 #: stdout of ``verify grammar --n-max 6`` in plain, JSON and CSV with R(5,2)
 #: one too large: one failing report among passing ones, each format
-#: carrying its counterexample.
-_R4_TRUE = "2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4"
-_R4_CORRUPT = "2*x^2*y*z^3 + 29*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4"
+#: carrying its counterexample, whose sides runs-R52's entry pins.
+*_, _R4_TRUE, _R4_CORRUPT = faults.FAULTS["runs-R52"][4]["grammar/runs"]
 VERIFY_GRAMMAR_FAULT = {
     "plain": (
         "PASS grammar/altsubseq (n_max=6)\n"

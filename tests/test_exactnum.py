@@ -365,6 +365,12 @@ class TestPowerSeries:
         with pytest.raises(IndexError):
             PowerSeries([1, 2]).coefficient(5)
 
+    def test_empty_series_and_negative_order_refused(self):
+        with pytest.raises(ValueError, match="^a series needs at least its constant coefficient$"):
+            PowerSeries([])
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            sin_series(1, -1)
+
     def test_bool_refused(self):
         # True is an int to isinstance, but not a rational to exactnum
         for build in (lambda: QuadExt(True, 0, 2), lambda: QuadExt(1, False, 2),

@@ -73,9 +73,20 @@ class TestParser:
         with pytest.raises(gr.GrammarError, match="duplicate"):
             gr.parse_grammar("x -> x; x -> x*x")
 
-    def test_missing_arrow(self):
-        with pytest.raises(gr.GrammarError):
-            gr.parse_grammar("x x*y")
+    @pytest.mark.parametrize("spec, message, at", [
+        ("x x*y", "expected ARROW, found 'x'", 2),
+        ("x - y", "expected '->'", 2),
+        ("x -> ;", "expected a coefficient or a letter", 5),
+        ("x -> x y -> y", "expected ';' between rules", 7),
+    ], ids=["no-arrow", "lone-minus", "empty-rule", "no-semicolon"])
+    def test_syntax_error_names_what_was_expected(self, spec, message, at):
+        with pytest.raises(gr.GrammarError) as err:
+            gr.parse_grammar(spec)
+        assert str(err.value) == f"{message} (at position {at})"
+        assert err.value.position == at
+
+    def test_trailing_semicolon_accepted(self):
+        assert gr.parse_grammar("x -> x;").rules == {"x": gr.MPoly.monomial({"x": 1})}
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(gr.GrammarError, match="positive"):

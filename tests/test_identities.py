@@ -200,6 +200,10 @@ class TestPointwiseChecks:
             check(6, idn.default_plan(kind, needed - 1))
         assert check(6, idn.default_plan(kind, needed)).passed
 
+    def test_unknown_plan_identity_rejected(self):
+        with pytest.raises(ValueError, match="^no default plan for identity 'nosuch'$"):
+            idn.default_plan("nosuch", 3)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_nonpositive_plan_sizes_rejected(self, monkeypatch, count):
         # refused before the infinite rational pool is read at all
@@ -527,304 +531,82 @@ class TestVacuousRanges:
             idn.run_suite("all", n_max=1)
 
 
+def _failure(report):
+    """``report``'s first failure as ``(n, point, lhs, rhs)``; it must fail."""
+    assert not report.passed
+    f = report.first_failure
+    return f.n, f.point, f.lhs, f.rhs
+
+
+#: Each call of one check under a catalogue fault, as ``(fault, check,
+#: args)``.  The args are the check's own, which may differ from the ones
+#: the fault's suite runs it at; the first failure is still the one the
+#: fault's entry pins for the report.
+FAULT_CALLS = [
+    ("runs-R52", "check_grammar_runs", (6,)),
+    ("runs-R50", "check_grammar_runs", (6,)),
+    ("alt-A40", "check_grammar_alt", (6,)),
+    ("alt-A42", "check_altsubseq_gf", (F(1, 3), 6)),
+    ("alt-A42", "check_grammar_alt", (6,)),
+    ("alt-A42", "check_alt_from_runs", (6,)),
+    ("alt-A42", "check_stanley_gf", (F(1, 3), 6)),
+    ("euler-E31", "check_oracle", (4,)),
+    # the middle entry of the palindromic A_3 keeps the sqrt component
+    # zero, so the rational parts are what disagree
+    ("euler-E31", "check_david_barton", (4,)),
+    ("euler-E41", "check_dumont", (6, 4)),
+    ("stat-runs", "check_oracle", (6,)),
+    ("stat-leftpeaks", "check_oracle", (6,)),
+    # the oracle half of the check: the histogram first, the row second
+    ("stat-leftpeaks", "check_peaks_grammar", (6, 4)),
+    ("stat-altsubseq", "check_oracle", (6,)),
+    ("runs-R63", "check_recurrence_consistency", (6,)),
+    ("leftpeaks-Wt21", "check_convolutions", (6,)),
+    ("alias-T4", "check_convolutions", (8,)),
+    ("alias-R5", "check_convolutions", (8,)),
+    ("huge-T4", "check_convolutions", (8,)),
+    ("negated-T4", "check_convolutions", (8,)),
+    ("steps-R", "check_oracle", (6,)),
+    # derivative 1 of x^2 reads row 2, whose extra entry needs z^-1
+    ("steps-R", "check_grammar_runs", (6,)),
+    ("steps-R", "check_alt_from_runs", (6,)),
+    ("steps-R", "check_tangent_forms", (4,)),
+    ("steps-W", "check_oracle", (6,)),
+    ("steps-W", "check_peaks_grammar", (6, 0)),
+    ("steps-euler", "check_oracle", (6,)),
+    ("steps-euler", "check_dumont", (6, 0)),
+    ("dumont-swap", "check_dumont", (12, 0)),
+    ("peaks-W31", "check_runs_from_peaks", (4,)),
+    ("peaks-W31", "check_tangent_forms", (4,)),
+    ("runs-R42", "check_carlitz", (F(1, 3), 6)),
+    ("peaks-W41", "check_peaks_grammar", (6, 4)),
+    ("leftpeaks-Wt31", "check_peaks_grammar", (6, 4)),
+    ("leftpeaks-Wt0", "check_peaks_grammar", (6, 4)),
+    # reported before any point is compared
+    ("descents-A31", "check_david_barton", (4,)),
+    ("sine-z1", "check_altsubseq_gf", (F(1, 2), 6)),
+    ("sine-z1", "check_carlitz", (F(1, 2), 6)),
+    # a nonzero odd part, the sqrt component of every point, is reported
+    # as its own condition
+    ("tangent-P2", "check_tangent_forms", (3,)),
+]
+
+
 class TestFaultInjection:
-    @staticmethod
-    def _failure(report):
-        assert not report.passed
-        f = report.first_failure
-        return f.n, f.point, f.lhs, f.rhs
-
-    # Each test below injects a catalogue fault and pins the first failure
-    # of one check at its own parameters, which may differ from the ones
-    # the catalogue's suite runs it at.
-
-    def test_corrupt_run_entry_breaks_grammar_check(self, monkeypatch):
-        faults.install("runs-R52", monkeypatch.setattr)
-        assert self._failure(idn.check_grammar_runs(6)) == (
-            4, "derivative of x^2",
-            "2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
-            "2*x^2*y*z^3 + 29*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
-        )
-
-    def test_corrupt_run_column_zero_breaks_grammar_check(self, monkeypatch):
-        # R(5,0) is 0; a nonzero k = 0 entry must reach the expected poly
-        faults.install("runs-R50", monkeypatch.setattr)
-        assert self._failure(idn.check_grammar_runs(6)) == (
-            4, "derivative of x^2",
-            "2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
-            "x^2*z^4 + 2*x^2*y*z^3 + 28*x^2*y^2*z^2 + 58*x^2*y^3*z + 32*x^2*y^4",
-        )
-
-    def test_corrupt_alt_column_zero_breaks_grammar_alt(self, monkeypatch):
-        faults.install("alt-A40", monkeypatch.setattr)
-        assert self._failure(idn.check_grammar_alt(6)) == (
-            4, "derivative of x",
-            "x*y*z^3 + 7*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
-            "x*z^4 + x*y*z^3 + 7*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
-        )
-
-    def test_corrupt_alt_entry_breaks_gf_check(self, monkeypatch):
-        faults.install("alt-A42", monkeypatch.setattr)
-        assert self._failure(idn.check_altsubseq_gf(F(1, 3), order=6)) == (
-            4, "z^4", "259/648", "32/81"
-        )
-
-    def test_corrupt_alt_entry_breaks_grammar_alt(self, monkeypatch):
-        faults.install("alt-A42", monkeypatch.setattr)
-        assert self._failure(idn.check_grammar_alt(6)) == (
-            4, "derivative of x",
-            "x*y*z^3 + 7*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
-            "x*y*z^3 + 8*x*y^2*z^2 + 11*x*y^3*z + 5*x*y^4",
-        )
-
-    def test_corrupt_alt_polynomial_breaks_alt_from_runs(self, monkeypatch):
-        # T_4's x^2 coefficient is a(4,2)
-        faults.install("alt-A42", monkeypatch.setattr)
-        assert self._failure(idn.check_alt_from_runs(6)) == (
-            4, "2 T_n = (1+x) R_n",
-            "2*x + 16*x^2 + 22*x^3 + 10*x^4", "2*x + 14*x^2 + 22*x^3 + 10*x^4",
-        )
-
-    def test_corrupt_alt_polynomial_breaks_stanley(self, monkeypatch):
-        faults.install("alt-A42", monkeypatch.setattr)
-        assert self._failure(idn.check_stanley_gf(F(1, 3), order=6)) == (
-            4, "z^4", "137/1944", "16/243"
-        )
-
-    def test_corrupt_euler_entry_breaks_oracle_check(self, monkeypatch):
-        faults.install("euler-E31", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(4)) == (
-            3, "descents over S_3", "{0:1, 1:4, 2:1}", "{0:1, 1:5, 2:1}",
-        )
-
-    def test_corrupt_descent_entry_breaks_david_barton(self, monkeypatch):
-        # A_3's x^2 coefficient is E(3,1): the middle entry of the
-        # palindromic A_3 keeps the sqrt component zero, so the rational
-        # parts are what disagree
-        faults.install("euler-E31", monkeypatch.setattr)
-        assert self._failure(idn.check_david_barton(4)) == (3, "x=1/2", "2", "9/4")
-
-    def test_corrupt_euler_entry_breaks_dumont(self, monkeypatch):
-        faults.install("euler-E41", monkeypatch.setattr)
-        assert self._failure(idn.check_dumont(6, 4)) == (
-            4, "derivative of x",
-            "x*y^4 + 11*x^2*y^3 + 11*x^3*y^2 + x^4*y",
-            "x*y^4 + 12*x^2*y^3 + 11*x^3*y^2 + x^4*y",
-        )
-
-    def test_runs_off_by_one_breaks_oracle_check(self, monkeypatch):
-        faults.install("stat-runs", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(6)) == (
-            1, "runs over S_1", "{1:1}", "{0:1}",
-        )
-
-    def test_left_peak_sentinel_flip_breaks_oracle_check(self, monkeypatch):
-        # position 1 counts on an ascent instead of a descent
-        faults.install("stat-leftpeaks", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(6)) == (
-            3, "leftpeaks over S_3", "{0:3, 1:1, 2:2}", "{0:1, 1:5}",
-        )
-
-    def test_left_peak_sentinel_flip_breaks_peaks_grammar(self, monkeypatch):
-        # the oracle half of the check: the histogram comes first, the row
-        # second, as in the oracle check
-        faults.install("stat-leftpeaks", monkeypatch.setattr)
-        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
-            3, "left-peak histogram over S_3", "{0:3, 1:1, 2:2}", "{0:1, 1:5}",
-        )
-
-    def test_altsubseq_opening_ascent_breaks_oracle_check(self, monkeypatch):
-        faults.install("stat-altsubseq", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(6)) == (
-            2, "altsubseq over S_2", "{2:2}", "{1:1, 2:1}",
-        )
-
-    def test_corrupt_run_entry_breaks_recurrences(self, monkeypatch):
-        faults.install("runs-R63", monkeypatch.setattr)
-        assert self._failure(idn.check_recurrence_consistency(6)) == (
-            4, "R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)'",
-            "2*x + 60*x^2 + 237*x^3 + 300*x^4 + 122*x^5",
-            "2*x + 60*x^2 + 236*x^3 + 300*x^4 + 122*x^5",
-        )
-
-    def test_corrupt_left_peak_row_breaks_convolutions(self, monkeypatch):
-        # the first two formulas read only R and T, so the third fails first
-        faults.install("leftpeaks-Wt21", monkeypatch.setattr)
-        assert self._failure(idn.check_convolutions(6)) == (
-            2, "R_(n+2) = 2x Wt_n(x^2) + 2x sum C(n,k) R_(k+1) Wt_(n-k)(x^2)",
-            "2*x + 12*x^2 + 10*x^3", "2*x + 12*x^2 + 12*x^3",
-        )
-
-    #: Where a perturbed T_4 makes the convolutions fail, and R_5 there.
-    T4_FAILURE = (3, "R_(n+2) = 2 sum C(n,k) T_k T_(n-k+1)",
-                  "2*x + 28*x^2 + 58*x^3 + 32*x^4")
-
-    def test_aliasing_pair_in_alt_row_breaks_convolutions(self, monkeypatch):
-        # +2^64 at x^2 and -1 at x^3 of T_4 cancel at X = 2^64, so a width
-        # sized without the perturbed row would let this pass
-        faults.install("alias-T4", monkeypatch.setattr)
-        assert self._failure(idn.check_convolutions(8)) == (
-            *self.T4_FAILURE, "2*x + 36893488147419103260*x^2 + 56*x^3 + 32*x^4",
-        )
-
-    def test_aliasing_pair_in_a_left_side_row_breaks_convolutions(self, monkeypatch):
-        # R_5 is only ever a left side at n = 3, where the right sides alone
-        # would give X = 2^9: +2^9 at x^2 and -1 at x^3 cancel there
-        faults.install("alias-R5", monkeypatch.setattr)
-        assert self._failure(idn.check_convolutions(8)) == (
-            3, "R_(n+2) = 2 sum C(n,k) T_k T_(n-k+1)",
-            "2*x + 540*x^2 + 57*x^3 + 32*x^4", "2*x + 28*x^2 + 58*x^3 + 32*x^4",
-        )
-
-    def test_huge_entry_in_alt_row_breaks_convolutions(self, monkeypatch):
-        faults.install("huge-T4", monkeypatch.setattr)
-        assert self._failure(idn.check_convolutions(8)) == (
-            *self.T4_FAILURE,
-            "2*x + 53122797775174953867756264407155925365846690530678899194914992347"
-            "8184981802604365988769398088030*x^2 + 58*x^3 + 32*x^4",
-        )
-
-    def test_negated_entry_in_alt_row_breaks_convolutions(self, monkeypatch):
-        # T_4 = x + 7x^2 + ... with -7x^2 cancels R_5's x^2 term on the right
-        faults.install("negated-T4", monkeypatch.setattr)
-        assert self._failure(idn.check_convolutions(8)) == (
-            *self.T4_FAILURE, "2*x + 58*x^3 + 32*x^4",
-        )
-
-    def test_perturbed_run_table_reaches_every_reader(self, monkeypatch):
-        # the shift-2 coefficient n-k+1 of the A table in place of R's n-k:
-        # row 2 grows a third entry, R(2,2) = 1, that no permutation has
-        faults.install("steps-R", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(6)) == (
-            2, "runs over S_2", "{1:2}", "{1:2, 2:1}",
-        )
-        # derivative 1 of x^2 reads row 2, whose extra entry needs z^-1
-        assert self._failure(idn.check_grammar_runs(6)) == (
-            1, "derivative of x^2", "2*x^2*y", "2*x^2*y + x^2*y^2*z^-1",
-        )
-        assert self._failure(idn.check_alt_from_runs(6)) == (
-            2, "2 T_n = (1+x) R_n", "2*x + 2*x^2", "2*x + 3*x^2 + x^3",
-        )
-        assert self._failure(idn.check_tangent_forms(4)) == (
-            2, "R-form x=3/2", "21/4", "3",
-        )
-
-    def test_perturbed_peak_table_reaches_oracle_and_grammar(self, monkeypatch):
-        # the shift-0 coefficient 3k+2 in place of 2k+2: the asserted rows
-        # W_2 and W_3 survive, W(4,1) reads 18 instead of 16
-        faults.install("steps-W", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(6)) == (
-            4, "peaks over S_4", "{0:8, 1:16}", "{0:8, 1:18}",
-        )
-        assert self._failure(idn.check_peaks_grammar(6, 0)) == (
-            4, "derivative of z", "8*y^2*z^3 + 16*y^4*z", "8*y^2*z^3 + 18*y^4*z",
-        )
-
-    def test_perturbed_euler_table_reaches_oracle_and_grammar(self, monkeypatch):
-        # the shift-0 coefficient 2k+1 in place of k+1: E(3,1) reads 5
-        faults.install("steps-euler", monkeypatch.setattr)
-        assert self._failure(idn.check_oracle(6)) == (
-            3, "descents over S_3", "{0:1, 1:4, 2:1}", "{0:1, 1:5, 2:1}",
-        )
-        assert self._failure(idn.check_dumont(6, 0)) == (
-            3, "derivative of x",
-            "x*y^3 + 4*x^2*y^2 + x^3*y", "x*y^3 + 5*x^2*y^2 + x^3*y",
-        )
-
-    def test_swapped_dumont_rule_fails_without_the_oracle(self, monkeypatch):
-        # the euler rows come from their recurrence, not from this grammar,
-        # so y -> 2*x*y fails the triangle half on its own
-        faults.install("dumont-swap", monkeypatch.setattr)
-        assert self._failure(idn.check_dumont(12, oracle_n_max=0)) == (
-            2, "derivative of x", "x*y^2 + 2*x^2*y", "x*y^2 + x^2*y",
-        )
-
-    def test_moved_descent_class_reaches_every_oracle_reader(self, monkeypatch):
-        # 1234's class counted under 1324's: the sizes still sum to 4!, but
-        # S_4's class table is wrong for all three of its readers
-        faults.install("class-moved", monkeypatch.setattr)
-        failures = {r.identity: self._failure(r)
-                    for r in idn.run_suite("all") if not r.passed}
-        assert failures == {
-            "grammar/eulerian": (4, "descent histogram over S_4",
-                                 "{1:12, 2:11, 3:1}", "{0:1, 1:11, 2:11, 3:1}"),
-            "grammar/peaks": (4, "interior-peak histogram over S_4",
-                              "{0:7, 1:17}", "{0:8, 1:16}"),
-            "oracle/triangles": (4, "runs over S_4",
-                                 "{1:1, 2:12, 3:11}", "{1:2, 2:12, 3:10}"),
-        }
-
-    def test_corrupt_peak_entry_breaks_runs_from_peaks(self, monkeypatch):
-        faults.install("peaks-W31", monkeypatch.setattr)
-        assert self._failure(idn.check_runs_from_peaks(4)) == (
-            3, "T-form x=1/2", "3/2", "27/16"
-        )
-
-    def test_corrupt_peak_entry_breaks_tangent_rational_part(self, monkeypatch):
-        faults.install("peaks-W31", monkeypatch.setattr)
-        assert self._failure(idn.check_tangent_forms(4)) == (
-            3, "W-form x=3/2", "17/2", "7"
-        )
-
-    def test_corrupt_run_entry_breaks_carlitz(self, monkeypatch):
-        faults.install("runs-R42", monkeypatch.setattr)
-        assert self._failure(idn.check_carlitz(F(1, 3), order=6)) == (
-            3, "z^3", "131/54", "64/27"
-        )
-
-    def test_corrupt_peak_row_breaks_peaks_grammar(self, monkeypatch):
-        faults.install("peaks-W41", monkeypatch.setattr)
-        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
-            4, "derivative of z", "8*y^2*z^3 + 16*y^4*z", "8*y^2*z^3 + 17*y^4*z"
-        )
-
-    def test_corrupt_left_peak_row_breaks_peaks_grammar(self, monkeypatch):
-        faults.install("leftpeaks-Wt31", monkeypatch.setattr)
-        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
-            3, "derivative of y", "y*z^3 + 5*y^3*z", "y*z^3 + 6*y^3*z"
-        )
-
-    def test_corrupt_left_peak_seed_breaks_peaks_grammar(self, monkeypatch):
-        # Wt_0 = 2 against the seed y, before any derivative is taken
-        faults.install("leftpeaks-Wt0", monkeypatch.setattr)
-        assert self._failure(idn.check_peaks_grammar(6, 4)) == (
-            0, "derivative 0 of y", "y", "2"
-        )
-
-    def test_odd_descent_entry_breaks_david_barton_sqrt_component(self, monkeypatch):
-        # A_3's x coefficient off by one breaks its palindrome, so the
-        # right-hand side leaves Q: the extra (1-w)(1+w)^3 has odd part
-        # 2w - 2w^3, reported before any point is compared
-        faults.install("descents-A31", monkeypatch.setattr)
-        assert self._failure(idn.check_david_barton(4)) == (
-            3, "odd part of (1+w)^(n+1) A_n((1-w)/(1+w))", "[2, -2]", "[0, 0]"
-        )
-
-    @pytest.mark.parametrize("check, lhs", [
-        (idn.check_altsubseq_gf, "1 + 4/3*sqrt(3/4)"),
-        (idn.check_carlitz, "2 + 8/3*sqrt(3/4)"),
-    ], ids=["altsubseq", "carlitz"])
-    def test_shifted_sine_breaks_series_sqrt_component(self, monkeypatch, check, lhs):
-        # sin(z rho) + z inside the shared q series: z^1 picks up a
-        # rational term against rho, so its coefficient leaves Q
-        faults.install("sine-z1", monkeypatch.setattr)
-        assert self._failure(check(F(1, 2), 6)) == (1, "z^1: sqrt component", lhs, "0")
-
-    def test_sqrt_component_failure_is_named(self, monkeypatch):
-        # breaking the parity of a tangent polynomial leaves a nonzero odd
-        # part, the sqrt component of every point, which must be reported
-        # as its own condition
-        faults.install("tangent-P2", monkeypatch.setattr)  # P_2 + x^2
-        report = idn.check_tangent_forms(3)
-        assert not report.passed
-        assert report.first_failure.point == "odd part of P_n"
-        assert report.first_failure.rhs == "[0, 0]"
+    @pytest.mark.parametrize("name, check, args", FAULT_CALLS,
+                             ids=[f"{name}-{check.removeprefix('check_')}"
+                                  for name, check, _ in FAULT_CALLS])
+    def test_check_fails_where_its_fault_entry_pins(self, monkeypatch, name, check, args):
+        faults.install(name, monkeypatch.setattr)
+        report = getattr(idn, check)(*args)
+        assert _failure(report) == faults.FAULTS[name][4][report.identity]
 
     def test_non_derivation_breaks_leibniz(self, monkeypatch):
         # a linear map that replaces each letter occurrence by its rule
-        # but drops the exponent factor e: not a derivation
+        # but drops the exponent factor e: not a derivation.  At n_max = 4
+        # case 0 fails at n = 3; the catalogue's default run fails at n = 6
         faults.install("linear-tower", monkeypatch.setattr)
-        n, point, lhs, rhs = self._failure(idn.check_leibniz(4))
+        n, point, lhs, rhs = _failure(idn.check_leibniz(4))
         assert (n, point) == (3, "case 0: grammar=schett, u=y^2, v=3 + 2*x^2*z^2")
         assert lhs == (
             "6*x*y*z^3 + 6*x*y^3*z + 6*x*y^3*z^5 + 6*x*y^5*z^3 + 6*x^3*y*z"
@@ -839,7 +621,8 @@ class TestFaultInjection:
 
     @staticmethod
     def _guard_tangent_rows(monkeypatch):
-        """Install tangent-P2 (P_2 + x^2) with every row of P past 2 guarded."""
+        """Install tangent-P2 (P_2 + x^2) with every row of P past 2 guarded,
+        and return the first failure its entry pins."""
         faults.install("tangent-P2", monkeypatch.setattr)
         skewed = triangles.poly_P
 
@@ -854,25 +637,22 @@ class TestFaultInjection:
             return Guarded(fam.name, fam.start, fam.rows)
 
         monkeypatch.setattr(triangles, "poly_P", guarded)
+        return faults.FAULTS["tangent-P2"][4]["closed/tangent"]
 
     def test_tangent_fault_fails_before_later_rows_are_read(self, monkeypatch):
         # the cases are drawn lazily: a fault at n = 2 ends the check
         # before P_3 is ever read; in one process, since a guarded read in
         # a forked child would fail only the child
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        self._guard_tangent_rows(monkeypatch)
-        assert self._failure(idn.check_tangent_forms(4)) == (
-            2, "odd part of P_n", "[1, 0]", "[0, 0]"
-        )
+        pinned = self._guard_tangent_rows(monkeypatch)
+        assert _failure(idn.check_tangent_forms(4)) == pinned
 
     def test_tangent_fault_below_the_childs_first_n_ends_the_split(self, monkeypatch):
         # the same report with n split between two processes: n = 2 fails
         # here, below the child's first n, 3, so the child is stopped
         # whatever it read
-        self._guard_tangent_rows(monkeypatch)
-        assert self._failure(idn.check_tangent_forms(4)) == (
-            2, "odd part of P_n", "[1, 0]", "[0, 0]"
-        )
+        pinned = self._guard_tangent_rows(monkeypatch)
+        assert _failure(idn.check_tangent_forms(4)) == pinned
         assert _no_child_left()
 
 
@@ -883,18 +663,8 @@ class TestFaultCatalogue:
     @pytest.mark.parametrize("name", list(faults.FAULTS))
     def test_fault_fails_its_suite(self, monkeypatch, name):
         suite = faults.install(name, monkeypatch.setattr)
-        failed = {r.identity: (r.first_failure.n, r.first_failure.point,
-                               r.first_failure.lhs, r.first_failure.rhs)
-                  for r in idn.run_suite(suite) if not r.passed}
+        failed = {r.identity: _failure(r) for r in idn.run_suite(suite) if not r.passed}
         assert failed == faults.FAULTS[name][4]
-
-    def test_diagonal_fault_fails_exactly_the_carlitz_checks(self, monkeypatch):
-        # R(4,3) + 1 sits on the diagonal R(n+1, n), which gf/carlitz[x0=0]
-        # reads at z^3; no other GF check reads R
-        suite = faults.install("diagonal-R43", monkeypatch.setattr)
-        failed = {r.identity: (r.first_failure.n, r.first_failure.point)
-                  for r in idn.run_suite(suite) if not r.passed}
-        assert failed == {f"gf/carlitz[x0={x0}]": (3, "z^3") for x0 in ("0", "1/2", "1/3")}
 
     def test_faults_reach_every_check(self):
         reached = {ident for *_, failing in faults.FAULTS.values() for ident in failing}
@@ -1159,8 +929,9 @@ def _serial_outcome(call):
 
 def _steps(plan):
     """Cases for :func:`identities._split`: one case per n, which passes
-    unless ``plan[n]`` is "fail", "raise" (a ValueError naming n), or,
-    only in a forked child, "die" (exit status 3) or "sleep" (a minute)."""
+    unless ``plan[n]`` is "fail", "raise" (a ValueError naming n),
+    "interrupt" (a KeyboardInterrupt), or, only in a forked child, "die"
+    (exit status 3) or "sleep" (a minute)."""
     parent = os.getpid()
 
     def cases(ns):
@@ -1168,6 +939,8 @@ def _steps(plan):
             what = plan.get(n)
             if what == "raise":
                 raise ValueError(f"raised at n={n}")
+            if what == "interrupt":
+                raise KeyboardInterrupt
             if os.getpid() != parent:
                 if what == "die":
                     os._exit(3)
@@ -1213,6 +986,11 @@ class TestSplit:
         monkeypatch.setattr(os, "fork", counted)
         return forked
 
+    @staticmethod
+    def two_cpus(monkeypatch):
+        """Let :func:`identities._fork` start a child on one CPU too."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
     def test_every_split_check_is_reached_by_a_fault(self):
         assert {ident for _, ident in SPLIT_FAULTS} == set(SPLIT_CHECKS)
 
@@ -1226,8 +1004,7 @@ class TestSplit:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = getattr(idn, SPLIT_CHECKS[ident])()
         assert split == serial
-        f = split.first_failure
-        assert (f.n, f.point, f.lhs, f.rhs) == faults.FAULTS[name][4][ident]
+        assert _failure(split) == faults.FAULTS[name][4][ident]
         assert _no_child_left()
 
     @pytest.mark.skipif(not can_fork, reason="needs os.fork and at least two CPUs")
@@ -1274,6 +1051,50 @@ class TestSplit:
 
     def test_a_child_that_dies_is_rerun_here(self):
         assert _split_outcome({4: "die"}) == idn._passed("test/split", {"n_max": 8})
+
+    def test_a_fork_that_raises_gives_the_serial_reports(self, monkeypatch):
+        # grammar/leibniz and the five split checks each try once, and each
+        # refused try closes both ends of its pipe
+        faults.install("runs-R53", monkeypatch.setattr)
+        tries = []
+
+        def refused():
+            tries.append(None)
+            raise OSError("fork refused")
+
+        self.two_cpus(monkeypatch)
+        monkeypatch.setattr(os, "fork", refused)
+        fds = len(os.listdir("/proc/self/fd"))
+        reports = idn.run_suite("all", n_max=6)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert len(tries) == 6
+        assert not idn._busy
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert reports == idn.run_suite("all", n_max=6)
+
+    @pytest.mark.parametrize("where", ["join", "this-half"])
+    def test_an_interrupt_stops_the_child(self, monkeypatch, where):
+        # the child would sleep for a minute at n = 4; an interrupt while
+        # this process reads the child's pipe, or at n = 3 of its own half,
+        # reaches the caller once the child is killed and reaped
+        self.two_cpus(monkeypatch)
+        forked, read, plan = self.count_forks(monkeypatch), os.read, {4: "sleep"}
+
+        def interrupted(fd, size):
+            monkeypatch.setattr(os, "read", read)
+            raise KeyboardInterrupt
+
+        if where == "join":
+            monkeypatch.setattr(os, "read", interrupted)
+        else:
+            plan[3] = "interrupt"
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _split_outcome(plan)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert _no_child_left()
+        assert not idn._busy
 
     def test_a_failure_below_the_childs_first_n_stops_it_at_once(self):
         # the child would sleep for a minute at n = 2

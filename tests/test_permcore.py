@@ -168,6 +168,7 @@ class TestStatistics:
     def test_altsubseq_small(self):
         assert pc.longest_alt_subseq([1, 2]) == 1
         assert pc.longest_alt_subseq([2, 1]) == 2
+        assert pc.longest_alt_subseq(()) == 0
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_altsubseq_of_decreasing_word(self, n):
