@@ -91,8 +91,9 @@ def left_peaks_on_ascent(w):
 
 
 def alt_subseq_opening_ascent(w):
-    """The longest alternating subsequence DP with need_asc reachable from
-    the start, so a subsequence may open with an ascent.  Dropping only its
+    """The quadratic longest alternating subsequence DP (the reference in
+    ``tests/test_permcore.py``) with need_asc reachable from the start, so
+    a subsequence may open with an ascent.  Dropping only its
     ``need_asc[i] and`` guard is an equivalent mutant: an unreachable
     need_asc[i] = 0 offers length 1, which never beats need_desc[j] >= 1."""
     n = len(w)

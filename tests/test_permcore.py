@@ -2,9 +2,9 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
-from operator import gt
+from operator import gt, le, lt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,13 +12,14 @@ from hypothesis import given, strategies as st
 from runlab import permcore as pc
 
 
-def exhaustive_longest_alt(word):
+def exhaustive_longest_alt(word, ascends=lt):
     """Independent oracle: scan all 2^n subsequences for the longest one
-    alternating with a leading descent."""
+    alternating with a leading descent, each ascent a pair for which
+    ``ascends`` holds."""
 
     def alternates(seq):
         return all(
-            seq[i] > seq[i + 1] if i % 2 == 0 else seq[i] < seq[i + 1]
+            ascends(seq[i], seq[i + 1]) if i % 2 else seq[i] > seq[i + 1]
             for i in range(len(seq) - 1)
         )
 
@@ -29,6 +30,45 @@ def exhaustive_longest_alt(word):
         if len(sub) > best and alternates(sub):
             best = len(sub)
     return best
+
+
+def quadratic_longest_alt(w):
+    """Reference: the O(n^2) DP over (end position, next required
+    comparison) that ``longest_alt_subseq`` replaced; a tie counts as an
+    ascent."""
+    n = len(w)
+    if n == 0:
+        return 0
+    # need_desc[j]: best length ending at j when the next step must descend.
+    # need_asc[j]: same with the next step ascending; 0 marks "unreachable"
+    # because a subsequence cannot open with an ascent.
+    need_desc = [1] * n
+    need_asc = [0] * n
+    for j in range(n):
+        wj = w[j]
+        for i in range(j):
+            if w[i] > wj:
+                if need_desc[i] + 1 > need_asc[j]:
+                    need_asc[j] = need_desc[i] + 1
+            elif need_asc[i] and need_asc[i] + 1 > need_desc[j]:
+                need_desc[j] = need_asc[i] + 1
+    return max(max(need_desc), max(need_asc))
+
+
+def product_members(n):
+    """Reference: the least permutation of each descent word, built from
+    scratch per word in ``product`` order, ascent (False) first."""
+    members = []
+    for word in product((False, True), repeat=n - 1):
+        member = []
+        start = 1
+        for i, desc in enumerate(word, start=1):
+            if not desc:
+                member.extend(range(i, start - 1, -1))
+                start = i + 1
+        member.extend(range(n, start - 1, -1))
+        members.append(tuple(member))
+    return members
 
 
 def interior_valleys(word):
@@ -107,6 +147,17 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pc.descent_classes(15)
 
+    @pytest.mark.parametrize("n", [True, False, 3.0, "3", None])
+    def test_non_int_n_refused(self, n):
+        with pytest.raises(TypeError, match=f"n must be an int, got {n!r}"):
+            pc.descent_classes(n)
+        with pytest.raises(TypeError, match=f"n must be an int, got {n!r}"):
+            pc.distribution("runs", n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_members_equal_the_product_loop(self, n):
+        assert [w for w, _ in pc.descent_classes(n)] == product_members(n)
+
 
 def descent_word(w):
     return tuple(a > b for a, b in zip(w, w[1:]))
@@ -139,6 +190,18 @@ class TestDescentClasses:
             for m, n in [(5, 6), (6, 5), (1, 2), (2, 1)]:
                 with pytest.raises(ValueError, match=f"S_{n}"):
                     pc.distribution(stat, n, classes=pc.descent_classes(m))
+
+    def test_table_check_reads_sizes_and_lengths(self):
+        (first, size), *rest = pc.descent_classes(4)
+        long_word = [(first + (5,), size), *rest]  # sums to 4!
+        for bad in (long_word, rest):  # rest: right lengths, sums to 4! - 1
+            with pytest.raises(ValueError, match="S_4"):
+                pc.distribution("runs", 4, classes=bad)
+        # the row count is not checked: a merged class is a wrong table,
+        # which the histograms, not a refusal, report
+        merged = [(rest[0][0], size + rest[0][1]), *rest[1:]]
+        counts = pc.distribution("runs", 4, classes=merged).counts
+        assert counts == {1: 1, 2: 13, 3: 10}
 
     @pytest.mark.parametrize("stat", list(pc.Stat))
     def test_histograms_match_per_permutation_scan(self, stat):
@@ -182,6 +245,23 @@ class TestStatistics:
         for n in range(1, 7):
             for word in permutations(range(1, n + 1)):
                 assert pc.longest_alt_subseq(word) == exhaustive_longest_alt(word)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_scan_equals_quadratic_dp_on_permutations(self, n):
+        for word in permutations(range(1, n + 1)):
+            assert pc.longest_alt_subseq(word) == quadratic_longest_alt(word)
+
+    def test_scan_equals_quadratic_dp_with_ties(self):
+        # every word over {0, 1, 2} of length <= 7: a tie counts as an ascent
+        for n in range(8):
+            for word in product(range(3), repeat=n):
+                assert pc.longest_alt_subseq(word) == quadratic_longest_alt(word)
+
+    def test_quadratic_dp_matches_exhaustive_oracle_with_ties(self):
+        for n in range(7):
+            for word in product(range(3), repeat=n):
+                best = exhaustive_longest_alt(word, le)
+                assert quadratic_longest_alt(word) == best
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_altsubseq_matches_exhaustive_oracle_sampled(self, n):
