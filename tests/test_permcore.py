@@ -55,6 +55,56 @@ def quadratic_longest_alt(w):
     return max(max(need_desc), max(need_asc))
 
 
+def indexed_runs(w):
+    """Reference: the indexed definition that ``alternating_runs``'
+    scan replaced."""
+    n = len(w)
+    if n < 2:
+        return 0
+    changes = 0
+    for i in range(1, n - 1):
+        if (w[i - 1] < w[i]) != (w[i] < w[i + 1]):
+            changes += 1
+    return changes + 1
+
+
+def indexed_interior_peaks(w):
+    """Reference: ``interior_peaks`` before its scan."""
+    return sum(
+        1 for i in range(1, len(w) - 1) if w[i - 1] < w[i] > w[i + 1]
+    )
+
+
+def indexed_left_peaks(w):
+    """Reference: ``left_peaks`` before its scan; index 0 counts when
+    w[0] > w[1], whatever its letter."""
+    n = len(w)
+    if n < 2:
+        return 0
+    count = 1 if w[0] > w[1] else 0
+    for i in range(1, n - 1):
+        if w[i - 1] < w[i] > w[i + 1]:
+            count += 1
+    return count
+
+
+def indexed_descents(w):
+    """Reference: ``descents`` before its scan."""
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+#: each direction-scan kernel beside the indexed definition it replaced
+SCAN_REFERENCES = [
+    (pc.alternating_runs, indexed_runs),
+    (pc.interior_peaks, indexed_interior_peaks),
+    (pc.left_peaks, indexed_left_peaks),
+    (pc.descents, indexed_descents),
+]
+scan_pairs = pytest.mark.parametrize(
+    "scan, reference", SCAN_REFERENCES, ids=[f.__name__ for f, _ in SCAN_REFERENCES]
+)
+
+
 def product_members(n):
     """Reference: the least permutation of each descent word, built from
     scratch per word in ``product`` order, ascent (False) first."""
@@ -270,6 +320,46 @@ class TestStatistics:
             word = list(range(1, n + 1))
             rng.shuffle(word)
             assert pc.longest_alt_subseq(word) == exhaustive_longest_alt(word)
+
+
+class TestDirectionScans:
+    @scan_pairs
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_scan_equals_reference_on_permutations(self, scan, reference, n):
+        for word in permutations(range(1, n + 1)):
+            assert scan(word) == reference(word), word
+
+    @scan_pairs
+    @pytest.mark.parametrize("alphabet", [(0, 1, 2), (-1, 0, 1)])
+    def test_scan_equals_reference_with_ties(self, scan, reference, alphabet):
+        # every word of length <= 7, the empty word and lengths 1 and 2
+        # included, as a tuple and as a list
+        for n in range(8):
+            for word in product(alphabet, repeat=n):
+                expected = reference(word)
+                assert scan(word) == expected, word
+                assert scan(list(word)) == expected, word
+
+    @pytest.mark.parametrize("word, runs, peaks, lpeaks, desc", [
+        ((), 0, 0, 0, 0),
+        ((7,), 0, 0, 0, 0),
+        ((1, 1), 1, 0, 0, 0),
+        ((0, -1), 1, 0, 1, 1),  # index 0 counts on w[0] > w[1], not on w[0] > 0
+        ((1, 1, 1), 1, 0, 0, 0),
+        ((2, 2, 1), 1, 0, 0, 1),  # a tie into index 1 clears the start state
+        ((1, 2, 2, 1), 2, 0, 0, 1),  # a tie is no descent: no peak at either 2
+        ((1, 2, 2, 3), 3, 0, 0, 0),  # a tie ends a rising run
+        ((3, 2, 2, 1), 1, 0, 1, 2),  # and continues a falling one
+        ((1, 3, 2, 1), 2, 1, 1, 2),  # one peak, however long the fall after it
+        ((2, 1, 2, 1, 2, 1), 5, 2, 3, 3),
+        ((1, 2, 1, 1, 2, 1), 4, 2, 2, 2),
+    ])
+    def test_tie_cases_by_value(self, word, runs, peaks, lpeaks, desc):
+        for w in (word, list(word)):
+            assert pc.alternating_runs(w) == runs
+            assert pc.interior_peaks(w) == peaks
+            assert pc.left_peaks(w) == lpeaks
+            assert pc.descents(w) == desc
 
 
 class TestDistributions:
