@@ -341,10 +341,12 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
     it on the right, so that case fails.  For n <= oracle_n_max each
     oracle row ``(stat, row, name)`` must then match the brute-force
     histogram of ``stat`` over S_n, all rows read from one class table of
-    S_n; the histogram is the left side and the row the right, as the
-    triangle is the right side of every stream.
+    S_n, drawn from one :func:`permcore.descent_tables` sweep to
+    oracle_n_max; the histogram is the left side and the row the right,
+    as the triangle is the right side of every stream.
     """
     towers = [grammar.d_tower(g, seed, n_max) for seed, _, _, _ in streams]
+    tables = permcore.descent_tables(oracle_n_max) if oracle_n_max else None
     for n in range(1, n_max + 1):
         for tower, (_, point, row, exponents) in zip(towers, streams):
             p = next(tower)
@@ -361,7 +363,7 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
             else:
                 yield n, point, p, expected
         if n <= oracle_n_max:
-            classes = permcore.descent_classes(n)
+            classes = next(tables)
             for stat, row, name in oracle:
                 dist = permcore.distribution(stat, n, classes)
                 yield (n, f"{name} over S_{n}", _Hist(dist.counts),

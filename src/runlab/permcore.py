@@ -13,10 +13,14 @@ permutations of each descent word by the descent-set prefix DP and takes
 the word's lexicographically least permutation as its member
 (:func:`descent_classes`); a histogram then applies the definition once
 per class, to that member, weighted by the class size.  A caller that
-needs several histograms of one n passes the same table to each call,
-as each oracle check in ``identities`` does.  The triangle generators
-are validated against these histograms, so this module must stay
-independent of them: the DP reads no triangle, recurrence or grammar.
+needs several histograms of one n passes the same table to each call.
+A caller that reads S_1..S_n in turn, as each oracle check in
+``identities`` does, draws the tables from one :func:`descent_tables`
+sweep: its level loop grows the members and prefix-DP level of each S_n
+from those of S_(n-1), and checks each table once, when it is built,
+not again in each histogram.  The triangle generators are validated
+against these histograms, so this module must stay independent of
+them: the DP reads no triangle, recurrence or grammar.
 
 Conventions for the one-element permutation: 0 alternating runs, 0 peaks,
 0 left peaks, 0 descents, and a longest alternating subsequence of 1.
@@ -28,7 +32,7 @@ from enum import Enum
 from itertools import accumulate
 from math import factorial
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "MAX_ENUM_N",
@@ -36,6 +40,7 @@ __all__ = [
     "StatDistribution",
     "alternating_runs",
     "descent_classes",
+    "descent_tables",
     "descents",
     "distribution",
     "interior_peaks",
@@ -44,7 +49,7 @@ __all__ = [
 ]
 
 #: The class table of S_n has 2^(n-1) rows, and each histogram applies its
-#: definition once per row: S_1..S_14 check all five in about 0.09 s
+#: definition once per row: S_1..S_14 check all five in about 0.07 s
 #: (Python 3.11, 2 shared vCPUs).
 MAX_ENUM_N = 14
 
@@ -230,13 +235,111 @@ class StatDistribution(NamedTuple):
     counts: "dict[int, int]"
 
 
+class _ClassTable(tuple):
+    """A class table that :func:`descent_tables` built and checked: the
+    ``(member, class size)`` pairs of S_n as an immutable tuple, whose
+    ``n`` is the length of its members."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: "Iterable[tuple[tuple[int, ...], int]]", n: int) -> "_ClassTable":
+        table = super().__new__(cls, pairs)
+        _check_table(table, n)
+        return table
+
+    def __getnewargs__(self) -> "tuple[tuple, int]":
+        return tuple(self), self.n
+
+    @property
+    def n(self) -> int:
+        return len(self[0][0])
+
+
+def _check_table(classes: "Sequence[tuple[Sequence[int], int]]", n: int) -> None:
+    """Refuse a class table of S_n unless its sizes sum to n! and each of
+    its words has length n.
+
+    The rows are not counted: a table that merges one class into another
+    (the class-moved fault in the tests) still sums to n!, and must give
+    failing histograms, not a refusal.
+    """
+    if sum(map(itemgetter(1), classes)) != factorial(n) or {
+        *map(len, map(itemgetter(0), classes))
+    } != {n}:
+        raise ValueError(f"descent classes do not partition S_{n}")
+
+
+def _levels(n_max: int) -> "Iterator[tuple[list[tuple[int, ...]], Iterable[int]]]":
+    """The members of S_1..S_n_max, each beside its class sizes, grown
+    level by level; see :func:`descent_classes`.  Below n_max the sizes
+    are a lazy ``map`` over the level, so a caller that reads only the
+    last level pays for no other sizes; until it is exhausted the map
+    holds its level, so a caller drops or exhausts it before drawing the
+    next."""
+    members: "list[tuple[int, ...]]" = [(1,)]
+    yield members, [1]
+    level = [[1]]  # f of each descent word of S_1: the empty word
+    for n in range(2, n_max + 1):
+        if n < n_max:
+            # one prefix sum per word of S_(n-1) extends it by an ascent and
+            # by a descent: the f of each word of S_n, whose totals are its
+            # sizes, and from which S_(n+1) grows
+            grown = []
+            for f in level:
+                sums = list(accumulate(f, initial=0))
+                total = sums[-1]
+                grown.append(sums)
+                grown.append([total - s for s in sums])
+            level = grown
+            sizes: "Iterable[int]" = map(sum, level)
+        else:
+            # the last level needs only the totals of the two extensions
+            sizes = []
+            for f in level:
+                up = sum(accumulate(f, initial=0))
+                sizes += (up, n * sum(f) - up)
+            del level  # so the peak never holds it beside S_n's members
+        # an ascent appends n; a descent puts n at the head of the last
+        # block, which holds m[-1]..n-1 reversed and so starts at index
+        # m[-1] - 1
+        grown = []
+        for m in members:
+            head = m[-1] - 1
+            grown.append(m + (n,))
+            grown.append(m[:head] + (n,) + m[head:])
+        members = grown
+        yield members, sizes
+
+
+def descent_tables(n_max: int) -> "Iterator[_ClassTable]":
+    """The class tables of S_1..S_n_max (n_max <= 14), in order, from one
+    level loop.
+
+    Each table holds the pairs of :func:`descent_classes` for its n, as
+    an immutable tuple whose ``n`` attribute is that n.  The members and
+    the prefix-DP level of S_n are grown from those of S_(n-1), and
+    nothing past S_n is built before the table of S_n is drawn.  Each
+    table is checked once, when it is built, so :func:`distribution`
+    reads it for that n without checking it again.
+    """
+    _check_enum_n(n_max)
+    # from a list, not the zip: tuple() of an iterator of unknown length
+    # fills a spare tuple and resizes it, which leaves one tuple of the
+    # table's size on the interpreter's free lists per table; strict, so
+    # the zip exhausts the map of sizes, which then lets go of its level
+    return (_ClassTable(list(zip(members, sizes, strict=True)), n)
+            for n, (members, sizes) in enumerate(_levels(n_max), 1))
+
+
 def descent_classes(n: int) -> "list[tuple[tuple[int, ...], int]]":
     """S_n (n <= 14) partitioned by descent word, counted without a walk.
 
     Returns one ``(member, class size)`` pair per descent word -- all
     2^(n-1) of them occur -- ordered by member, and the sizes sum to n!.
     The member is the word's lexicographically least permutation: 1..n
-    with each maximal descent block reversed.
+    with each maximal descent block reversed.  These are the pairs of the
+    last table of :func:`descent_tables`, from the same level loop, which
+    here builds no earlier table.
 
     The sizes come from the descent-set prefix DP (Stanley, *EC1*,
     Sec. 1.4).  For each prefix of the word, ``f[j]`` counts the
@@ -247,39 +350,14 @@ def descent_classes(n: int) -> "list[tuple[tuple[int, ...], int]]":
     lexicographic order with ascent before descent.  That is the order of
     their least members: where two words first differ, the one with the
     ascent ends its descent block sooner, so its member is smaller at the
-    block's first position and equal before it.  The members grow in a
-    second level loop, one letter per level, in the same order.
+    block's first position and equal before it.  The members grow one
+    letter per level, in the same order.
     """
     _check_enum_n(n)
-    if n == 1:
-        return [((1,), 1)]
-    # the n - 1 letter prefixes of every word, by one prefix sum per step
-    level = [[1]]
-    for _ in range(n - 2):
-        grown = []
-        for f in level:
-            sums = list(accumulate(f, initial=0))
-            total = sums[-1]
-            grown.append(sums)
-            grown.append([total - s for s in sums])
-        level = grown
-    # the last step needs only the totals of the two extensions
-    sizes = []
-    for f in level:
-        up = sum(accumulate(f, initial=0))
-        sizes += (up, n * sum(f) - up)
-    del level  # so the peak never holds both the size prefixes and the members
-    # the members level by level in the same order: an ascent appends i,
-    # a descent puts i at the head of the last block, which holds
-    # m[-1]..i-1 reversed and so starts at index m[-1] - 1
-    members = [(1,)]
-    for i in range(2, n + 1):
-        grown = []
-        for m in members:
-            head = m[-1] - 1
-            grown.append(m + (i,))
-            grown.append(m[:head] + (i,) + m[head:])
-        members = grown
+    levels = _levels(n)
+    for _ in range(n - 1):
+        next(levels)  # dropped at once: an unread map of sizes holds its level
+    members, sizes = next(levels)
     return list(zip(members, sizes))
 
 
@@ -294,20 +372,16 @@ def distribution(
     statistic's definition then runs once per class, on the class's
     member, and counts the class size.  A caller that needs several
     statistics of one n builds ``classes`` once and passes it to each
-    call; it must be a table for this ``n``.
+    call; it must be a table for this ``n``.  A table of this ``n`` from
+    :func:`descent_tables` was checked when it was built; any other
+    passed table is checked here, on every call.
     """
     stat = Stat(stat)
     _check_enum_n(n)
-    # A passed table is checked once: its sizes sum to n! and each word
-    # has length n.  The rows are not counted: a table that merges one
-    # class into another (the class-moved fault in the tests) still sums
-    # to n!, and must give failing histograms, not a refusal.
     if classes is None:
         classes = descent_classes(n)
-    elif sum(map(itemgetter(1), classes)) != factorial(n) or {
-        *map(len, map(itemgetter(0), classes))
-    } != {n}:
-        raise ValueError(f"descent classes do not partition S_{n}")
+    elif type(classes) is not _ClassTable or classes.n != n:
+        _check_table(classes, n)
     fn = _STAT_FUNCS[stat]
     counts: "dict[int, int]" = {}
     for word, size in classes:

@@ -436,6 +436,23 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "runs", "15")
         assert code == 2 and "between 1 and 14" in err
 
+    @pytest.mark.parametrize("stat", cli.ORACLE_STATS)
+    def test_histograms_equal_the_triangle_rows(self, capsys, stat):
+        # descents are counted by the euler triangle; every other
+        # statistic's triangle has its name
+        name = "euler" if stat == "descents" else stat
+        code, out, err = run(capsys, "triangle", name, "10", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = {obj["n"]: obj["coeffs"] for obj in map(json.loads, out.splitlines())}
+        for n in range(1, 11):
+            code, out, err = run(capsys, "oracle", stat, str(n), "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {
+                "stat": stat,
+                "n": n,
+                "counts": {str(k): c for k, c in enumerate(rows[n]) if c != "0"},
+            }, (stat, n)
+
 
 class TestGrammarCommand:
     @pytest.mark.parametrize("name, seed", sorted(GRAMMAR_N8))

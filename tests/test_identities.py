@@ -361,6 +361,8 @@ class TestOracleBounds:
                      "triangle_euler", "poly_W", "poly_Wtilde"):
             monkeypatch.setattr(triangles, name, lambda *a, _name=name: pytest.fail(_name))
         monkeypatch.setattr(pc, "descent_classes", lambda n: pytest.fail(f"S_{n} walked"))
+        monkeypatch.setattr(pc, "descent_tables",
+                            lambda n_max: pytest.fail(f"sweep to S_{n_max} started"))
 
     @pytest.mark.parametrize("check", [idn.check_dumont, idn.check_peaks_grammar],
                              ids=["dumont", "peaks"])
@@ -685,33 +687,37 @@ class TestFaultCatalogue:
 
 
 class TestDescentWalks:
-    """Each oracle reader builds the class table of each S_n it reads once,
-    and shares it among all of its histograms of that n."""
+    """Each oracle reader draws the class tables of the S_n it reads from
+    one sweep, and shares each table among all of its histograms of that
+    n; nothing builds a table on its own."""
 
     @pytest.fixture
-    def walks(self, monkeypatch):
-        counts = Counter()
-        real = pc.descent_classes
+    def sweeps(self, monkeypatch):
+        drawn = []
+        real = pc.descent_tables
 
-        def counted(n):
-            counts[n] += 1
-            return real(n)
+        def counted(n_max):
+            drawn.append([n_max])
+            for table in real(n_max):
+                drawn[-1].append(table.n)
+                yield table
 
-        monkeypatch.setattr(pc, "descent_classes", counted)
-        return counts
+        monkeypatch.setattr(pc, "descent_tables", counted)
+        monkeypatch.setattr(pc, "descent_classes", lambda n: pytest.fail(f"S_{n} built alone"))
+        return drawn
 
-    def test_one_table_per_reader_and_n_in_a_run(self, walks):
+    def test_one_table_per_reader_and_n_in_a_run(self, sweeps):
         # grammar/eulerian, grammar/peaks and oracle/triangles read S_1..S_8
         assert all(r.passed for r in idn.run_suite("all"))
-        assert walks == {n: 3 for n in range(1, 9)}
+        assert sweeps == [[8, *range(1, 9)]] * 3
 
-    def test_a_check_on_its_own_walks_its_range(self, walks):
+    def test_a_check_on_its_own_walks_its_range(self, sweeps):
         assert idn.check_oracle(6).passed
-        assert walks == {n: 1 for n in range(1, 7)}
+        assert sweeps == [[6, *range(1, 7)]]
 
-    def test_no_walk_beyond_the_oracle_bound(self, walks):
+    def test_no_walk_beyond_the_oracle_bound(self, sweeps):
         assert all(r.passed for r in idn.run_suite("grammar", n_max=5))
-        assert walks == {n: 2 for n in range(1, 6)}
+        assert sweeps == [[5, *range(1, 6)]] * 2
 
 
 class TestSuites:
