@@ -30,8 +30,8 @@ FORMATS = ("plain", "json", "csv")
 TRIANGLE_BUILDERS = {
     "runs": triangles.triangle_R,
     "altsubseq": triangles.triangle_A,
-    "peaks": triangles.triangle_W,
-    "leftpeaks": triangles.triangle_Wtilde,
+    "peaks": triangles.poly_W,
+    "leftpeaks": triangles.poly_Wtilde,
     "euler": triangles.triangle_euler,
 }
 

@@ -567,8 +567,8 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     row and of the term-by-term sum, since each lies in (-X/2, X/2).
     """
     params = _params("poly/convolutions", 1, n_max=n_max)
-    T = triangles.poly_T(n_max + 1)
-    R = triangles.poly_R(n_max + 2)
+    T = triangles.triangle_A(n_max + 1)
+    R = triangles.triangle_R(n_max + 2)
     W = triangles.poly_W(n_max)
     Wt = triangles.poly_Wtilde(n_max)
 
@@ -607,8 +607,8 @@ def check_alt_from_runs(n_max: int = 25) -> CheckReport:
     polynomial arithmetic as 2 T_n = (1+x) R_n."""
     params = _params("closed/alt-from-runs", 2, n_max=n_max)
     one_plus_x = RatPoly((1, 1))
-    T = triangles.poly_T(n_max)
-    R = triangles.poly_R(n_max)
+    T = triangles.triangle_A(n_max)
+    R = triangles.triangle_R(n_max)
     return _verdict("closed/alt-from-runs", params, (
         (n, "2 T_n = (1+x) R_n", 2 * T[n], one_plus_x * R[n]) for n in range(2, n_max + 1)
     ))
@@ -650,8 +650,8 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     identity, params, points = _pointwise("runs-from-peaks", n_max, plan, 1,
                                           ("T-form ", "R-form "))
     W = triangles.poly_W(n_max)
-    R = triangles.poly_R(n_max)
-    T = triangles.poly_T(n_max)
+    R = triangles.triangle_R(n_max)
+    T = triangles.triangle_A(n_max)
 
     def cases(ns):
         for n in ns:
@@ -698,12 +698,14 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     With L = -low, the W-form's difference after clearing denominators
     has degree at most max(d_W + 1 + L, d_E), and the R-form's, after
     dividing out the common (x+1) power, max(d_R + L, n - 1 + L) +
-    max(0, d_E - (n - 1 + L)); n draws one point more than the larger:
+    max(0, d_E - (n - 1 + L)).  ``_parity_split`` gives
+    d_E = (n+1)//2 + L <= n - 1 + L for n >= 2, so both reduce to
+    max(d_W + 1 + L, max(d_R, n - 1) + L), and n draws one point more:
     n on stock rows.
     """
     identity, params, points = _pointwise("tangent", n_max, plan, 2, ("W-form ", "R-form "))
     W = triangles.poly_W(n_max)
-    R = triangles.poly_R(n_max)
+    R = triangles.triangle_R(n_max)
     P = triangles.poly_P(n_max)
 
     def cases(ns):
@@ -711,9 +713,8 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
             Wn, Rn = W.row(n), R.row(n)
             E, O, low = _parity_split(P.row(n), n + 1)
             yield n, "odd part of P_n", O, [0] * len(O)
-            L, dE = -low, len(E) - 1
-            top = max(_deg(Wn) + 1 + L, dE,
-                      max(_deg(Rn) + L, n - 1 + L) + max(0, dE - (n - 1 + L)))
+            L = -low
+            top = max(_deg(Wn) + 1 + L, max(_deg(Rn), n - 1) + L)
             for w_form, r_form, p, q in _certify(identity, n, points, top):
                 # W-form: (q/p) y^low E(y), y = (p-q)/q
                 e, e_den = horner(E, p - q, q)
@@ -761,7 +762,7 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     """
     identity, params, points = _pointwise("david-barton", n_max, plan, 2, ("",))
     A = triangles.poly_A(n_max)
-    R = triangles.poly_R(n_max)
+    R = triangles.triangle_R(n_max)
 
     def cases(ns):
         for n in ns:
@@ -861,7 +862,7 @@ def check_stanley_gf(t0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) 
     num = (1 + rho) + e1 * (2 * t0) + e2 * (1 - rho)
     den = ((1 - t0 * t0) + rho) + e2 * ((1 - t0 * t0) - rho)
     rhs = num / den * (1 - t0)
-    T = triangles.poly_T(order)
+    T = triangles.triangle_A(order)
     # over a reversed row of n+1 entries, sum_k row[k] t0^(n-k) is T_n(t0)
     expected = _egf_coeffs(lambda n: T.row(n)[::-1], t0, order)
     return _check_series(ident, params, rhs, expected)
@@ -895,8 +896,8 @@ def check_oracle(n_max: int = 8) -> CheckReport:
     sources = [
         (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
         (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),
-        (permcore.Stat.INTERIOR_PEAKS, triangles.triangle_W(n_max)),
-        (permcore.Stat.LEFT_PEAKS, triangles.triangle_Wtilde(n_max)),
+        (permcore.Stat.INTERIOR_PEAKS, triangles.poly_W(n_max)),
+        (permcore.Stat.LEFT_PEAKS, triangles.poly_Wtilde(n_max)),
         (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
     ]
     return _verdict("oracle/triangles", params, _expand(

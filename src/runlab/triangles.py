@@ -11,6 +11,14 @@ independent numbers.  Every generator runs from its smallest seed only
 and asserts every later printed seed row, so a mistranscribed recurrence
 fails loudly instead of producing plausible garbage.
 
+Each family has one builder: ``triangle_R`` (runs, R_n), ``triangle_A``
+(longest alternating subsequence, T_n), ``poly_W`` (interior peaks),
+``poly_Wtilde`` (left peaks), ``poly_P`` and ``triangle_euler``, with
+``poly_A`` reading the euler rows.  ``poly_R``, ``poly_T``,
+``triangle_W`` and ``triangle_Wtilde`` are the same four functions
+under a second name.  Every reader calls the builder's own name, so a
+patch meant to reach the readers must replace that name.
+
 Family rows are stored dense from k = 0 (recurrences reach k+1, k-1
 and k-2, and dense rows avoid sentinel bugs at the boundaries).
 """
@@ -142,17 +150,6 @@ def triangle_A(n_max: int) -> Family:
     return _run_steps("altsubseq", 0, [1], _A_STEPS, {1: [0, 1]}, n_max)
 
 
-def poly_R(n_max: int) -> Family:
-    """Run polynomials R_n(x) = sum_k R(n,k) x^k: the rows of triangle_R."""
-    return triangle_R(n_max)
-
-
-def poly_T(n_max: int) -> Family:
-    """Alternating-subsequence polynomials T_n(x) = sum_k a_k(n) x^k: the
-    rows of triangle_A."""
-    return triangle_A(n_max)
-
-
 def poly_W(n_max: int) -> Family:
     """Interior-peak polynomials, the coefficient form of
     W_(n+1) = (nx-x+2)W_n + 2x(1-x)W_n':
@@ -169,21 +166,15 @@ def poly_Wtilde(n_max: int) -> Family:
     return _run_steps("Wt", 0, [1], _WT_STEPS, {1: [1], 2: [1, 1], 3: [1, 5]}, n_max)
 
 
+#: Second names of four builders, bound to the builders themselves.
+poly_R, poly_T, triangle_W, triangle_Wtilde = triangle_R, triangle_A, poly_W, poly_Wtilde
+
+
 def poly_P(n_max: int) -> Family:
     """Tangent derivative polynomials, the coefficient form of
     P_0 = x, P_(n+1) = (1+x^2)P_n':
     P(n,k) = (k+1)*P(n-1,k+1) + (k-1)*P(n-1,k-1)."""
     return _run_steps("P", 0, [0, 1], _P_STEPS, {}, n_max)
-
-
-def triangle_W(n_max: int) -> Family:
-    """Interior-peak counts W(n,k): the rows of poly_W."""
-    return poly_W(n_max)
-
-
-def triangle_Wtilde(n_max: int) -> Family:
-    """Left-peak counts: the rows of poly_Wtilde."""
-    return poly_Wtilde(n_max)
 
 
 def triangle_euler(n_max: int) -> Family:

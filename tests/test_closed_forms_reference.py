@@ -69,8 +69,8 @@ def _verdict(identity, params, cases):
 def runs_from_peaks_cases(n_max):
     def cases(xs):
         W = triangles.poly_W(n_max)
-        R = triangles.poly_R(n_max)
-        T = triangles.poly_T(n_max)
+        R = triangles.triangle_R(n_max)
+        T = triangles.triangle_A(n_max)
         # what does not depend on n, once per point: the two labels,
         # 2x/(1+x) and (1+x)/2
         points = [(f"T-form x={x}", f"R-form x={x}", x, 2 * x / (1 + x), (1 + x) / 2)
@@ -89,7 +89,7 @@ def runs_from_peaks_cases(n_max):
 def tangent_cases(n_max):
     def cases(xs):
         W = triangles.poly_W(n_max)
-        R = triangles.poly_R(n_max)
+        R = triangles.triangle_R(n_max)
         P = triangles.poly_P(n_max)
         # what does not depend on n, once per point: the two labels, sigma,
         # 1/sigma, 1/tau, tau and (x+1)/2
@@ -111,7 +111,7 @@ def tangent_cases(n_max):
 def david_barton_cases(n_max):
     def cases(xs):
         A = triangles.poly_A(n_max)
-        R = triangles.poly_R(n_max)
+        R = triangles.triangle_R(n_max)
         # what does not depend on n, once per point: the label, (1-w)/(1+w),
         # (1+x)/2 and 1+w
         points = []
@@ -134,7 +134,7 @@ FORMS = {
 }
 
 #: family letter -> the builder name in ``triangles``
-BUILDERS = {"W": "poly_W", "R": "poly_R", "T": "poly_T", "P": "poly_P", "A": "poly_A"}
+BUILDERS = {"W": "poly_W", "R": "triangle_R", "T": "triangle_A", "P": "poly_P", "A": "poly_A"}
 
 
 def needed(kind, n_max):
@@ -524,6 +524,15 @@ class TestLengthenedRadicalRows:
         got, want = both_reports("tangent", 5, plan)
         assert got == want
         assert (want.first_failure.n, want.first_failure.point) == (n, f"W-form x={xs[n]}")
+
+    def test_tangent_even_part_stays_within_the_r_form_term(self):
+        # why the tangent bound has no d_E term: d_E = (n+1)//2 + L, at
+        # most n - 1 + L for n >= 2, however many entries P_n gains
+        P = triangles.poly_P(79)
+        for n in range(2, 80):
+            for extra in range(30):
+                E, _, low = idn._parity_split(P.row(n) + [1] * extra, n + 1)
+                assert len(E) - 1 == (n + 1) // 2 - low <= n - 1 - low, (n, extra)
 
     @pytest.mark.parametrize("e", [1, 2])
     def test_david_barton_rows_of_a_past_n_plus_two(self, monkeypatch, e):

@@ -357,8 +357,7 @@ class TestOracleBounds:
 
     @pytest.fixture(autouse=True)
     def nothing_built(self, monkeypatch):
-        for name in ("triangle_R", "triangle_A", "triangle_W", "triangle_Wtilde",
-                     "triangle_euler", "poly_W", "poly_Wtilde"):
+        for name in ("triangle_R", "triangle_A", "poly_W", "poly_Wtilde", "triangle_euler"):
             monkeypatch.setattr(triangles, name, lambda *a, _name=name: pytest.fail(_name))
         monkeypatch.setattr(pc, "descent_classes", lambda n: pytest.fail(f"S_{n} walked"))
         monkeypatch.setattr(pc, "descent_tables",
@@ -684,6 +683,21 @@ class TestFaultCatalogue:
         monkeypatch.delattr(triangles, "poly_P")
         assert faults.main(argv) == 2
         assert capsys.readouterr() == ("", f"faults.py: {message}\n")
+
+
+class TestOneNamePerBuilder:
+    """poly_R, poly_T, triangle_W and triangle_Wtilde are second names of
+    four builders, and no reader calls a builder by one, so a fault on
+    the builder's own name reaches every reader of its family."""
+
+    def test_readers_call_only_the_builders_own_names(self, monkeypatch):
+        second = {"poly_R": "triangle_R", "poly_T": "triangle_A",
+                  "triangle_W": "poly_W", "triangle_Wtilde": "poly_Wtilde"}
+        for name, builder in second.items():
+            assert getattr(triangles, name) is getattr(triangles, builder)
+            monkeypatch.setattr(triangles, name, lambda *a, _name=name: pytest.fail(_name))
+        for suite in idn.SUITES:
+            assert all(r.passed for r in idn.run_suite(suite)), suite
 
 
 class TestDescentWalks:

@@ -238,12 +238,10 @@ class TestCrossGeneration:
     def test_triangle_rows_equal_recurrence_polys(self):
         ref = _recurrence_family("R", 1, RatPoly((1,)), R_STEP, {}, 102)
         assert tr.triangle_R(102).rows == ref.rows
-        assert tr.poly_R(102).rows == ref.rows
 
     def test_alt_triangle_rows_equal_recurrence_polys(self):
         ref = _recurrence_family("T", 0, RatPoly((1,)), T_STEP, {}, 101)
         assert tr.triangle_A(101).rows == ref.rows
-        assert tr.poly_T(101).rows == ref.rows
 
     def test_peak_rows_equal_recurrence_polys(self):
         ref = _recurrence_family("W", 1, RatPoly((1,)), W_STEP,
@@ -270,16 +268,6 @@ class TestCrossGeneration:
         T = tr.poly_T(25)
         for n in range(2, 26):
             assert 2 * T[n] == RatPoly((1, 1)) * R[n]
-
-    def test_peak_triangles_match_polys(self):
-        W = tr.poly_W(10)
-        t = tr.triangle_W(10)
-        for n in t.indices():
-            assert RatPoly(t.row(n)) == W[n]
-        Wt = tr.poly_Wtilde(10)
-        t = tr.triangle_Wtilde(10)
-        for n in t.indices():
-            assert RatPoly(t.row(n)) == Wt[n]
 
 
 class TestConsistencyGuards:
