@@ -27,13 +27,8 @@ from . import grammar, identities, permcore, triangles
 
 FORMATS = ("plain", "json", "csv")
 
-TRIANGLE_BUILDERS = {
-    "runs": triangles.triangle_R,
-    "altsubseq": triangles.triangle_A,
-    "peaks": triangles.poly_W,
-    "leftpeaks": triangles.poly_Wtilde,
-    "euler": triangles.triangle_euler,
-}
+#: ``runlab triangle`` names and the builders they call, looked up when run
+TRIANGLE_BUILDERS = {cmd: name for name, (_, cmd, *_) in triangles.FAMILIES.items() if cmd}
 
 ORACLE_STATS = tuple(s.value for s in permcore.Stat)
 
@@ -110,7 +105,7 @@ def _emit(fmt: str, lines, objs, rows) -> None:
 
 
 def _cmd_triangle(args) -> int:
-    tri = TRIANGLE_BUILDERS[args.name](args.n_max)
+    tri = getattr(triangles, TRIANGLE_BUILDERS[args.name])(args.n_max)
 
     def lines():
         for n in tri.indices():

@@ -28,10 +28,11 @@ Three kinds of verification appear:
 
 A check states its comparisons as a lazy stream of cases
 ``(n, point, lhs, rhs)`` and hands it to :func:`_verdict`, the one place
-where a comparison becomes a report.  Two comparisons report on their
-own: grammar/leibniz, whose verdict comes from ``grammar.leibniz_check``,
-and grammar/peaks' derivative-0 seed check, whose right side prints as
-``Wt[0]``.
+where a comparison becomes a report; only grammar/leibniz, whose verdict
+comes from ``grammar.leibniz_check``, reports on its own.  The four
+grammar checks are rows of one table, ``_STREAMS``; they and the oracle
+check look each builder up by name and each statistic up in
+``triangles.FAMILIES`` when they run.
 
 Reports are deterministic: the same inputs produce byte-identical
 serialized output.  One table, ``_CHECKS``, says which checks each suite
@@ -50,7 +51,7 @@ import marshal
 import os
 import random
 import sys
-from itertools import islice
+from itertools import chain, islice
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -331,38 +332,46 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
             oracle: "Sequence[tuple]" = (), oracle_n_max: int = 0) -> Iterator[tuple]:
     """The cases of the four grammar checks and of the oracle check.
 
-    Each stream ``(seed, point, row, exponents)`` reads its derivatives
+    Each stream ``(seed, family, offset, layout)`` reads its derivatives
     under ``g`` from one :func:`grammar.d_tower` to n_max, the streams
     taking turns at each n in the order given, and derivative n must
-    equal sum_k row(n)[k] * x^exponents(n, k) over the nonzero entries of
-    the row (k = 0 included), compared at ``point``; that sum is packed
-    from its exponent vectors over the letters ``exponents`` names.  An
-    entry whose monomial would need a negative exponent is printed with
-    it on the right, so that case fails.  For n <= oracle_n_max each
-    oracle row ``(stat, row, name)`` must then match the brute-force
-    histogram of ``stat`` over S_n, all rows read from one class table of
-    S_n, drawn from one :func:`permcore.descent_tables` sweep to
-    oracle_n_max; the histogram is the left side and the row the right,
-    as the triangle is the right side of every stream.
+    equal sum_k F(n+offset, k) * x^layout(n, k) over the nonzero entries
+    of ``family``'s row (k = 0 included); that sum is packed from its
+    exponent vectors over the letters ``layout`` names.  An entry whose
+    monomial would need a negative exponent is printed with it on the
+    right, so that case fails.  Derivative 0, the seed, is compared too
+    where the family has row ``offset``, printed against F[offset].  For
+    1 <= n <= oracle_n_max each oracle row ``(stat, row, name)`` must
+    then match the brute-force histogram of ``stat`` over S_n, all rows
+    read from one class table of S_n, drawn from one
+    :func:`permcore.descent_tables` sweep to oracle_n_max; the histogram
+    is the left side and the row the right, as the triangle is the right
+    side of every stream.
     """
-    towers = [grammar.d_tower(g, seed, n_max) for seed, _, _, _ in streams]
+    towers = [(chain([seed], grammar.d_tower(g, seed, n_max)), str(seed)) for seed, *_ in streams]
     tables = permcore.descent_tables(oracle_n_max) if oracle_n_max else None
-    for n in range(1, n_max + 1):
-        for tower, (_, point, row, exponents) in zip(towers, streams):
+    for n in range(n_max + 1):
+        for (tower, word), (_, family, offset, layout) in zip(towers, streams):
             p = next(tower)
-            terms = [(exponents(n, k), c) for k, c in enumerate(row(n)) if c]
+            if n + offset < family.start:
+                continue
+            terms = [(layout(n, k), c) for k, c in enumerate(family.row(n + offset)) if c]
             # an entry past the degree of derivative n has a negative exponent
             stray = [(e, c) for e, c in terms if min(e.values()) < 0]
-            letters = tuple(sorted(exponents(n, 0)))
+            letters = tuple(sorted(layout(n, 0)))
             expected = grammar._mpoly(letters, *grammar._pack(
                 [([e[l] for l in letters], c) for e, c in terms if min(e.values()) >= 0]))
-            if stray:
+            if not n:
+                # an MPoly never equals a RatPoly, so a wrong seed row fails
+                yield (0, f"derivative 0 of {word}", p,
+                       family[offset] if stray or p != expected else p)
+            elif stray:
                 # str(p) never spells a negative exponent, so this case fails
-                yield n, point, str(p), " + ".join(
+                yield n, f"derivative of {word}", str(p), " + ".join(
                     [str(expected), *(_term_str(e, c) for e, c in stray)])
             else:
-                yield n, point, p, expected
-        if n <= oracle_n_max:
+                yield n, f"derivative of {word}", p, expected
+        if 0 < n <= oracle_n_max:
             classes = next(tables)
             for stat, row, name in oracle:
                 dist = permcore.distribution(stat, n, classes)
@@ -370,28 +379,50 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
                        _Hist((k, c) for k, c in enumerate(row(n)) if c))
 
 
+#: Each grammar check's stock grammar and streams, each ``(seed, builder,
+#: offset, layout, histogram label or None)``, its family built to n_max
+#: + offset; a labelled family is also compared with the histograms of
+#: its statistic, in ``triangles.FAMILIES`` order.
+_STREAMS = {
+    "grammar/runs": ("main", [(grammar.MPoly.monomial({"x": 2}), "triangle_R", 1,
+                               lambda n, k: {"x": 2, "y": k, "z": n - k}, None)]),
+    "grammar/altsubseq": ("main", [(grammar.MPoly.letter("x"), "triangle_A", 0,
+                                    lambda n, k: {"x": 1, "y": k, "z": n - k}, None)]),
+    "grammar/eulerian": ("dumont", [(grammar.MPoly.letter("x"), "triangle_euler", 0,
+                                     lambda n, k: {"x": k + 1, "y": n - k}, "descent histogram")]),
+    "grammar/peaks": ("peaks", [
+        (grammar.MPoly.letter("y"), "poly_Wtilde", 0,
+         lambda n, k: {"y": 2 * k + 1, "z": n - 2 * k}, "left-peak histogram"),
+        (grammar.MPoly.letter("z"), "poly_W", 0,
+         lambda n, k: {"y": 2 * k + 2, "z": n - 2 * k - 1}, "interior-peak histogram")]),
+}
+
+
+def _grammar_check(ident: str, n_max: int, **cap: int) -> CheckReport:
+    """The report of grammar check ``ident``, run from its ``_STREAMS``
+    row, with the histograms to ``oracle_n_max`` if ``cap`` gives one."""
+    params = _params(ident, 1, n_max=n_max, **cap)
+    name, streams = _STREAMS[ident]
+    built = {b: getattr(triangles, b)(n_max + offset) for _, b, offset, _, _ in streams}
+    labels = {b: label for _, b, _, _, label in streams if label}
+    return _verdict(ident, params, _expand(
+        grammar.builtin(name), n_max,
+        [(seed, built[b], offset, layout) for seed, b, offset, layout, _ in streams],
+        [(stat, built[b].row, labels[b])
+         for b, (_, _, stat, *_) in triangles.FAMILIES.items() if b in labels],
+        params.get("oracle_n_max", 0)))
+
+
 def check_grammar_runs(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x^2 under the main grammar carry the run
     triangle: the n-th derivative equals x^2 sum_k R(n+1,k) y^k z^(n-k)."""
-    params = _params("grammar/runs", 1, n_max=n_max)
-    tri = triangles.triangle_R(n_max + 1)
-    return _verdict("grammar/runs", params, _expand(
-        grammar.builtin("main"), n_max,
-        [(grammar.MPoly.monomial({"x": 2}), "derivative of x^2",
-          lambda n: tri.row(n + 1), lambda n, k: {"x": 2, "y": k, "z": n - k})],
-    ))
+    return _grammar_check("grammar/runs", n_max)
 
 
 def check_grammar_alt(n_max: int = 12) -> CheckReport:
     """Iterated derivatives of x under the main grammar carry the
     altsubseq triangle: the n-th derivative is x sum_k a_k(n) y^k z^(n-k)."""
-    params = _params("grammar/altsubseq", 1, n_max=n_max)
-    tri = triangles.triangle_A(n_max)
-    return _verdict("grammar/altsubseq", params, _expand(
-        grammar.builtin("main"), n_max,
-        [(grammar.MPoly.letter("x"), "derivative of x",
-          tri.row, lambda n, k: {"x": 1, "y": k, "z": n - k})],
-    ))
+    return _grammar_check("grammar/altsubseq", n_max)
 
 
 def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
@@ -400,19 +431,10 @@ def check_dumont(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
 
     Coefficients are compared against the euler triangle for n <= n_max
     and against the brute-force descent histogram for n <= oracle_n_max.
-    ``triangles.triangle_euler`` steps the eulerian recurrence
-    E(n,k) = (k+1)E(n-1,k) + (n-k)E(n-1,k-1) and never reads a grammar,
-    so each half is an independent comparison.
+    The euler rows come from their recurrence, never from a grammar, so
+    each half is an independent comparison.
     """
-    params = _params("grammar/eulerian", 1, n_max=n_max, oracle_n_max=oracle_n_max)
-    tri = triangles.triangle_euler(n_max)
-    return _verdict("grammar/eulerian", params, _expand(
-        grammar.builtin("dumont"), n_max,
-        [(grammar.MPoly.letter("x"), "derivative of x",
-          tri.row, lambda n, k: {"x": k + 1, "y": n - k})],
-        oracle=[(permcore.Stat.DESCENTS, tri.row, "descent histogram")],
-        oracle_n_max=oracle_n_max,
-    ))
+    return _grammar_check("grammar/eulerian", n_max, oracle_n_max=oracle_n_max)
 
 
 def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
@@ -421,23 +443,7 @@ def check_peaks_grammar(n_max: int = 12, oracle_n_max: int = 8) -> CheckReport:
     derivatives of z carry interior-peak counts on y^(2k+2) z^(n-2k-1).
     Both are also compared against the brute-force histograms for
     n <= oracle_n_max, read from one class table of each S_n."""
-    ident = "grammar/peaks"
-    params = _params(ident, 1, n_max=n_max, oracle_n_max=oracle_n_max)
-    W = triangles.poly_W(n_max)
-    Wt = triangles.poly_Wtilde(n_max)
-    py = grammar.MPoly.letter("y")
-    if py != grammar.MPoly.monomial({"y": 1}, Wt.entry(0, 0)):
-        return _failed(ident, params, 0, "derivative 0 of y", py, Wt[0])
-    return _verdict(ident, params, _expand(
-        grammar.builtin("peaks"), n_max,
-        [(py, "derivative of y",
-          Wt.row, lambda n, k: {"y": 2 * k + 1, "z": n - 2 * k}),
-         (grammar.MPoly.letter("z"), "derivative of z",
-          W.row, lambda n, k: {"y": 2 * k + 2, "z": n - 2 * k - 1})],
-        oracle=[(permcore.Stat.INTERIOR_PEAKS, W.row, "interior-peak histogram"),
-                (permcore.Stat.LEFT_PEAKS, Wt.row, "left-peak histogram")],
-        oracle_n_max=oracle_n_max,
-    ))
+    return _grammar_check("grammar/peaks", n_max, oracle_n_max=oracle_n_max)
 
 
 def _random_mpoly(rng: random.Random, letters: "tuple[str, ...]") -> grammar.MPoly:
@@ -888,20 +894,15 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 
 
 def check_oracle(n_max: int = 8) -> CheckReport:
-    """All five triangles match brute-force histograms over S_n, n <= n_max,
-    the five read from one class table of each S_n."""
+    """Each family with a statistic in ``triangles.FAMILIES`` matches its
+    brute-force histograms over S_n, n <= n_max, read from one class table
+    of each S_n."""
     params = _params("oracle/triangles", 1, n_max=n_max)
     if n_max > permcore.MAX_ENUM_N:
         raise ValueError(f"n_max must be between 1 and {permcore.MAX_ENUM_N}, got {n_max}")
-    sources = [
-        (permcore.Stat.RUNS, triangles.triangle_R(n_max)),
-        (permcore.Stat.LONGEST_ALT_SUBSEQ, triangles.triangle_A(n_max)),
-        (permcore.Stat.INTERIOR_PEAKS, triangles.poly_W(n_max)),
-        (permcore.Stat.LEFT_PEAKS, triangles.poly_Wtilde(n_max)),
-        (permcore.Stat.DESCENTS, triangles.triangle_euler(n_max)),
-    ]
-    return _verdict("oracle/triangles", params, _expand(
-        None, n_max, (), [(stat, tri.row, stat.value) for stat, tri in sources], n_max))
+    return _verdict("oracle/triangles", params, _expand(None, n_max, (), [
+        (stat, getattr(triangles, b)(n_max).row, stat.value)
+        for b, (_, _, stat, *_) in triangles.FAMILIES.items() if stat], n_max))
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,18 @@ def redefine(stat, fn):
     return lambda real: {**real, stat: fn}
 
 
+def restep(builder, steps, printed=True):
+    """Wrap of ``triangles.FAMILIES`` with ``builder``'s recurrence stepped
+    by ``steps``, its printed rows kept or, with ``printed`` false, dropped."""
+
+    def wrap(real):
+        name, command, stat, start, first, _, seeds = real[builder]
+        return {**real, builder: (name, command, stat, start, first, steps,
+                                  seeds if printed else {})}
+
+    return wrap
+
+
 def linear_tower(g, terms, width, n):
     """``grammar._tower`` without the exponent factor e: a linear map that
     replaces each letter occurrence by its rule, but not a derivation."""
@@ -232,11 +244,12 @@ FAULTS = {
     "tangent-P2": ("all", triangles, "poly_P", bump(2, 2), {
         "closed/tangent": (2, "odd part of P_n", "[1, 0]", "[0, 0]"),
     }),
-    # -- a wrong definition, run through `all`
+    # -- a wrong definition, run through `all`: a recurrence in
+    # triangles.FAMILIES, which every builder reads when called
     # the shift-2 coefficient n-k+1 of the A table in place of R's n-k:
     # row 2 grows a third entry, R(2,2) = 1, that no permutation has
-    "steps-R": ("all", triangles, "_R_STEPS",
-                replace(((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1))), {
+    "steps-R": ("all", triangles, "FAMILIES",
+                restep("triangle_R", ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1))), {
         "closed/alt-from-runs": (2, "2 T_n = (1+x) R_n", "2*x + 2*x^2", "2*x + 3*x^2 + x^3"),
         "closed/david-barton": (2, "x=1/2", "5/4", "1"),
         "closed/runs-from-peaks": (2, "R-form x=1/2", "5/4", "1"),
@@ -251,7 +264,7 @@ FAULTS = {
     }),
     # the shift-0 coefficient 3k+2 in place of 2k+2: the asserted rows
     # W_2 and W_3 survive, W(4,1) reads 18 instead of 16
-    "steps-W": ("all", triangles, "_W_STEPS", replace(((0, 3, 0, 2), (1, -2, 1, 0))), {
+    "steps-W": ("all", triangles, "FAMILIES", restep("poly_W", ((0, 3, 0, 2), (1, -2, 1, 0))), {
         "closed/runs-from-peaks": (4, "T-form x=1/2", "63/16", "135/32"),
         "closed/tangent": (4, "W-form x=3/2", "35", "32"),
         "grammar/peaks": (4, "derivative of z", "8*y^2*z^3 + 16*y^4*z", "8*y^2*z^3 + 18*y^4*z"),
@@ -261,7 +274,8 @@ FAULTS = {
                               "x + 15*x^2 + 43*x^3 + 47*x^4 + 16*x^5"),
     }),
     # the shift-0 coefficient 2k+1 in place of k+1: E(3,1) reads 5
-    "steps-euler": ("all", triangles, "_EULER_STEPS", replace(((0, 2, 0, 1), (1, -1, 1, 0))), {
+    "steps-euler": ("all", triangles, "FAMILIES",
+                    restep("triangle_euler", ((0, 2, 0, 1), (1, -1, 1, 0))), {
         "closed/david-barton": (3, "x=1/2", "2", "9/4"),
         "grammar/eulerian": (3, "derivative of x",
                              "x*y^3 + 4*x^2*y^2 + x^3*y", "x*y^3 + 5*x^2*y^2 + x^3*y"),
@@ -317,9 +331,16 @@ FAULTS = {
     "peaks-W41": ("grammar", triangles, "poly_W", bump(4, 1), {
         "grammar/peaks": (4, "derivative of z", "8*y^2*z^3 + 16*y^4*z", "8*y^2*z^3 + 17*y^4*z"),
     }),
-    # Wt_0 = 2 against the seed y, before any derivative is taken
+    # Wt_0 = 2, R_1 = 2 and T_0 = 2 against the seeds y, x^2 and x, before
+    # any derivative is taken
     "leftpeaks-Wt0": ("grammar", triangles, "poly_Wtilde", bump(0, 0), {
         "grammar/peaks": (0, "derivative 0 of y", "y", "2"),
+    }),
+    "runs-R10": ("grammar", triangles, "triangle_R", bump(1, 0), {
+        "grammar/runs": (0, "derivative 0 of x^2", "x^2", "2"),
+    }),
+    "alt-A00": ("grammar", triangles, "triangle_A", bump(0, 0), {
+        "grammar/altsubseq": (0, "derivative 0 of x", "x", "2"),
     }),
     "euler-E41": ("grammar", triangles, "triangle_euler", bump(4, 1), {
         "grammar/eulerian": (4, "derivative of x",

@@ -352,6 +352,14 @@ class TestTriangleCommand:
         assert code == 0
         assert out.splitlines() == ["1", "2", "2 4", "2 12 10", "2 28 58 32"]
 
+    def test_reaches_a_patched_builder(self, capsys, monkeypatch):
+        # the command looks its builder up by name when it runs, so a fault
+        # on that name reaches it as it reaches the checks: R(5,3) + 1
+        faults.install("runs-R53", monkeypatch.setattr)
+        code, out, _ = run(capsys, "triangle", "runs", "5")
+        assert code == 0
+        assert out.splitlines() == ["1", "2", "2 4", "2 12 10", "2 28 59 32"]
+
     def test_euler_first_row(self, capsys):
         code, out, _ = run(capsys, "triangle", "euler", "1")
         assert code == 0
@@ -671,7 +679,7 @@ class TestVerifyCommand:
         def broken(n_max):
             raise triangles.ConsistencyError("row 2 contradicts its seed")
 
-        monkeypatch.setitem(cli.TRIANGLE_BUILDERS, "runs", broken)
+        monkeypatch.setattr(triangles, "triangle_R", broken)
         code, out, err = run(capsys, "triangle", "runs", "3")
         assert code == 1
         assert out == ""

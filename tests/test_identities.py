@@ -583,6 +583,8 @@ FAULT_CALLS = [
     ("peaks-W41", "check_peaks_grammar", (6, 4)),
     ("leftpeaks-Wt31", "check_peaks_grammar", (6, 4)),
     ("leftpeaks-Wt0", "check_peaks_grammar", (6, 4)),
+    ("runs-R10", "check_grammar_runs", (6,)),
+    ("alt-A00", "check_grammar_alt", (6,)),
     # reported before any point is compared
     ("descents-A31", "check_david_barton", (4,)),
     ("sine-z1", "check_altsubseq_gf", (F(1, 2), 6)),
@@ -683,6 +685,55 @@ class TestFaultCatalogue:
         monkeypatch.delattr(triangles, "poly_P")
         assert faults.main(argv) == 2
         assert capsys.readouterr() == ("", f"faults.py: {message}\n")
+
+
+def _moved_steps():
+    """``(builder, steps)`` for each a, b and c of each recurrence entry
+    of ``triangles.FAMILIES`` moved by +1 and by -1."""
+    for builder, (*_, steps, _) in triangles.FAMILIES.items():
+        for i, entry in enumerate(steps):
+            for j in (1, 2, 3):
+                for delta in (1, -1):
+                    moved = entry[:j] + (entry[j] + delta,) + entry[j + 1:]
+                    yield builder, steps[:i] + (moved,) + steps[i + 1:]
+
+
+class TestStepTableSweep:
+    """Each one-unit move of a coefficient of a recurrence fails a check
+    of `all` but grammar/leibniz, each run at its defaults in one
+    process: with the family's printed rows kept, a builder may refuse it
+    with ``ConsistencyError`` instead; with them dropped, a check must
+    fail."""
+
+    MUTANTS = list(_moved_steps())
+
+    def test_every_coefficient_is_moved(self):
+        assert len(self.MUTANTS) == 84
+        assert len(set(self.MUTANTS)) == 84
+
+    @pytest.mark.parametrize("printed", [True, False], ids=["printed-rows", "no-printed-rows"])
+    def test_every_mutant_is_caught(self, monkeypatch, printed):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        real = triangles.FAMILIES
+        checks = [name for name, *_ in idn._CHECKS if name != "check_leibniz"]
+
+        def caught():
+            for name in checks:
+                try:
+                    if not getattr(idn, name)().passed:
+                        return True
+                except triangles.ConsistencyError:
+                    if printed:
+                        return True
+                    raise
+            return False
+
+        survivors = []
+        for builder, steps in self.MUTANTS:
+            monkeypatch.setattr(triangles, "FAMILIES", faults.restep(builder, steps, printed)(real))
+            if not caught():
+                survivors.append((builder, steps))
+        assert survivors == []
 
 
 class TestOneNamePerBuilder:

@@ -10,6 +10,7 @@ from runlab import grammar
 from runlab import triangles as tr
 from runlab.exactnum import RatPoly
 from runlab.triangles import ConsistencyError, Family
+from tests import faults
 
 F = Fraction
 
@@ -22,11 +23,6 @@ class TestRunTriangle:
         assert t.row(3) == [0, 2, 4]
         assert t.row(4) == [0, 2, 12, 10]
         assert t.row(5) == [0, 2, 28, 58, 32]
-
-    def test_entry_is_zero_outside_row(self):
-        t = tr.triangle_R(4)
-        assert t.entry(3, 0) == 0
-        assert t.entry(3, 7) == 0
 
     def test_row_range_errors(self):
         t = tr.triangle_R(4)
@@ -274,7 +270,8 @@ class TestConsistencyGuards:
     def test_table_seed_row_is_asserted(self, monkeypatch):
         # a_1(1) = 1 is printed; a shift-1 coefficient of 2 gives [0, 2],
         # and the printed row is asserted even when n_max stops short of it
-        monkeypatch.setattr(tr, "_A_STEPS", ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1)))
+        monkeypatch.setattr(tr, "FAMILIES", faults.restep(
+            "triangle_A", ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 1)))(tr.FAMILIES))
         for n_max in (3, 0):
             with pytest.raises(tr.ConsistencyError,
                                match=r"^row 1 of the altsubseq triangle is \[0, 2\], "
@@ -284,7 +281,8 @@ class TestConsistencyGuards:
     def test_seed_mismatch_fails_loudly(self, monkeypatch):
         # a shift-1 coefficient 2n-2k-2 in place of n-2k keeps W_2 = 2 but
         # gives W_3 = 4+4x against the printed 4+2x, caught from poly_W(1) on
-        monkeypatch.setattr(tr, "_W_STEPS", ((0, 2, 0, 2), (1, -2, 2, -2)))
+        monkeypatch.setattr(tr, "FAMILIES", faults.restep(
+            "poly_W", ((0, 2, 0, 2), (1, -2, 2, -2)))(tr.FAMILIES))
         for n_max in (5, 1):
             with pytest.raises(tr.ConsistencyError,
                                match=r"^row 3 of the W triangle is \[4, 4\], "
