@@ -28,7 +28,7 @@ from . import grammar, identities, permcore, triangles
 FORMATS = ("plain", "json", "csv")
 
 #: ``runlab triangle`` names and the builders they call, looked up when run
-TRIANGLE_BUILDERS = {cmd: name for name, (_, cmd, *_) in triangles.FAMILIES.items() if cmd}
+TRIANGLE_BUILDERS = {f.command: b for b, f in triangles.FAMILIES.items() if f.command}
 
 ORACLE_STATS = tuple(s.value for s in permcore.Stat)
 

@@ -29,10 +29,9 @@ Three kinds of verification appear:
 A check states its comparisons as a lazy stream of cases
 ``(n, point, lhs, rhs)`` and hands it to :func:`_verdict`, the one place
 where a comparison becomes a report; only grammar/leibniz, whose verdict
-comes from ``grammar.leibniz_check``, reports on its own.  The four
-grammar checks are rows of one table, ``_STREAMS``; they and the oracle
-check look each builder up by name and each statistic up in
-``triangles.FAMILIES`` when they run.
+comes from ``grammar.leibniz_check``, reports on its own.  The grammar
+checks are rows of ``_STREAMS``; they and the oracle check look builders
+and statistics up in ``triangles.FAMILIES`` when they run.
 
 Reports are deterministic: the same inputs produce byte-identical
 serialized output.  One table, ``_CHECKS``, says which checks each suite
@@ -379,21 +378,20 @@ def _expand(g: "grammar.Grammar | None", n_max: int, streams: "Sequence[tuple]",
                        _Hist((k, c) for k, c in enumerate(row(n)) if c))
 
 
-#: Each grammar check's stock grammar and streams, each ``(seed, builder,
-#: offset, layout, histogram label or None)``, its family built to n_max
-#: + offset; a labelled family is also compared with the histograms of
-#: its statistic, in ``triangles.FAMILIES`` order.
+#: Each grammar check's grammar and streams ``(seed exponents, builder,
+#: offset, layout, label)``, the family built to n_max + offset; a family
+#: with a label is compared with its statistic's histograms, in FAMILIES order.
 _STREAMS = {
-    "grammar/runs": ("main", [(grammar.MPoly.monomial({"x": 2}), "triangle_R", 1,
+    "grammar/runs": ("main", [({"x": 2}, "triangle_R", 1,
                                lambda n, k: {"x": 2, "y": k, "z": n - k}, None)]),
-    "grammar/altsubseq": ("main", [(grammar.MPoly.letter("x"), "triangle_A", 0,
+    "grammar/altsubseq": ("main", [({"x": 1}, "triangle_A", 0,
                                     lambda n, k: {"x": 1, "y": k, "z": n - k}, None)]),
-    "grammar/eulerian": ("dumont", [(grammar.MPoly.letter("x"), "triangle_euler", 0,
+    "grammar/eulerian": ("dumont", [({"x": 1}, "triangle_euler", 0,
                                      lambda n, k: {"x": k + 1, "y": n - k}, "descent histogram")]),
     "grammar/peaks": ("peaks", [
-        (grammar.MPoly.letter("y"), "poly_Wtilde", 0,
+        ({"y": 1}, "poly_Wtilde", 0,
          lambda n, k: {"y": 2 * k + 1, "z": n - 2 * k}, "left-peak histogram"),
-        (grammar.MPoly.letter("z"), "poly_W", 0,
+        ({"z": 1}, "poly_W", 0,
          lambda n, k: {"y": 2 * k + 2, "z": n - 2 * k - 1}, "interior-peak histogram")]),
 }
 
@@ -407,9 +405,9 @@ def _grammar_check(ident: str, n_max: int, **cap: int) -> CheckReport:
     labels = {b: label for _, b, _, _, label in streams if label}
     return _verdict(ident, params, _expand(
         grammar.builtin(name), n_max,
-        [(seed, built[b], offset, layout) for seed, b, offset, layout, _ in streams],
-        [(stat, built[b].row, labels[b])
-         for b, (_, _, stat, *_) in triangles.FAMILIES.items() if b in labels],
+        [(grammar.MPoly.monomial(seed), built[b], offset, layout)
+         for seed, b, offset, layout, _ in streams],
+        [(f.stat, built[b].row, labels[b]) for b, f in triangles.FAMILIES.items() if b in labels],
         params.get("oracle_n_max", 0)))
 
 
@@ -894,15 +892,14 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
 
 
 def check_oracle(n_max: int = 8) -> CheckReport:
-    """Each family with a statistic in ``triangles.FAMILIES`` matches its
-    brute-force histograms over S_n, n <= n_max, read from one class table
-    of each S_n."""
+    """Every family with a statistic matches its brute-force histograms
+    over S_n, n <= n_max, all read from one class table of each S_n."""
     params = _params("oracle/triangles", 1, n_max=n_max)
     if n_max > permcore.MAX_ENUM_N:
         raise ValueError(f"n_max must be between 1 and {permcore.MAX_ENUM_N}, got {n_max}")
     return _verdict("oracle/triangles", params, _expand(None, n_max, (), [
-        (stat, getattr(triangles, b)(n_max).row, stat.value)
-        for b, (_, _, stat, *_) in triangles.FAMILIES.items() if stat], n_max))
+        (f.stat, getattr(triangles, b)(n_max).row, f.stat.value)
+        for b, f in triangles.FAMILIES.items() if f.stat], n_max))
 
 
 # ----------------------------------------------------------------------

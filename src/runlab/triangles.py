@@ -25,6 +25,8 @@ and k-2, and dense rows avoid sentinel bugs at the boundaries).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .exactnum import RatPoly, _Frozen, _ratpoly
 from .permcore import Stat
 
@@ -78,25 +80,32 @@ class Family(_Frozen):
                              f"{self.start}..{self.max_n} of family {self.name!r}")
         return self.rows[n - self.start]
 
+    def entry(self, n: int, k: int) -> int:
+        row = self.row(n)
+        return row[k] if 0 <= k < len(row) else 0
+
     def __getitem__(self, n: int) -> RatPoly:
         return _ratpoly(list(self.row(n)))
 
+
+FamilySpec = namedtuple("FamilySpec", "name command stat start first steps seeds")
 
 #: Every recurrence family by the name of its builder, in the order the
 #: oracle reads them: its name in error texts, its ``runlab triangle``
 #: name and its oracle statistic (None where it has none), then its
 #: recurrence: the first row at n = start, the steps and the printed rows.
 FAMILIES = {
-    "triangle_R": ("runs", "runs", Stat.RUNS, 1, [1],
-                   ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 0)), {}),
-    "triangle_A": ("altsubseq", "altsubseq", Stat.LONGEST_ALT_SUBSEQ, 0, [1],
-                   ((0, 1, 0, 0), (1, 0, 0, 1), (2, -1, 1, 1)), {1: [0, 1]}),
-    "poly_W": ("W", "peaks", Stat.INTERIOR_PEAKS, 1, [1],
-               ((0, 2, 0, 2), (1, -2, 1, 0)), {2: [2], 3: [4, 2]}),
-    "poly_Wtilde": ("Wt", "leftpeaks", Stat.LEFT_PEAKS, 0, [1],
-                    ((0, 2, 0, 1), (1, -2, 1, 1)), {1: [1], 2: [1, 1], 3: [1, 5]}),
-    "poly_P": ("P", None, None, 0, [0, 1], ((-1, 1, 0, 1), (1, 1, 0, -1)), {}),
-    "triangle_euler": ("euler", "euler", Stat.DESCENTS, 1, [1], ((0, 1, 0, 1), (1, -1, 1, 0)), {}),
+    "triangle_R": FamilySpec("runs", "runs", Stat.RUNS, 1, [1],
+                             ((0, 1, 0, 0), (1, 0, 0, 2), (2, -1, 1, 0)), {}),
+    "triangle_A": FamilySpec("altsubseq", "altsubseq", Stat.LONGEST_ALT_SUBSEQ, 0, [1],
+                             ((0, 1, 0, 0), (1, 0, 0, 1), (2, -1, 1, 1)), {1: [0, 1]}),
+    "poly_W": FamilySpec("W", "peaks", Stat.INTERIOR_PEAKS, 1, [1],
+                         ((0, 2, 0, 2), (1, -2, 1, 0)), {2: [2], 3: [4, 2]}),
+    "poly_Wtilde": FamilySpec("Wt", "leftpeaks", Stat.LEFT_PEAKS, 0, [1],
+                              ((0, 2, 0, 1), (1, -2, 1, 1)), {1: [1], 2: [1, 1], 3: [1, 5]}),
+    "poly_P": FamilySpec("P", None, None, 0, [0, 1], ((-1, 1, 0, 1), (1, 1, 0, -1)), {}),
+    "triangle_euler": FamilySpec("euler", "euler", Stat.DESCENTS, 1, [1],
+                                 ((0, 1, 0, 1), (1, -1, 1, 0)), {}),
 }
 
 

@@ -64,9 +64,8 @@ def restep(builder, steps, printed=True):
     by ``steps``, its printed rows kept or, with ``printed`` false, dropped."""
 
     def wrap(real):
-        name, command, stat, start, first, _, seeds = real[builder]
-        return {**real, builder: (name, command, stat, start, first, steps,
-                                  seeds if printed else {})}
+        spec = real[builder]
+        return {**real, builder: spec._replace(steps=steps, seeds=spec.seeds if printed else {})}
 
     return wrap
 

@@ -690,7 +690,8 @@ class TestFaultCatalogue:
 def _moved_steps():
     """``(builder, steps)`` for each a, b and c of each recurrence entry
     of ``triangles.FAMILIES`` moved by +1 and by -1."""
-    for builder, (*_, steps, _) in triangles.FAMILIES.items():
+    for builder, spec in triangles.FAMILIES.items():
+        steps = spec.steps
         for i, entry in enumerate(steps):
             for j in (1, 2, 3):
                 for delta in (1, -1):

@@ -24,6 +24,11 @@ class TestRunTriangle:
         assert t.row(4) == [0, 2, 12, 10]
         assert t.row(5) == [0, 2, 28, 58, 32]
 
+    def test_entry_is_zero_outside_row(self):
+        t = tr.triangle_R(4)
+        assert t.entry(3, 0) == 0
+        assert t.entry(3, 7) == 0
+
     def test_row_range_errors(self):
         t = tr.triangle_R(4)
         with pytest.raises(ValueError):
