@@ -30,8 +30,10 @@ A check states its comparisons as a lazy stream of cases
 ``(n, point, lhs, rhs)`` and hands it to :func:`_verdict`, the one place
 where a comparison becomes a report; only grammar/leibniz, whose verdict
 comes from ``grammar.leibniz_check``, reports on its own.  The grammar
-checks are rows of ``_STREAMS``; they and the oracle check look builders
-and statistics up in ``triangles.FAMILIES`` when they run.
+checks are rows of ``_STREAMS``; they and the oracle check look
+statistics up in ``triangles.FAMILIES`` when they run.  Every check gets
+its families from :func:`_family` by builder name, and the checks of one
+:func:`run_suite` call share each family and GF series q through ``_store``.
 
 Reports are deterministic: the same inputs produce byte-identical
 serialized output.  One table, ``_CHECKS``, says which checks each suite
@@ -191,6 +193,26 @@ def _params(identity: str, first: "int | None", **params: object) -> "dict[str, 
             raise ValueError(f"oracle_n_max must be between 0 and {top}, "
                              f"got {params['oracle_n_max']}")
     return params
+
+
+#: The families by ``(builder, n_max)`` and q series by ``(x0, order)``
+#: built so far in this :func:`run_suite` call, which its checks (and its
+#: forked children) read and never edit; None outside a run.
+_store: "dict | None" = None
+
+
+def _shared(key: tuple, make: "Callable[[], object]"):
+    """``make()``, kept in ``_store`` under ``key`` while a run lasts."""
+    if _store is None:
+        return make()
+    if key not in _store:
+        _store[key] = make()
+    return _store[key]
+
+
+def _family(builder: str, n_max: int) -> triangles.Family:
+    """``triangles.<builder>(n_max)``, the builder looked up when built."""
+    return _shared((builder, n_max), lambda: getattr(triangles, builder)(n_max))
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +423,7 @@ def _grammar_check(ident: str, n_max: int, **cap: int) -> CheckReport:
     row, with the histograms to ``oracle_n_max`` if ``cap`` gives one."""
     params = _params(ident, 1, n_max=n_max, **cap)
     name, streams = _STREAMS[ident]
-    built = {b: getattr(triangles, b)(n_max + offset) for _, b, offset, _, _ in streams}
+    built = {b: _family(b, n_max + offset) for _, b, offset, _, _ in streams}
     labels = {b: label for _, b, _, _, label in streams if label}
     return _verdict(ident, params, _expand(
         grammar.builtin(name), n_max,
@@ -571,10 +593,10 @@ def check_convolutions(n_max: int = 20) -> CheckReport:
     row and of the term-by-term sum, since each lies in (-X/2, X/2).
     """
     params = _params("poly/convolutions", 1, n_max=n_max)
-    T = triangles.triangle_A(n_max + 1)
-    R = triangles.triangle_R(n_max + 2)
-    W = triangles.poly_W(n_max)
-    Wt = triangles.poly_Wtilde(n_max)
+    T = _family("triangle_A", n_max + 1)
+    R = _family("triangle_R", n_max + 2)
+    W = _family("poly_W", n_max)
+    Wt = _family("poly_Wtilde", n_max)
 
     def cases(ns):
         for n, b, sides in _convolution_sides(ns, T, R, W, Wt):
@@ -592,8 +614,8 @@ def check_recurrence_consistency(n_max: int = 20) -> CheckReport:
     R_(n+2) = x(nx+2)R_(n+1) + x(1-x^2)R_(n+1)', and the altsubseq rows
     obey T_(n+1) = x(nx+1)T_n + x(1-x^2)T_n'."""
     params = _params("poly/recurrences", 0, n_max=n_max)
-    r = triangles.triangle_R(n_max + 2)
-    t = triangles.triangle_A(n_max + 1)
+    r = _family("triangle_R", n_max + 2)
+    t = _family("triangle_A", n_max + 1)
     x_1_minus_x2 = RatPoly((0, 1, 0, -1))
 
     def cases(ns):
@@ -611,8 +633,8 @@ def check_alt_from_runs(n_max: int = 25) -> CheckReport:
     polynomial arithmetic as 2 T_n = (1+x) R_n."""
     params = _params("closed/alt-from-runs", 2, n_max=n_max)
     one_plus_x = RatPoly((1, 1))
-    T = triangles.triangle_A(n_max)
-    R = triangles.triangle_R(n_max)
+    T = _family("triangle_A", n_max)
+    R = _family("triangle_R", n_max)
     return _verdict("closed/alt-from-runs", params, (
         (n, "2 T_n = (1+x) R_n", 2 * T[n], one_plus_x * R[n]) for n in range(2, n_max + 1)
     ))
@@ -653,9 +675,9 @@ def check_runs_from_peaks(n_max: int = 20, plan: "SamplePlan | None" = None) -> 
     """
     identity, params, points = _pointwise("runs-from-peaks", n_max, plan, 1,
                                           ("T-form ", "R-form "))
-    W = triangles.poly_W(n_max)
-    R = triangles.triangle_R(n_max)
-    T = triangles.triangle_A(n_max)
+    W = _family("poly_W", n_max)
+    R = _family("triangle_R", n_max)
+    T = _family("triangle_A", n_max)
 
     def cases(ns):
         for n in ns:
@@ -708,9 +730,9 @@ def check_tangent_forms(n_max: int = 12, plan: "SamplePlan | None" = None) -> Ch
     n on stock rows.
     """
     identity, params, points = _pointwise("tangent", n_max, plan, 2, ("W-form ", "R-form "))
-    W = triangles.poly_W(n_max)
-    R = triangles.triangle_R(n_max)
-    P = triangles.poly_P(n_max)
+    W = _family("poly_W", n_max)
+    R = _family("triangle_R", n_max)
+    P = _family("poly_P", n_max)
 
     def cases(ns):
         for n in ns:
@@ -765,8 +787,8 @@ def check_david_barton(n_max: int = 12, plan: "SamplePlan | None" = None) -> Che
     and n draws one point more: n on stock rows.
     """
     identity, params, points = _pointwise("david-barton", n_max, plan, 2, ("",))
-    A = triangles.poly_A(n_max)
-    R = triangles.triangle_R(n_max)
+    A = _family("poly_A", n_max)
+    R = _family("triangle_R", n_max)
 
     def cases(ns):
         for n in ns:
@@ -833,7 +855,8 @@ def _check_series(ident: str, params: dict, rhs: PowerSeries,
 def _q_series(x0: Fraction, rho: QuadExt, order: int) -> PowerSeries:
     """q = (rho + sin(z rho)) / (x0 - cos(z rho)) through z^order, the
     series both closed EGFs in z are built from."""
-    return (rho + sin_series(rho, order)) / (x0 - cos_series(rho, order))
+    return _shared((x0, order), lambda: (rho + sin_series(rho, order))
+                   / (x0 - cos_series(rho, order)))
 
 
 def check_carlitz(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) -> CheckReport:
@@ -846,7 +869,7 @@ def check_carlitz(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) -> 
     params = _params(ident, None, x0=str(x0), order=order)
     q = _q_series(x0, QuadExt.root(1 - x0 * x0), order)
     rhs = (1 - x0) / (1 + x0) * (q * q)
-    tri = triangles.triangle_R(order + 1)
+    tri = _family("triangle_R", order + 1)
     expected = _egf_coeffs(lambda n: tri.row(n + 1), x0, order)
     return _check_series(ident, params, rhs, expected)
 
@@ -866,7 +889,7 @@ def check_stanley_gf(t0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER) 
     num = (1 + rho) + e1 * (2 * t0) + e2 * (1 - rho)
     den = ((1 - t0 * t0) + rho) + e2 * ((1 - t0 * t0) - rho)
     rhs = num / den * (1 - t0)
-    T = triangles.triangle_A(order)
+    T = _family("triangle_A", order)
     # over a reversed row of n+1 entries, sum_k row[k] t0^(n-k) is T_n(t0)
     expected = _egf_coeffs(lambda n: T.row(n)[::-1], t0, order)
     return _check_series(ident, params, rhs, expected)
@@ -882,7 +905,7 @@ def check_altsubseq_gf(x0: Rational = Fraction(1, 2), order: int = DEFAULT_ORDER
     params = _params(ident, None, x0=str(x0), order=order)
     rho = QuadExt.root(1 - x0 * x0)
     rhs = _q_series(x0, rho, order) * (-(rho / (1 + x0)))
-    tri = triangles.triangle_A(order)
+    tri = _family("triangle_A", order)
     expected = _egf_coeffs(tri.row, x0, order)
     return _check_series(ident, params, rhs, expected)
 
@@ -898,7 +921,7 @@ def check_oracle(n_max: int = 8) -> CheckReport:
     if n_max > permcore.MAX_ENUM_N:
         raise ValueError(f"n_max must be between 1 and {permcore.MAX_ENUM_N}, got {n_max}")
     return _verdict("oracle/triangles", params, _expand(None, n_max, (), [
-        (f.stat, getattr(triangles, b)(n_max).row, f.stat.value)
+        (f.stat, _family(b, n_max).row, f.stat.value)
         for b, f in triangles.FAMILIES.items() if f.stat], n_max))
 
 
@@ -1096,7 +1119,8 @@ def run_suite(
             raise ValueError(f"{option} repeats the point {repeated[0]}")
         calls[option] = [{param: x, "order": order} for x in points]
 
-    reports, deferred, child = [], None, None
+    global _store
+    reports, deferred, child, _store = [], None, None, {}
     try:
         for name, member, option, may_fork in _CHECKS:
             if suite in ("all", member):
@@ -1109,10 +1133,13 @@ def run_suite(
         if child is not None:
             _kill(child)
         raise
-    if deferred is not None:
-        # a child that raised or died is rerun here: the check is
-        # deterministic, so this raises what the child would have
-        name, kwargs = deferred
-        report = None if child is None else _join(child)
-        reports.append(globals()[name](**kwargs) if report is None else report)
+    else:
+        if deferred is not None:
+            # a child that raised or died is rerun here: the check is
+            # deterministic, so this raises what the child would have
+            name, kwargs = deferred
+            report = None if child is None else _join(child)
+            reports.append(globals()[name](**kwargs) if report is None else report)
+    finally:
+        _store = None
     return sorted(reports, key=lambda r: r.identity)

@@ -786,6 +786,97 @@ class TestDescentWalks:
         assert sweeps == [[5, *range(1, 6)]] * 2
 
 
+#: Every family builder a reader calls by name.
+BUILDERS = (*triangles.FAMILIES, "poly_A")
+
+
+class TestRunStore:
+    """Within one run_suite call each family is built once per (builder,
+    n_max) and each GF series q once per (x0, order); a check on its own,
+    or the next run, builds everything afresh."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # (builder, n_max) of each build a reader asked for; poly_A's own
+        # call of triangle_euler is the builder's business, not a reader's
+        counts, depth = Counter(), [0]
+        for b in BUILDERS:
+            def counted(n_max, _b=b, _real=getattr(triangles, b)):
+                if not depth[0]:
+                    counts[_b, n_max] += 1
+                depth[0] += 1
+                try:
+                    return _real(n_max)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(triangles, b, counted)
+        return counts
+
+    @pytest.fixture
+    def qs(self, monkeypatch):
+        # cos_series is called once per q computed, at its rho and order
+        counts, real = Counter(), idn.cos_series
+
+        def counted(rho, order):
+            counts[str(rho), order] += 1
+            return real(rho, order)
+
+        monkeypatch.setattr(idn, "cos_series", counted)
+        return counts
+
+    @pytest.mark.parametrize("suite", idn.SUITES)
+    def test_one_build_per_family_and_n_in_a_run(self, built, qs, suite):
+        assert all(r.passed for r in idn.run_suite(suite, order=6))
+        assert built and max(built.values()) == 1
+        x0s = {*idn.DEFAULT_CARLITZ_X0S, *idn.DEFAULT_FINAL_X0S}
+        assert qs == ({(str(QuadExt.root(1 - x * x)), 6): 1 for x in x0s}
+                      if suite in ("all", "gf") else {})
+        assert idn._store is None
+
+    def test_a_check_on_its_own_and_each_run_build_afresh(self, built, qs):
+        for _ in range(2):
+            assert idn.check_carlitz(F(1, 3), 6).passed
+        assert built == {("triangle_R", 7): 2} and len(qs) == 1 and set(qs.values()) == {2}
+        built.clear()
+        for _ in range(2):
+            assert all(r.passed for r in idn.run_suite("gf", order=6))
+        assert built == {("triangle_R", 7): 2, ("triangle_A", 6): 2}
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_a_raising_run_leaves_no_store(self, monkeypatch, exc):
+        def raising(*a, **k):
+            assert idn._store  # the families of the checks before it
+            raise exc("stop")
+
+        monkeypatch.setattr(idn, "check_altsubseq_gf", raising)
+        with pytest.raises(exc, match="stop"):
+            idn.run_suite("gf")
+        assert idn._store is None
+
+    def test_a_fault_installed_between_runs_is_seen(self, monkeypatch):
+        assert all(r.passed for r in idn.run_suite("gf"))
+        for name in ("runs-R42", "sine-z1"):
+            monkeypatch.undo()
+            assert faults.install(name, monkeypatch.setattr) == "gf"
+            failed = {r.identity: tuple(r.first_failure)
+                      for r in idn.run_suite("gf") if not r.passed}
+            assert failed == faults.FAULTS[name][4]
+
+    @pytest.mark.parametrize("suite", idn.SUITES)
+    def test_no_reader_edits_a_shared_row(self, monkeypatch, suite):
+        snapshots = []
+        for b in BUILDERS:
+            def snapshot(n_max, _real=getattr(triangles, b)):
+                family = _real(n_max)
+                snapshots.append((family, [list(row) for row in family.rows]))
+                return family
+            monkeypatch.setattr(triangles, b, snapshot)
+        assert all(r.passed for r in idn.run_suite(suite))
+        assert snapshots
+        for family, rows in snapshots:
+            assert family.rows == rows, family.name
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
